@@ -2,9 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .collision import (EM, SBM, Checkpoint, DiagnosticsPlan, Pairing,
-                        ParticleEnsemble, SchemeConfig, em_collision_step,
-                        random_pairing, sbm_collision_step, simulate_homogeneous)
+from .collision import (EM, SBM, Checkpoint, DiagnosticsPlan, ParticleEnsemble,
+                        SchemeConfig, em_collision_step, random_pairing,
+                        sbm_collision_step, sbm_pair_update, simulate_homogeneous)
 from .diagnostics import (DensityGrid, DiagnosticsRecord, default_grid, entropy,
                           mollified_density, moments, relative_l2_error)
 from .kernels import KernelParams, Z_FLOOR, kernel_A, kernel_K, kernel_sigma, projection, time_scale_k
@@ -13,16 +13,3 @@ from .streams import RngStream
 from .vpl import (PicGrid, VplConfig, VplState, cell_collisions, cn_va_step,
                   deposit_charge, deposit_current, interpolate_field,
                   simulate_vpl, solve_poisson, vpl_diagnostics)
-
-__all__ = [
-    "EM", "SBM", "Checkpoint", "DiagnosticsPlan", "Pairing", "ParticleEnsemble",
-    "SchemeConfig", "em_collision_step", "random_pairing", "sbm_collision_step",
-    "simulate_homogeneous", "DensityGrid", "DiagnosticsRecord", "default_grid",
-    "entropy", "mollified_density", "moments", "relative_l2_error",
-    "KernelParams", "Z_FLOOR", "kernel_A", "kernel_K", "kernel_sigma",
-    "projection", "time_scale_k", "SamplerKind", "default_sampler",
-    "rotate_from_pole", "sample_radial_cos", "sample_sbm", "sample_sbm_batch",
-    "RngStream", "PicGrid", "VplConfig", "VplState", "cell_collisions",
-    "cn_va_step", "deposit_charge", "deposit_current", "interpolate_field",
-    "simulate_vpl", "solve_poisson", "vpl_diagnostics", "__version__",
-]

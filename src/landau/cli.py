@@ -8,16 +8,10 @@ writes CSV diagnostics plus a JSON manifest; reruns with the same config and
 seed are bitwise identical.
 """
 
-import os
-
-if os.environ.get("LANDAU_THREADS"):
-    # best-effort knob for BLAS/OpenMP pools; results never depend on it
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["LANDAU_THREADS"])
-
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -133,7 +127,8 @@ class ExperimentConfig:
                 SamplerKind(self.sampler)
             except ValueError:
                 raise ConfigError(f"sampler: unknown kind {self.sampler!r}") from None
-        _positive = {"dt": self.dt, "eps": self.eps, "grid_extent": self.grid_extent}
+        _positive = {"dt": self.dt, "eps": self.eps, "grid_extent": self.grid_extent,
+                     "residual_tol": self.residual_tol}
         for name, val in _positive.items():
             if val is not None and val <= 0:
                 raise ConfigError(f"{name}: must be positive")
@@ -184,7 +179,7 @@ class RunManifest:
     version: str
     git_revision: Optional[str]
     seed: int
-    seconds_per_step: Optional[float]
+    run_seconds: Optional[float]
     outputs: list
     summary: dict
 
@@ -264,7 +259,6 @@ def _run_homogeneous(cfg: ExperimentConfig, outdir):
     results = simulate_homogeneous(scheme, init, cfg.t_end, checkpoints, plan,
                                    store_snapshots=bool(dump_at))
     elapsed = time.perf_counter() - t_start
-    n_steps = max(1, math.ceil(round(cfg.t_end / cfg.dt, 9)))
 
     outputs = []
     mom_cols = [f"momentum_{ax}" for ax in "xyz"[: cfg.dim]]
@@ -286,7 +280,7 @@ def _run_homogeneous(cfg: ExperimentConfig, outdir):
         "final_kinetic_energy": results[-1].record.kinetic_energy,
         "final_entropy": results[-1].record.entropy,
     }
-    return outputs, elapsed / n_steps, summary
+    return outputs, elapsed, summary
 
 
 def _run_vpl(cfg: ExperimentConfig, outdir):
@@ -318,7 +312,7 @@ def _run_vpl(cfg: ExperimentConfig, outdir):
     summary = {"initial_total_energy": e0, "final_total_energy": e1,
                "relative_energy_drift": abs(e1 - e0) / abs(e0),
                "mass_weight_convention": "per-particle weight q = Q/N with Q = domain length"}
-    return outputs, elapsed / n_steps, summary
+    return outputs, elapsed, summary
 
 
 def _fit_loglog(ns, errs):
@@ -418,10 +412,10 @@ def run(cfg: ExperimentConfig) -> RunManifest:
         "sampler-test": _run_sampler_test,
     }
     runner = dispatch.get(cfg.kind, _run_homogeneous)
-    outputs, sec_per_step, summary = runner(cfg, outdir)
+    outputs, run_seconds, summary = runner(cfg, outdir)
     manifest = RunManifest(config={k: v for k, v in cfg.__dict__.items()},
                            version=__version__, git_revision=_git_revision(),
-                           seed=cfg.seed, seconds_per_step=sec_per_step,
+                           seed=cfg.seed, run_seconds=run_seconds,
                            outputs=[os.path.basename(p) for p in outputs],
                            summary=summary)
     manifest.write(os.path.join(outdir, "manifest.json"))

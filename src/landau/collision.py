@@ -48,32 +48,6 @@ class ParticleEnsemble:
         return self.velocities.shape[1]
 
 
-@dataclass(frozen=True)
-class Pairing:
-    """A fixed-point-free involution describing collision partners."""
-
-    theta: np.ndarray
-
-    def __post_init__(self):
-        th = np.asarray(self.theta, dtype=np.int64)
-        object.__setattr__(self, "theta", th)
-        n = th.shape[0]
-        # bounds + involution imply bijectivity, so no sort is needed
-        if n == 0 or th.min() < 0 or th.max() >= n:
-            raise ValueError("theta entries must lie in 0..N-1")
-        idx = np.arange(n)
-        if np.any(th == idx):
-            raise ValueError("theta must be fixed-point-free")
-        if not np.array_equal(th[th], idx):
-            raise ValueError("theta must be an involution")
-
-    def pairs(self):
-        """Index arrays (i, theta(i)) with i < theta(i), ordered by i."""
-        n = self.theta.shape[0]
-        i = np.flatnonzero(np.arange(n) < self.theta)
-        return i, self.theta[i]
-
-
 @dataclass
 class SchemeConfig:
     """Time step, scheme choice and kernel of a homogeneous run."""
@@ -94,67 +68,66 @@ class SchemeConfig:
         return self.sampler if self.sampler is not None else default_sampler(dim)
 
 
-def random_pairing(n, rng: RngStream) -> Pairing:
-    """Uniformly random perfect matching: a shuffle consumed two at a time."""
+def random_pairing(n, rng: RngStream):
+    """Uniformly random perfect matching as index arrays (i, j): a shuffle taken two at a time."""
     if n < 2 or n % 2 != 0:
         raise OddParticleCount(f"need an even number of particles >= 2, got {n}")
     perm = rng.generator().permutation(n)
-    theta = np.empty(n, dtype=np.int64)
-    theta[perm[0::2]] = perm[1::2]
-    theta[perm[1::2]] = perm[0::2]
-    return Pairing(theta)
+    return perm[0::2], perm[1::2]
 
 
-def _pair_geometry(v, pairing):
-    i, j = pairing.pairs()
+def sbm_pair_update(v, i, j, kernel: KernelParams, dt, sampler: SamplerKind, rng: RngStream):
+    """Exact SBM collision of the pairs (i[k], j[k]) of ``v``, in place.
+
+    The relative velocity z = v_i - v_j turns as z' = |z| SBM(z/|z|, k(z) dt)
+    and the pair becomes (s +/- z')/2 with s = v_i + v_j, so momentum and
+    kinetic energy are conserved per pair to rounding. Pairs with |z| below
+    the degeneracy floor keep their velocities bitwise; a zero collision
+    strength leaves ``v`` untouched. The pairs must be disjoint.
+    """
+    if kernel.lam == 0:
+        return
     vi = v[i]
     vj = v[j]
     z = vi - vj
-    s = vi + vj
-    r = np.linalg.norm(z, axis=1)
-    return i, j, z, s, r
-
-
-def sbm_collision_step(ens: ParticleEnsemble, pairing: Pairing, cfg: SchemeConfig,
-                       step: int, normals=None) -> ParticleEnsemble:
-    """One SBM collision window: z' = |z| * SBM(z/|z|, k dt), v -> (s +/- z')/2.
-
-    Pairs with |z| below the degeneracy floor, or with zero collision rate,
-    are left untouched. ``normals`` (2D exact sampler only) injects the
-    angle noise for equivariance tests.
-    """
-    v = ens.velocities.copy()
-    i, j, z, s, r = _pair_geometry(v, pairing)
-    tau = np.zeros_like(r)
+    s = np.add(vi, vj, out=vi)
+    r = np.sqrt(np.einsum("ij,ij->i", z, z))
     good = r >= Z_FLOOR
-    tau[good] = time_scale_k(z[good], cfg.kernel) * cfg.dt
-    act = good & (tau > 0)
-    if not np.any(act):
-        return ParticleEnsemble(v)
-    e = z[act] / r[act, None]
-    rng = RngStream(cfg.seed, step=step, domain=DOMAIN_COLLISION)
-    sub_normals = None if normals is None else np.asarray(normals, dtype=float)[act]
-    e2 = sample_sbm_batch(e, tau[act], cfg.sampler_for(ens.dim), rng, normals=sub_normals)
-    zp = r[act, None] * e2
-    v[i[act]] = (s[act] + zp) / 2.0
-    v[j[act]] = (s[act] - zp) / 2.0
+    if not good.all():
+        keep = np.flatnonzero(good)
+        i, j, z, s, r = i[keep], j[keep], z[keep], s[keep], r[keep]
+    tau = time_scale_k(z, kernel) * dt
+    zp = sample_sbm_batch(np.divide(z, r[:, None], out=z), tau, sampler, rng)
+    zp *= r[:, None]
+    v[i] = (s + zp) / 2.0
+    v[j] = (s - zp) / 2.0
+
+
+def sbm_collision_step(ens: ParticleEnsemble, pairing, cfg: SchemeConfig,
+                       step: int) -> ParticleEnsemble:
+    """One SBM collision window of the pairs ``pairing`` = (i, j)."""
+    v = ens.velocities.copy()
+    sbm_pair_update(v, *pairing, cfg.kernel, cfg.dt, cfg.sampler_for(ens.dim),
+                    RngStream(cfg.seed, step=step, domain=DOMAIN_COLLISION))
     return ParticleEnsemble(v)
 
 
-def em_collision_step(ens: ParticleEnsemble, pairing: Pairing, cfg: SchemeConfig,
+def em_collision_step(ens: ParticleEnsemble, pairing, cfg: SchemeConfig,
                       step: int, noise=None) -> ParticleEnsemble:
     """One Euler-Maruyama window: Dv = K(z) dt + sigma(z) dW, dW ~ N(0, dt I).
 
-    ``noise`` injects the dW array (pair-ordered, shape (n_pairs, d)).
+    ``pairing`` is the index-array pair (i, j); ``noise`` injects the dW
+    array (pair-ordered, shape (n_pairs, d)).
     """
     v = ens.velocities.copy()
-    i, j, z, s, r = _pair_geometry(v, pairing)
-    good = r >= Z_FLOOR
+    i, j = pairing
+    z = v[i] - v[j]
+    good = np.linalg.norm(z, axis=1) >= Z_FLOOR
     if not np.any(good):
         return ParticleEnsemble(v)
     if noise is None:
         gen = RngStream(cfg.seed, step=step, domain=DOMAIN_COLLISION).generator()
-        dw = gen.standard_normal((r.shape[0], ens.dim)) * math.sqrt(cfg.dt)
+        dw = gen.standard_normal((z.shape[0], ens.dim)) * math.sqrt(cfg.dt)
     else:
         dw = np.asarray(noise, dtype=float)
     zg = z[good]

@@ -37,6 +37,10 @@ class NonFiniteState(LandauError):
     """A simulation state picked up non-finite entries."""
 
 
+class FixedPointNotConverged(LandauError):
+    """An implicit iteration hit its sweep cap with the residual above tolerance."""
+
+
 class ConfigError(LandauError):
     """An experiment configuration is invalid; the message names the field."""
 

@@ -2,8 +2,8 @@
 
 Three samplers are provided behind one interface:
 
-* ``EXACT_2D``: on the circle the increment is exact, ``(cos, sin)`` of the
-  start angle plus a Brownian increment.
+* ``EXACT_2D``: on the circle the increment is exact, the start point
+  rotated by a Brownian angle increment.
 * ``TANGENT_SUBSTEP``: a geodesic random walk with substeps of at most
   ``TANGENT_TAU0``. The step angle is ``c(delta) * |xi|`` with ``xi`` a
   tangent Gaussian and ``c`` calibrated so the first Legendre moment
@@ -13,8 +13,9 @@ Three samplers are provided behind one interface:
   the death-process Beta mixture (exact up to series truncation), azimuth
   uniform, rotated back to the start point.
 
-All samplers renormalize to unit length after every update, so downstream
-energy conservation is exact up to a single rounding.
+The 3D samplers renormalize to unit length after every update and the 2D
+rotation keeps the length of the start point, so downstream energy
+conservation is exact up to rounding.
 """
 
 import enum
@@ -245,52 +246,54 @@ def rotate_from_pole(start, local):
 def sample_sbm_batch(starts, taus, kind, rng: RngStream, substep=TANGENT_TAU0, normals=None):
     """Sample SBM increments for a batch of start points and times.
 
-    ``normals``, accepted by the EXACT_2D sampler only, injects the standard
-    normal angle increments (used by equivariance tests); by default they are
-    drawn from ``rng``.
+    Returns a new array aligned with ``starts``; rows with tau = 0 keep their
+    start point. ``normals``, accepted by the EXACT_2D sampler only, injects
+    the standard normal angle increments (used by equivariance tests); by
+    default they are drawn from ``rng``.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     n, dim = starts.shape
-    taus = np.broadcast_to(np.asarray(taus, dtype=float), (n,)).copy()
+    taus = np.broadcast_to(np.asarray(taus, dtype=float), (n,))
     if np.any(taus < 0):
         raise ValueError("tau must be >= 0")
     _check_kind(kind, dim)
-    out = starts.copy()
+    if normals is not None and kind is not SamplerKind.EXACT_2D:
+        raise ValueError("normals injection is only supported for EXACT_2D")
     active = taus > 0
-    if not np.any(active):
-        return out
+    # with every tau > 0 (the usual case) the batch is sampled without copies
+    idx = None if active.all() else np.flatnonzero(active)
+    if idx is None:
+        y0, t = starts, taus
+    else:
+        y0, t = starts[idx], taus[idx]
+        normals = None if normals is None else np.asarray(normals, dtype=float)[idx]
     gen = rng.generator()
-    idx = np.flatnonzero(active)
-    y0 = starts[idx]
-    t = taus[idx]
 
     if kind is SamplerKind.EXACT_2D:
-        if normals is None:
-            b = gen.standard_normal(idx.size)
-        else:
-            b = np.asarray(normals, dtype=float)[idx]
-        th = np.arctan2(y0[:, 1], y0[:, 0]) + np.sqrt(t) * b
-        out[idx] = np.column_stack([np.cos(th), np.sin(th)])
-        return out
-    if normals is not None:
-        raise ValueError("normals injection is only supported for EXACT_2D")
-
-    if kind is SamplerKind.TANGENT_SUBSTEP:
+        b = gen.standard_normal(t.size) if normals is None else np.asarray(normals, dtype=float)
+        a = np.sqrt(t) * b
+        c = np.cos(a)
+        sn = np.sin(a, out=a)
+        res = np.empty_like(y0)
+        res[:, 0] = c * y0[:, 0] - sn * y0[:, 1]
+        res[:, 1] = sn * y0[:, 0] + c * y0[:, 1]
+    elif kind is SamplerKind.TANGENT_SUBSTEP:
         res = np.empty_like(y0)
         unif = t >= _uniform_time(dim)
         if np.any(unif):
             res[unif] = _uniform_sphere(gen, int(np.count_nonzero(unif)), dim)
         if np.any(~unif):
             res[~unif] = _tangent_walk(y0[~unif], t[~unif], gen, substep)
-        out[idx] = res
-        return out
-
-    # RADIAL_ANGULAR_3D
-    x = _radial_cos_batch(t, gen)
-    phi = gen.uniform(0.0, 2.0 * np.pi, idx.size)
-    sin_th = np.sqrt(np.maximum(1.0 - x * x, 0.0))
-    local = np.column_stack([sin_th * np.cos(phi), sin_th * np.sin(phi), x])
-    out[idx] = rotate_from_pole(y0, local)
+    else:  # RADIAL_ANGULAR_3D
+        x = _radial_cos_batch(t, gen)
+        phi = gen.uniform(0.0, 2.0 * np.pi, t.size)
+        sin_th = np.sqrt(np.maximum(1.0 - x * x, 0.0))
+        local = np.column_stack([sin_th * np.cos(phi), sin_th * np.sin(phi), x])
+        res = rotate_from_pole(y0, local)
+    if idx is None:
+        return res
+    out = starts.copy()
+    out[idx] = res
     return out
 
 

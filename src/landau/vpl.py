@@ -4,8 +4,10 @@ Particle-in-cell with linear (hat) deposition/interpolation, a spectral
 periodic Poisson solve for the initial field, and an energy-conserving
 Crank-Nicolson Vlasov-Ampere step (the field advances from the midpoint
 current, so the discrete kinetic + electric energy telescopes exactly at
-the fixed point of the implicit iteration). Collisions act cell-by-cell via
-the exact spherical-Brownian pair update on the 2D velocities.
+the fixed point of the implicit iteration). Collisions act cell-by-cell: a
+pairing is two index arrays (i, j), and the 2D velocities of each pair go
+through collision.sbm_pair_update, the one exact spherical-Brownian pair
+kernel that also serves the homogeneous solver.
 """
 
 import math
@@ -15,8 +17,10 @@ from typing import Optional
 import numpy as np
 
 from .analytic import DAMPING_LENGTH, sample_landau_damping
-from .errors import NonFiniteState
-from .kernels import KernelParams, Z_FLOOR, time_scale_k
+from .collision import sbm_pair_update
+from .errors import FixedPointNotConverged, NonFiniteState
+from .kernels import KernelParams
+from .sphere import SamplerKind
 from .streams import RngStream, DOMAIN_INIT, DOMAIN_CELLS
 
 _MAX_FIXED_POINT_ITERS = 200
@@ -120,8 +124,9 @@ def cn_va_step(state: VplState, dt, n_iters, grid: PicGrid, residual_tol=None) -
     then each sweep recomputes midpoints, the midpoint current, the field
     update E' = E - dt (J - J_mean) and the velocity update from the
     averaged field. With residual_tol set, iteration stops once the sweep
-    changes field and particles by less than the tolerance; otherwise
-    exactly n_iters sweeps run.
+    changes field and particles by less than the tolerance, and raises
+    FixedPointNotConverged if that takes more than _MAX_FIXED_POINT_ITERS
+    sweeps; otherwise exactly n_iters sweeps run.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
@@ -151,8 +156,12 @@ def cn_va_step(state: VplState, dt, n_iters, grid: PicGrid, residual_tol=None) -
         if not np.isfinite(res):
             raise NonFiniteState(f"Vlasov-Ampere iteration diverged at t={state.time}")
         if residual_tol is not None:
-            if res < residual_tol or iters >= _MAX_FIXED_POINT_ITERS:
+            if res < residual_tol:
                 break
+            if iters >= _MAX_FIXED_POINT_ITERS:
+                raise FixedPointNotConverged(
+                    f"Vlasov-Ampere iteration at t={state.time}: residual {res:.3e} still above "
+                    f"residual_tol={residual_tol:g} after {iters} sweeps")
         elif iters >= n_iters:
             break
     v = state.velocities.copy()
@@ -160,65 +169,49 @@ def cn_va_step(state: VplState, dt, n_iters, grid: PicGrid, residual_tol=None) -
     return VplState(xg % grid.length, v, eg, state.charge, state.time + dt)
 
 
-def _collide_pairs_2d(v, i_idx, j_idx, kernel: KernelParams, dt, normals):
-    """Exact SBM pair collisions on 2D velocities with injected angle noise.
+def _cell_pairs(cell, gen):
+    """Random disjoint pairs (i, j) within each cell, plus the leftover pairs.
 
-    The relative-velocity direction rotates by a centered normal angle of
-    variance k dt; magnitude and pair sum are untouched, so momentum and
-    kinetic energy are conserved per pair.
+    A shuffle is grouped by cell with a stable sort, so each cell keeps a
+    uniformly random order, and taken two at a time. The leftover of a cell
+    with an odd count of at least 3 is paired, with probability 1/2, with a
+    uniformly chosen mate that is already paired: (li, lj).
     """
-    z = v[i_idx] - v[j_idx]
-    s = v[i_idx] + v[j_idx]
-    r = np.linalg.norm(z, axis=1)
-    good = r >= Z_FLOOR
-    tau = np.zeros_like(r)
-    tau[good] = time_scale_k(z[good], kernel) * dt
-    act = good & (tau > 0)
-    if not np.any(act):
-        return
-    th = np.arctan2(z[act, 1], z[act, 0]) + np.sqrt(tau[act]) * normals[act]
-    zp = r[act, None] * np.column_stack([np.cos(th), np.sin(th)])
-    v[i_idx[act]] = (s[act] + zp) / 2.0
-    v[j_idx[act]] = (s[act] - zp) / 2.0
+    n = cell.size
+    order = gen.permutation(n)
+    order = order[np.argsort(cell[order], kind="stable")]
+    csort = cell[order]
+    same = csort[1:] == csort[:-1]
+    starts = np.flatnonzero(np.r_[True, ~same])
+    sizes = np.diff(np.r_[starts, n])
+    offset = np.arange(n - 1) - np.repeat(starts, sizes)[:-1]
+    first = np.flatnonzero(same & (offset % 2 == 0))
+    odd = (sizes % 2 == 1) & (sizes >= 3)
+    l_starts, l_sizes = starts[odd], sizes[odd]
+    coins = gen.random(l_starts.size) < 0.5
+    partner_off = gen.integers(0, l_sizes - 1)
+    li = order[(l_starts + l_sizes - 1)[coins]]
+    lj = order[(l_starts + partner_off)[coins]]
+    return order[first], order[first + 1], li, lj
 
 
 def cell_collisions(state: VplState, dt, kernel: KernelParams, grid: PicGrid,
                     seed, step) -> VplState:
-    """Landau collisions within each spatial cell.
+    """Landau collisions within each spatial cell; positions never change.
 
-    Particles are binned by cell, randomly paired within the cell, and each
-    pair performs one SBM collision. In a cell with an odd count the
-    leftover particle collides, with probability 1/2, with a uniformly
-    chosen already-collided cell mate; positions never change.
+    Each within-cell pair and each colliding leftover pair (see _cell_pairs)
+    performs one exact SBM collision through the same pair kernel as the
+    homogeneous solver.
     """
     if kernel.lam == 0:
         return state
-    n = state.positions.shape[0]
-    gen = RngStream(seed, step=step, domain=DOMAIN_CELLS).generator()
     cell = np.floor(state.positions / grid.dx).astype(np.int64) % grid.n0
-    order = np.lexsort((gen.random(n), cell))
-    csort = cell[order]
-    starts = np.flatnonzero(np.r_[True, csort[1:] != csort[:-1]])
-    sizes = np.diff(np.r_[starts, n])
-    gidx = np.repeat(np.arange(starts.size), sizes)
-    pos = np.arange(n) - starts[gidx]
-    first = (pos % 2 == 0) & (pos + 1 < sizes[gidx])
-    fi = np.flatnonzero(first)
-    i_idx = order[fi]
-    j_idx = order[fi + 1]
+    i, j, li, lj = _cell_pairs(cell, RngStream(seed, step=step, domain=DOMAIN_CELLS).generator())
     v = state.velocities.copy()
-    _collide_pairs_2d(v, i_idx, j_idx, kernel, dt, gen.standard_normal(i_idx.size))
-    # leftover particles of odd cells with at least one collided mate
-    odd = (sizes % 2 == 1) & (sizes >= 3)
-    if np.any(odd):
-        l_starts = starts[odd]
-        l_sizes = sizes[odd]
-        coins = gen.random(l_starts.size) < 0.5
-        partner_off = gen.integers(0, l_sizes - 1)
-        extra_normals = gen.standard_normal(l_starts.size)
-        li = order[(l_starts + l_sizes - 1)[coins]]
-        pj = order[(l_starts + partner_off)[coins]]
-        _collide_pairs_2d(v, li, pj, kernel, dt, extra_normals[coins])
+    sbm_pair_update(v, i, j, kernel, dt, SamplerKind.EXACT_2D,
+                    RngStream(seed, step=step, stream=1, domain=DOMAIN_CELLS))
+    sbm_pair_update(v, li, lj, kernel, dt, SamplerKind.EXACT_2D,
+                    RngStream(seed, step=step, stream=2, domain=DOMAIN_CELLS))
     return VplState(state.positions, v, state.field, state.charge, state.time)
 
 

@@ -38,6 +38,9 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError, match="reference_time"):
         ExperimentConfig.from_dict(dict(kind="coulomb2d", n_particles=10, dt=0.1, t_end=1.0,
                                         checkpoint_every=0.5, reference_path="x.bin"))
+    with pytest.raises(ConfigError, match="residual_tol"):
+        ExperimentConfig.from_dict(dict(kind="vpl-damping", n_particles=100, dt=0.1,
+                                        t_end=1.0, alpha=0.1, residual_tol=0))
 
 
 def test_bkw2d_run_outputs(tmp_path):
@@ -54,7 +57,7 @@ def test_bkw2d_run_outputs(tmp_path):
     data = json.loads((outdir / "manifest.json").read_text())
     assert data["seed"] == 3
     assert "diagnostics.csv" in data["outputs"]
-    assert data["seconds_per_step"] > 0
+    assert data["run_seconds"] > 0 and "seconds_per_step" not in data
     assert manifest.version
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from landau.analytic import sample_bkw
-from landau.collision import (EM, SBM, Pairing, ParticleEnsemble, SchemeConfig,
+from landau.collision import (EM, SBM, ParticleEnsemble, SchemeConfig,
                               em_collision_step, random_pairing, sbm_collision_step,
                               simulate_homogeneous)
 from landau.errors import InvalidCheckpoint, OddParticleCount
@@ -12,6 +12,7 @@ from landau.streams import RngStream
 MAXWELL_2D = KernelParams(1.0 / 8.0, 0.0, 2)
 MAXWELL_3D = KernelParams(1.0 / 12.0, 0.0, 3)
 COULOMB_2D = KernelParams(1.0 / 8.0, -3.0, 2)
+COULOMB_3D = KernelParams(1.0 / 12.0, -3.0, 3)
 
 
 def bkw_ensemble(dim, n, seed=0):
@@ -20,14 +21,15 @@ def bkw_ensemble(dim, n, seed=0):
 
 
 def pair_sums(ens, pairing):
-    i, j = pairing.pairs()
+    i, j = pairing
     v = ens.velocities
     return v[i] + v[j], np.sum(v[i] ** 2 + v[j] ** 2, axis=1)
 
 
 def test_pairing_n2():
-    p = random_pairing(2, RngStream(0))
-    np.testing.assert_array_equal(p.theta, [1, 0])
+    i, j = random_pairing(2, RngStream(0))
+    assert sorted([int(i[0]), int(j[0])]) == [0, 1]
+    assert i.shape == j.shape == (1,)
 
 
 def test_pairing_rejects_odd_and_small():
@@ -39,10 +41,17 @@ def test_pairing_rejects_odd_and_small():
 
 @pytest.mark.parametrize("n", [4, 100, 10_000])
 def test_pairing_involution_no_fixed_points(n):
-    p = random_pairing(n, RngStream(3, step=n))
+    i, j = random_pairing(n, RngStream(3, step=n))
+    assert i.shape == j.shape == (n // 2,)
+    # the two halves are disjoint and together cover 0..n-1
+    np.testing.assert_array_equal(np.sort(np.concatenate([i, j])), np.arange(n))
+    # so the partner map they define is a fixed-point-free involution
+    theta = np.empty(n, dtype=np.int64)
+    theta[i] = j
+    theta[j] = i
     idx = np.arange(n)
-    assert np.all(p.theta != idx)
-    np.testing.assert_array_equal(p.theta[p.theta], idx)
+    assert np.all(theta != idx)
+    np.testing.assert_array_equal(theta[theta], idx)
 
 
 def test_pairing_uniform_over_matchings_n4():
@@ -50,31 +59,25 @@ def test_pairing_uniform_over_matchings_n4():
     counts = {1: 0, 2: 0, 3: 0}
     trials = 100_000
     for k in range(trials):
-        p = random_pairing(4, RngStream(11, step=k % (1 << 27), stream=k // (1 << 27)))
-        counts[int(p.theta[0])] += 1
+        i, j = random_pairing(4, RngStream(11, step=k % (1 << 27), stream=k // (1 << 27)))
+        at = np.flatnonzero((i == 0) | (j == 0))[0]
+        counts[int(i[at] + j[at])] += 1  # one of the two is particle 0
     se = np.sqrt((1.0 / 3.0) * (2.0 / 3.0) / trials)
     for c in counts.values():
         assert abs(c / trials - 1.0 / 3.0) <= 3.0 * se
 
 
-def test_pairing_validation():
-    with pytest.raises(ValueError):
-        Pairing(np.array([0, 1]))  # fixed points
-    with pytest.raises(ValueError):
-        Pairing(np.array([1, 2, 0, 3]))  # not an involution
-
-
 def test_sbm_step_zero_rate_is_identity():
     ens = ParticleEnsemble(np.array([[1.0, 0.0], [-1.0, 0.0]]))
     cfg = SchemeConfig(0.1, SBM, KernelParams(0.0, 0.0, 2), seed=1)
-    out = sbm_collision_step(ens, Pairing(np.array([1, 0])), cfg, step=1)
+    out = sbm_collision_step(ens, (np.array([0]), np.array([1])), cfg, step=1)
     np.testing.assert_array_equal(out.velocities, ens.velocities)
 
 
 def test_sbm_step_degenerate_pair_unchanged():
     ens = ParticleEnsemble(np.array([[1.0, 0.0], [1.0, 0.0], [0.4, 0.2], [-0.1, 0.3]]))
     cfg = SchemeConfig(0.1, SBM, COULOMB_2D, seed=2)
-    out = sbm_collision_step(ens, Pairing(np.array([1, 0, 3, 2])), cfg, step=1)
+    out = sbm_collision_step(ens, (np.array([0, 2]), np.array([1, 3])), cfg, step=1)
     np.testing.assert_array_equal(out.velocities[:2], ens.velocities[:2])
     assert not np.array_equal(out.velocities[2:], ens.velocities[2:])
 
@@ -95,7 +98,7 @@ def test_em_momentum_and_zero_noise_drift():
     ens = bkw_ensemble(2, 50 * 2, seed=7)
     pairing = random_pairing(ens.n, RngStream(8))
     cfg = SchemeConfig(0.1, EM, MAXWELL_2D, seed=9)
-    i, j = pairing.pairs()
+    i, j = pairing
     z = ens.velocities[i] - ens.velocities[j]
 
     out = em_collision_step(ens, pairing, cfg, step=1)
@@ -117,7 +120,7 @@ def test_em_energy_identity_per_realized_noise(kernel, dim):
     pairing = random_pairing(ens.n, RngStream(11))
     dt = 0.05
     cfg = SchemeConfig(dt, EM, kernel, seed=12)
-    i, j = pairing.pairs()
+    i, j = pairing
     z = ens.velocities[i] - ens.velocities[j]
     rng = np.random.default_rng(13)
     dw = rng.standard_normal(z.shape) * np.sqrt(dt)
@@ -134,25 +137,24 @@ def test_em_energy_identity_per_realized_noise(kernel, dim):
 
 
 def test_exchangeability_under_relabeling_n4():
-    # the pair update commutes with consistent relabeling when the same
-    # per-pair noise is applied to corresponding pairs
-    v = np.array([[0.3, 1.1], [-0.5, 0.2], [0.9, -0.7], [0.1, 0.4]])
-    theta = np.array([2, 3, 0, 1])  # pairs (0,2), (1,3)
+    # the pair update commutes with a relabeling of the particles: the pairs
+    # (perm[i], perm[j]) in the same order draw the same noise from the same
+    # stream, so every pair lands on the same velocities, bitwise
+    i, j = np.array([0, 1]), np.array([2, 3])
     perm = np.array([3, 0, 2, 1])  # relabeled index of each particle
-    cfg = SchemeConfig(0.2, SBM, MAXWELL_2D, seed=14)
-    normals = np.array([0.7, -1.3])
+    for kernel, v in ((MAXWELL_2D, [[0.3, 1.1], [-0.5, 0.2], [0.9, -0.7], [0.1, 0.4]]),
+                      (COULOMB_3D, [[0.3, 1.1, -0.2], [-0.5, 0.2, 0.6],
+                                    [0.9, -0.7, 0.1], [0.1, 0.4, -1.3]])):
+        v = np.array(v)
+        cfg = SchemeConfig(0.2, SBM, kernel, seed=14)
+        out = sbm_collision_step(ParticleEnsemble(v), (i, j), cfg, 1)
+        assert not np.any(np.all(out.velocities == v, axis=1))
 
-    out = sbm_collision_step(ParticleEnsemble(v), Pairing(theta), cfg, 1, normals=normals)
+        v2 = np.empty_like(v)
+        v2[perm] = v
+        out2 = sbm_collision_step(ParticleEnsemble(v2), (perm[i], perm[j]), cfg, 1)
 
-    v2 = np.empty_like(v)
-    v2[perm] = v
-    theta2 = np.empty_like(theta)
-    theta2[perm] = perm[theta]
-    # pair (0,2) -> relabeled (3,2) keyed by min=2; pair (1,3) -> (0,1) keyed by min=0
-    normals2 = np.array([normals[1], normals[0]])
-    out2 = sbm_collision_step(ParticleEnsemble(v2), Pairing(theta2), cfg, 1, normals=normals2)
-
-    np.testing.assert_allclose(out2.velocities[perm], out.velocities, atol=1e-12)
+        np.testing.assert_array_equal(out2.velocities[perm], out.velocities)
 
 
 def test_simulate_determinism_and_zero_t_end():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from landau.errors import NonFiniteState
+from landau.errors import FixedPointNotConverged, NonFiniteState
 from landau.kernels import KernelParams
 from landau.streams import RngStream
 from landau.vpl import (PicGrid, VplConfig, VplState, cell_collisions, cn_va_step,
@@ -140,6 +140,14 @@ def test_cn_step_raises_on_nonfinite():
         cn_va_step(state, 1e6, 5, grid)
 
 
+def test_cn_step_raises_when_residual_tol_is_not_met():
+    grid = PicGrid(LENGTH, 16)
+    gen = RngStream(4).generator()
+    state = make_state(gen.uniform(0, LENGTH, 50), gen.standard_normal((50, 2)), grid)
+    with pytest.raises(FixedPointNotConverged, match=r"t=0\.0.*residual .* after 200 sweeps"):
+        cn_va_step(state, 0.05, 5, grid, residual_tol=0.0)
+
+
 def test_cell_collisions_lambda0_identity():
     grid = PicGrid(LENGTH, 16)
     gen = RngStream(5).generator()
@@ -177,6 +185,17 @@ def test_cell_with_single_particle_unchanged():
     out = cell_collisions(state, 0.5, COULOMB, grid, seed=3, step=1)
     np.testing.assert_array_equal(out.velocities[0], v[0])
     assert not np.array_equal(out.velocities[1:], v[1:])
+
+
+def test_cell_collisions_degenerate_pair_unchanged():
+    grid = PicGrid(LENGTH, 4)
+    dx = grid.dx
+    # cell 0 holds two particles with equal velocities, cell 2 two distinct ones
+    x = np.array([0.2 * dx, 0.6 * dx, 2.2 * dx, 2.6 * dx])
+    v = np.array([[0.7, -0.3], [0.7, -0.3], [0.4, 0.2], [-0.1, 0.3]])
+    out = cell_collisions(make_state(x, v, grid), 0.5, COULOMB, grid, seed=4, step=1)
+    np.testing.assert_array_equal(out.velocities[:2], v[:2])
+    assert not np.any(np.all(out.velocities[2:] == v[2:], axis=1))
 
 
 def test_odd_leftover_collides_half_the_time():
