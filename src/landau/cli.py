@@ -29,12 +29,12 @@ from .diagnostics import (DensityGrid, load_grid_binary, load_grid_csv,
                           DEFAULT_GRID_CELLS, DEFAULT_GRID_EXTENT)
 from .errors import ConfigError, FormatError, LandauError
 from .kernels import KernelParams
-from .sphere import SamplerKind
+from .sphere import default_sampler, sample_sbm_batch
 from .streams import RngStream, DOMAIN_INIT, DOMAIN_PAIRING
 from .vpl import PicGrid, VplConfig, iterate_vpl, vpl_diagnostics
 
 HOMOGENEOUS_KINDS = ("bkw2d", "bkw3d", "coulomb2d")
-EXPERIMENT_KINDS = HOMOGENEOUS_KINDS + ("vpl-damping", "convergence-study", "sampler-test", "cpu-bench")
+EXPERIMENT_KINDS = HOMOGENEOUS_KINDS + ("vpl-damping", "convergence-study", "cpu-bench")
 
 _KIND_DEFAULTS = {
     "bkw2d": dict(dim=2, gamma=0.0, lam=1.0 / 8.0),
@@ -43,7 +43,6 @@ _KIND_DEFAULTS = {
     "vpl-damping": dict(dim=2, gamma=-2.0, lam=0.0),
     "convergence-study": dict(dim=2, gamma=0.0, lam=1.0 / 8.0),
     "cpu-bench": dict(dim=2, gamma=0.0, lam=1.0 / 8.0),
-    "sampler-test": dict(dim=3, gamma=0.0, lam=0.0),
 }
 
 
@@ -63,7 +62,6 @@ class ExperimentConfig:
     dim: Optional[int] = None
     gamma: Optional[float] = None
     lam: Optional[float] = None
-    sampler: Optional[str] = None
     grid_extent: float = DEFAULT_GRID_EXTENT
     grid_cells: Optional[int] = None
     eps: float = 0.01
@@ -84,9 +82,6 @@ class ExperimentConfig:
     # cpu bench
     bench_steps: int = 5
     bench_warmup: int = 2
-    # sampler test
-    tau: Optional[float] = None
-    samples: int = 1_000_000
 
     @classmethod
     def from_dict(cls, raw) -> "ExperimentConfig":
@@ -122,11 +117,6 @@ class ExperimentConfig:
                 setattr(self, key, defaults[key])
         if self.grid_cells is None:
             self.grid_cells = DEFAULT_GRID_CELLS[self.dim]
-        if self.sampler is not None:
-            try:
-                SamplerKind(self.sampler)
-            except ValueError:
-                raise ConfigError(f"sampler: unknown kind {self.sampler!r}") from None
         _positive = {"dt": self.dt, "eps": self.eps, "grid_extent": self.grid_extent,
                      "residual_tol": self.residual_tol}
         for name, val in _positive.items():
@@ -148,10 +138,6 @@ class ExperimentConfig:
                 raise ConfigError("n_list: all particle counts must be even")
         elif self.kind == "cpu-bench":
             self._require("dt", "n_list")
-        elif self.kind == "sampler-test":
-            self._require("tau")
-            if self.dim not in (2, 3):
-                raise ConfigError("dim: sampler-test needs dim 2 or 3")
 
     def _require(self, *names):
         for name in names:
@@ -160,9 +146,6 @@ class ExperimentConfig:
 
     def kernel(self) -> KernelParams:
         return KernelParams(self.lam, self.gamma, self.dim)
-
-    def sampler_kind(self) -> Optional[SamplerKind]:
-        return None if self.sampler is None else SamplerKind(self.sampler)
 
     def checkpoint_times(self):
         if self.checkpoints is not None:
@@ -249,7 +232,7 @@ def _reference_fn(cfg: ExperimentConfig, grid: DensityGrid):
 def _run_homogeneous(cfg: ExperimentConfig, outdir):
     grid = DensityGrid(cfg.dim, -cfg.grid_extent, cfg.grid_extent, cfg.grid_cells)
     plan = DiagnosticsPlan(grid=grid, eps=cfg.eps, reference=_reference_fn(cfg, grid))
-    scheme = SchemeConfig(cfg.dt, cfg.scheme, cfg.kernel(), cfg.sampler_kind(), cfg.seed)
+    scheme = SchemeConfig(cfg.dt, cfg.scheme, cfg.kernel(), seed=cfg.seed)
     init = _initial_ensemble(cfg)
     checkpoints = cfg.checkpoint_times()
     dump_at = set(float(t) for t in cfg.dump_density_at)
@@ -330,7 +313,7 @@ def _run_convergence(cfg: ExperimentConfig, outdir):
         errs = []
         for s in range(cfg.n_seeds):
             seed = cfg.seed + s
-            scheme = SchemeConfig(cfg.dt, cfg.scheme, cfg.kernel(), cfg.sampler_kind(), seed)
+            scheme = SchemeConfig(cfg.dt, cfg.scheme, cfg.kernel(), seed=seed)
             init = _initial_ensemble(cfg, n=n, seed=seed)
             res = simulate_homogeneous(scheme, init, cfg.t_eval, [cfg.t_eval], plan)
             errs.append(res[-1].record.rel_l2_error)
@@ -353,7 +336,7 @@ def _run_bench(cfg: ExperimentConfig, outdir):
     rows = []
     times = []
     for n in cfg.n_list:
-        scheme = SchemeConfig(cfg.dt, cfg.scheme, kernel, cfg.sampler_kind(), cfg.seed)
+        scheme = SchemeConfig(cfg.dt, cfg.scheme, kernel, seed=cfg.seed)
         ens = _initial_ensemble(cfg, n=n)
         best = math.inf
         for rep in range(cfg.bench_warmup + cfg.bench_steps):
@@ -375,51 +358,52 @@ def _run_bench(cfg: ExperimentConfig, outdir):
     return [csv_path], None, summary
 
 
-def _run_sampler_test(cfg: ExperimentConfig, outdir):
-    from .sphere import default_sampler, sample_sbm_batch
-
-    kind = cfg.sampler_kind() or default_sampler(cfg.dim)
-    start = np.zeros(cfg.dim)
+def _run_sampler_test(args):
+    """Monte Carlo check of E[Y_tau . Y_0] = exp(-(d-1) tau / 2) from the pole."""
+    kind = default_sampler(args.dim)
+    start = np.zeros(args.dim)
     start[-1] = 1.0
-    starts = np.broadcast_to(start, (cfg.samples, cfg.dim))
-    out = sample_sbm_batch(starts, np.full(cfg.samples, cfg.tau), kind,
-                           RngStream(cfg.seed, domain=DOMAIN_INIT))
+    starts = np.broadcast_to(start, (args.samples, args.dim))
+    out = sample_sbm_batch(starts, np.full(args.samples, args.tau), kind,
+                           RngStream(args.seed, domain=DOMAIN_INIT))
     dots = out @ start
-    exact = math.exp(-(cfg.dim - 1) * cfg.tau / 2.0)
-    se = float(np.std(dots, ddof=1) / math.sqrt(cfg.samples))
+    exact = math.exp(-(args.dim - 1) * args.tau / 2.0)
+    se = float(np.std(dots, ddof=1) / math.sqrt(args.samples))
     zscore = (float(np.mean(dots)) - exact) / se if se > 0 else 0.0
     ok = abs(zscore) <= 3.0
-    print(f"sampler {kind.value}, dim={cfg.dim}, tau={cfg.tau:g}, samples={cfg.samples}")
+    print(f"sampler {kind.value}, dim={args.dim}, tau={args.tau:g}, samples={args.samples}")
     print(f"E[Y_tau . Y_0] = {np.mean(dots):.6f}  exact {exact:.6f}  z = {zscore:+.2f}  "
           f"[{'PASS' if ok else 'FAIL'} at 3 SE]")
-    summary = {"kind": kind.value, "dim": cfg.dim, "tau": cfg.tau,
-               "mean_dot": float(np.mean(dots)), "exact": exact, "zscore": zscore,
-               "pass": bool(ok)}
-    outputs = []
     if not ok:
         raise LandauError("sampler-test failed the 3-standard-error moment check")
-    return outputs, None, summary
+    summary = {"kind": kind.value, "dim": args.dim, "tau": args.tau,
+               "mean_dot": float(np.mean(dots)), "exact": exact, "zscore": zscore,
+               "pass": bool(ok)}
+    config = {k: getattr(args, k) for k in ("dim", "tau", "samples", "seed", "outdir")}
+    _write_manifest(config, args.seed, args.outdir, [], None, summary)
+
+
+def _write_manifest(config, seed, outdir, outputs, run_seconds, summary) -> RunManifest:
+    os.makedirs(outdir, exist_ok=True)
+    manifest = RunManifest(config=config, version=__version__, git_revision=_git_revision(),
+                           seed=seed, run_seconds=run_seconds,
+                           outputs=[os.path.basename(p) for p in outputs], summary=summary)
+    manifest.write(os.path.join(outdir, "manifest.json"))
+    return manifest
 
 
 def run(cfg: ExperimentConfig) -> RunManifest:
     """Execute the configured experiment and write outputs plus the manifest."""
-    outdir = cfg.outdir
-    os.makedirs(outdir, exist_ok=True)
+    os.makedirs(cfg.outdir, exist_ok=True)
     dispatch = {
         "vpl-damping": _run_vpl,
         "convergence-study": _run_convergence,
         "cpu-bench": _run_bench,
-        "sampler-test": _run_sampler_test,
     }
     runner = dispatch.get(cfg.kind, _run_homogeneous)
-    outputs, run_seconds, summary = runner(cfg, outdir)
-    manifest = RunManifest(config={k: v for k, v in cfg.__dict__.items()},
-                           version=__version__, git_revision=_git_revision(),
-                           seed=cfg.seed, run_seconds=run_seconds,
-                           outputs=[os.path.basename(p) for p in outputs],
-                           summary=summary)
-    manifest.write(os.path.join(outdir, "manifest.json"))
-    return manifest
+    outputs, run_seconds, summary = runner(cfg, cfg.outdir)
+    return _write_manifest(dict(cfg.__dict__), cfg.seed, cfg.outdir, outputs, run_seconds,
+                           summary)
 
 
 def _build_parser():
@@ -436,7 +420,6 @@ def _build_parser():
     p.add_argument("--dim", type=int, choices=(2, 3), required=True)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--kind", choices=[k.value for k in SamplerKind], default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outdir", default=".")
     return parser
@@ -446,15 +429,12 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "sampler-test":
-            cfg = ExperimentConfig(kind="sampler-test", dim=args.dim, tau=args.tau,
-                                   samples=args.samples, sampler=args.kind,
-                                   seed=args.seed, outdir=args.outdir)
-            cfg.validate()
+            _run_sampler_test(args)
         else:
             cfg = ExperimentConfig.from_file(args.config)
             if cfg.kind not in args.kinds:
                 raise ConfigError(f"kind: {cfg.kind!r} is not runnable by 'landau {args.command}'")
-        run(cfg)
+            run(cfg)
     except LandauError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, DensityGrid, mollified_density, moments, entropy, relative_l2_error
-from .errors import InvalidCheckpoint, OddParticleCount
+from .errors import InvalidCheckpoint, InvalidSamplerForDim, OddParticleCount
 from .kernels import KernelParams, Z_FLOOR, kernel_K, kernel_sigma, time_scale_k
 from .sphere import SamplerKind, default_sampler, sample_sbm_batch
 from .streams import RngStream, DOMAIN_PAIRING, DOMAIN_COLLISION
@@ -50,7 +50,11 @@ class ParticleEnsemble:
 
 @dataclass
 class SchemeConfig:
-    """Time step, scheme choice and kernel of a homogeneous run."""
+    """Time step, scheme choice and kernel of a homogeneous run.
+
+    The sampler follows from the dimension; ``sampler`` may only repeat
+    that choice (None or ``default_sampler(kernel.dim)``).
+    """
 
     dt: float
     scheme: str
@@ -63,9 +67,8 @@ class SchemeConfig:
             raise ValueError("dt must be positive")
         if self.scheme not in (SBM, EM):
             raise ValueError(f"scheme must be '{SBM}' or '{EM}'")
-
-    def sampler_for(self, dim):
-        return self.sampler if self.sampler is not None else default_sampler(dim)
+        if self.sampler not in (None, default_sampler(self.kernel.dim)):
+            raise InvalidSamplerForDim(f"{self.sampler} does not sample in dim {self.kernel.dim}")
 
 
 def random_pairing(n, rng: RngStream):
@@ -76,7 +79,17 @@ def random_pairing(n, rng: RngStream):
     return perm[0::2], perm[1::2]
 
 
-def sbm_pair_update(v, i, j, kernel: KernelParams, dt, sampler: SamplerKind, rng: RngStream):
+def _put_rows(v, idx, rows):
+    """v[idx] = rows, through a view with one item per row when v is
+    C-contiguous: several times faster than row fancy indexing at large n."""
+    if not v.flags.c_contiguous:
+        v[idx] = rows
+        return
+    row = np.dtype((np.void, v.itemsize * v.shape[1]))
+    np.put(v.view(row).ravel(), idx, np.ascontiguousarray(rows, v.dtype).view(row).ravel())
+
+
+def sbm_pair_update(v, i, j, kernel: KernelParams, dt, rng: RngStream):
     """Exact SBM collision of the pairs (i[k], j[k]) of ``v``, in place.
 
     The relative velocity z = v_i - v_j turns as z' = |z| SBM(z/|z|, k(z) dt)
@@ -87,8 +100,9 @@ def sbm_pair_update(v, i, j, kernel: KernelParams, dt, sampler: SamplerKind, rng
     """
     if kernel.lam == 0:
         return
-    vi = v[i]
-    vj = v[j]
+    # np.take gathers whole rows several times faster than v[i] at large n
+    vi = np.take(v, i, axis=0)
+    vj = np.take(v, j, axis=0)
     z = vi - vj
     s = np.add(vi, vj, out=vi)
     r = np.sqrt(np.einsum("ij,ij->i", z, z))
@@ -97,17 +111,18 @@ def sbm_pair_update(v, i, j, kernel: KernelParams, dt, sampler: SamplerKind, rng
         keep = np.flatnonzero(good)
         i, j, z, s, r = i[keep], j[keep], z[keep], s[keep], r[keep]
     tau = time_scale_k(z, kernel) * dt
-    zp = sample_sbm_batch(np.divide(z, r[:, None], out=z), tau, sampler, rng)
+    zp = sample_sbm_batch(np.divide(z, r[:, None], out=z), tau,
+                          default_sampler(v.shape[1]), rng)
     zp *= r[:, None]
-    v[i] = (s + zp) / 2.0
-    v[j] = (s - zp) / 2.0
+    _put_rows(v, i, (s + zp) / 2.0)
+    _put_rows(v, j, (s - zp) / 2.0)
 
 
 def sbm_collision_step(ens: ParticleEnsemble, pairing, cfg: SchemeConfig,
                        step: int) -> ParticleEnsemble:
     """One SBM collision window of the pairs ``pairing`` = (i, j)."""
     v = ens.velocities.copy()
-    sbm_pair_update(v, *pairing, cfg.kernel, cfg.dt, cfg.sampler_for(ens.dim),
+    sbm_pair_update(v, *pairing, cfg.kernel, cfg.dt,
                     RngStream(cfg.seed, step=step, domain=DOMAIN_COLLISION))
     return ParticleEnsemble(v)
 

@@ -41,6 +41,10 @@ class FixedPointNotConverged(LandauError):
     """An implicit iteration hit its sweep cap with the residual above tolerance."""
 
 
+class SeriesTruncated(LandauError):
+    """A truncated series kept too little of its total mass."""
+
+
 class ConfigError(LandauError):
     """An experiment configuration is invalid; the message names the field."""
 

@@ -20,7 +20,6 @@ from .analytic import DAMPING_LENGTH, sample_landau_damping
 from .collision import sbm_pair_update
 from .errors import FixedPointNotConverged, NonFiniteState
 from .kernels import KernelParams
-from .sphere import SamplerKind
 from .streams import RngStream, DOMAIN_INIT, DOMAIN_CELLS
 
 _MAX_FIXED_POINT_ITERS = 200
@@ -208,9 +207,9 @@ def cell_collisions(state: VplState, dt, kernel: KernelParams, grid: PicGrid,
     cell = np.floor(state.positions / grid.dx).astype(np.int64) % grid.n0
     i, j, li, lj = _cell_pairs(cell, RngStream(seed, step=step, domain=DOMAIN_CELLS).generator())
     v = state.velocities.copy()
-    sbm_pair_update(v, i, j, kernel, dt, SamplerKind.EXACT_2D,
+    sbm_pair_update(v, i, j, kernel, dt,
                     RngStream(seed, step=step, stream=1, domain=DOMAIN_CELLS))
-    sbm_pair_update(v, li, lj, kernel, dt, SamplerKind.EXACT_2D,
+    sbm_pair_update(v, li, lj, kernel, dt,
                     RngStream(seed, step=step, stream=2, domain=DOMAIN_CELLS))
     return VplState(state.positions, v, state.field, state.charge, state.time)
 

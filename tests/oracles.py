@@ -5,6 +5,8 @@ quadrature, finite differences, root finding) without touching the sampler
 or stepper code paths it is used to check.
 """
 
+import math
+
 import numpy as np
 from scipy import integrate
 from scipy.optimize import fsolve
@@ -25,6 +27,26 @@ def heat_kernel_cos_cdf(x, tau, lmax=400, tol=1e-18):
             break
         c = c + 0.5 * w * (eval_legendre(l + 1, x) - eval_legendre(l - 1, x))
     return np.clip(c, 0.0, 1.0)
+
+
+def death_process_probs(t, m_max=64):
+    """P(A_t = m), m < m_max, of the Kingman death process with mutation rate 2.
+
+    Term-by-term alternating series (Griffiths / Tavare), each summed
+    until its terms fall below 1e-17.
+    """
+    out = []
+    for m in range(m_max):
+        total, k = 0.0, m
+        while True:
+            mag = math.exp(math.log(2 * k + 1) + math.lgamma(m + k + 1) - math.lgamma(m + 2)
+                           - math.lgamma(m + 1) - math.lgamma(k - m + 1) - k * (k + 1) * t / 2.0)
+            total += mag if (k - m) % 2 == 0 else -mag
+            k += 1
+            if k - m > 2 and mag < 1e-17:
+                break
+        out.append(total)
+    return np.array(out)
 
 
 def radial_entropy(f_of_r2, dim, r_max=40.0):

@@ -20,7 +20,7 @@ from landau.collision import (EM, SBM, DiagnosticsPlan, ParticleEnsemble,
                               sbm_collision_step, simulate_homogeneous)
 from landau.diagnostics import DensityGrid
 from landau.kernels import KernelParams
-from landau.sphere import SamplerKind, default_sampler, sample_radial_cos, sample_sbm_batch, unit
+from landau.sphere import default_sampler, sample_sbm_batch, unit
 from landau.streams import RngStream, DOMAIN_PAIRING
 from landau.vpl import PicGrid, VplConfig, simulate_vpl, solve_poisson
 
@@ -136,9 +136,9 @@ def test_c03_sbm_sampler_heat_kernel_moment():
 
     s2 = unit(np.array([0.6, -0.7, 0.3]))
     o1 = sample_sbm_batch(np.broadcast_to(s2, (n, 3)), np.full(n, 0.25),
-                          SamplerKind.TANGENT_SUBSTEP, RngStream(310))
+                          default_sampler(3), RngStream(310))
     o2 = sample_sbm_batch(np.broadcast_to([0.0, 0.0, 1.0], (n, 3)), np.full(n, 0.25),
-                          SamplerKind.TANGENT_SUBSTEP, RngStream(311))
+                          default_sampler(3), RngStream(311))
     p_ks = ks_2samp(o1 @ s2, o2[:, 2]).pvalue
     a = unit(np.cross(s2, [1.0, 0.0, 0.0]))
     b = np.cross(s2, a)
@@ -284,7 +284,9 @@ def test_c11_landau_damping_rate(vpl_runs):
 
 
 def test_c12_radial_sampler_vs_series_oracle():
-    vals = sample_radial_cos(1.0, RngStream(1200), size=100_000)
+    n = 100_000
+    vals = sample_sbm_batch(np.broadcast_to([0.0, 0.0, 1.0], (n, 3)), np.full(n, 1.0),
+                            default_sampler(3), RngStream(1200))[:, 2]
     res = kstest(vals, lambda x: heat_kernel_cos_cdf(x, 1.0))
     ok = res.pvalue > 0.01
     report(12, "radial sampler vs heat-kernel series", ok,

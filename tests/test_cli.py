@@ -43,6 +43,15 @@ def test_config_validation_errors():
                                         t_end=1.0, alpha=0.1, residual_tol=0))
 
 
+def test_config_rejects_sampler_fields():
+    # the sphere sampler follows from the dimension and sampler-test runs from
+    # its command line, so no config kind takes these fields
+    for name, value in (("sampler", "exact2d"), ("tau", 3), ("samples", 1000)):
+        with pytest.raises(ConfigError, match=name):
+            ExperimentConfig.from_dict(dict(kind="bkw2d", n_particles=10, dt=0.1, t_end=1.0,
+                                            checkpoint_every=0.5, **{name: value}))
+
+
 def test_bkw2d_run_outputs(tmp_path):
     cfg = small_bkw2d(tmp_path / "out")
     manifest = run(cfg)
@@ -173,6 +182,11 @@ def test_sampler_test_command(capsys, tmp_path):
     assert main(["sampler-test", "--dim", "2", "--tau", "0.05",
                  "--samples", "20000", "--outdir", str(tmp_path)]) == 0
     assert "PASS" in capsys.readouterr().out
+    assert main(["sampler-test", "--dim", "3", "--tau", "0.5",
+                 "--samples", "20000", "--outdir", str(tmp_path)]) == 0
+    assert "sphere3d" in capsys.readouterr().out
+    data = json.loads((tmp_path / "manifest.json").read_text())
+    assert data["summary"]["pass"] and data["config"]["tau"] == 0.5
 
 
 def test_subcommand_kind_guard(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from landau.analytic import sample_bkw
 from landau.collision import (EM, SBM, ParticleEnsemble, SchemeConfig,
                               em_collision_step, random_pairing, sbm_collision_step,
-                              simulate_homogeneous)
+                              sbm_pair_update, simulate_homogeneous)
 from landau.errors import InvalidCheckpoint, OddParticleCount
 from landau.kernels import KernelParams, kernel_K, projection
 from landau.streams import RngStream
@@ -92,6 +92,19 @@ def test_sbm_per_pair_conservation(kernel, dim):
     s1, e1 = pair_sums(out, pairing)
     np.testing.assert_allclose(s1, s0, rtol=0, atol=1e-12 * np.max(np.abs(s0)))
     np.testing.assert_allclose(e1, e0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kernel,dim", [(COULOMB_2D, 2), (COULOMB_3D, 3)])
+def test_sbm_pair_update_same_on_any_memory_layout(kernel, dim):
+    v = bkw_ensemble(dim, 1000, seed=5).velocities
+    i, j = random_pairing(1000, RngStream(6))
+    out = {}
+    for name, w in (("c", v.copy()), ("f", np.asfortranarray(v)), ("strided", v.repeat(2, axis=0)[::2])):
+        sbm_pair_update(w, i, j, kernel, 0.1, RngStream(7))
+        out[name] = w
+    assert not np.array_equal(out["c"], v)
+    np.testing.assert_array_equal(out["f"], out["c"])
+    np.testing.assert_array_equal(out["strided"], out["c"])
 
 
 def test_em_momentum_and_zero_noise_drift():

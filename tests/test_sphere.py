@@ -1,17 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import eval_legendre
 from scipy.stats import chisquare, kstest, ks_2samp
 
-from landau.errors import InvalidSamplerForDim
-from landau.sphere import (SamplerKind, default_sampler, rotate_from_pole,
-                           sample_radial_cos, sample_sbm, sample_sbm_batch, unit)
+from landau.collision import SBM, SchemeConfig
+from landau.errors import FixedPointNotConverged, InvalidSamplerForDim, SeriesTruncated
+from landau.kernels import KernelParams
+from landau.sphere import (SamplerKind, _calibrated_c2, _death_process_probs, _tangent_walk,
+                           default_sampler, rotate_from_pole, sample_sbm_batch, unit)
 from landau.streams import RngStream
 
-from oracles import heat_kernel_cos_cdf
+from oracles import death_process_probs, heat_kernel_cos_cdf
 
 E2 = SamplerKind.EXACT_2D
-RA3 = SamplerKind.RADIAL_ANGULAR_3D
-TS = SamplerKind.TANGENT_SUBSTEP
+S3 = SamplerKind.SPHERE_3D
 
 
 def pole(dim):
@@ -20,63 +24,90 @@ def pole(dim):
     return v
 
 
-def batch_from(start, n, tau, kind, seed=0):
+def batch_from(start, n, tau, seed=0):
     starts = np.broadcast_to(start, (n, start.size))
-    return sample_sbm_batch(starts, np.full(n, tau), kind, RngStream(seed))
+    return sample_sbm_batch(starts, np.full(n, tau), default_sampler(start.size), RngStream(seed))
+
+
+def polar_cos(tau, n, seed):
+    """Cosine of the S^2 polar angle after time tau, started at the pole."""
+    return batch_from(pole(3), n, tau, seed)[:, 2]
 
 
 def test_zero_time_identity():
-    for kind, dim in ((E2, 2), (TS, 2), (TS, 3), (RA3, 3)):
+    for dim in (2, 3):
         start = unit(np.arange(1.0, dim + 1.0))
-        out = sample_sbm(start, 0.0, kind, RngStream(1))
-        np.testing.assert_array_equal(out, start)
+        out = sample_sbm_batch(start, 0.0, default_sampler(dim), RngStream(1))
+        np.testing.assert_array_equal(out[0], start)
 
 
 def test_exact2d_is_rotation_by_gaussian_angle():
     n = 1000
     start = unit(np.array([0.3, -0.8]))
-    normals = np.random.default_rng(3).standard_normal(n)
     tau = 0.07
-    out = sample_sbm_batch(np.broadcast_to(start, (n, 2)), np.full(n, tau), E2,
-                           RngStream(0), normals=normals)
+    out = batch_from(start, n, tau, seed=0)
+    normals = RngStream(0).generator().standard_normal(n)
     th = np.arctan2(start[1], start[0]) + np.sqrt(tau) * normals
     np.testing.assert_allclose(out, np.column_stack([np.cos(th), np.sin(th)]), atol=1e-15)
 
 
 def test_invalid_sampler_for_dim():
     with pytest.raises(InvalidSamplerForDim):
-        sample_sbm(pole(3), 0.1, E2, RngStream(0))
+        sample_sbm_batch(pole(3), 0.1, E2, RngStream(0))
     with pytest.raises(InvalidSamplerForDim):
-        sample_sbm(pole(2), 0.1, RA3, RngStream(0))
+        sample_sbm_batch(pole(2), 0.1, S3, RngStream(0))
     assert default_sampler(2) is E2
-    assert default_sampler(3) is TS
+    assert default_sampler(3) is S3
+    assert len(SamplerKind) == 2
+    with pytest.raises(InvalidSamplerForDim):
+        SchemeConfig(0.1, SBM, KernelParams(1.0, 0.0, 3), E2)
+    with pytest.raises(InvalidSamplerForDim):
+        SchemeConfig(0.1, SBM, KernelParams(1.0, 0.0, 2), "exact2d")
+    SchemeConfig(0.1, SBM, KernelParams(1.0, 0.0, 3), S3)
 
 
 def test_unit_norm_output():
     rng = np.random.default_rng(9)
-    for kind, dim in ((E2, 2), (TS, 3), (RA3, 3)):
+    for dim in (2, 3):
         starts = unit(rng.standard_normal((500, dim)))
         taus = rng.uniform(0.0, 2.0, 500)
-        out = sample_sbm_batch(starts, taus, kind, RngStream(4))
+        out = sample_sbm_batch(starts, taus, default_sampler(dim), RngStream(4))
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
 
 
 def test_determinism_of_streams():
     starts = np.broadcast_to(pole(3), (100, 3))
-    taus = np.full(100, 0.3)
-    a = sample_sbm_batch(starts, taus, TS, RngStream(5, step=2, stream=1))
-    b = sample_sbm_batch(starts, taus, TS, RngStream(5, step=2, stream=1))
-    c = sample_sbm_batch(starts, taus, TS, RngStream(5, step=2, stream=2))
+    taus = np.linspace(0.0, 50.0, 100)
+    a = sample_sbm_batch(starts, taus, S3, RngStream(5, step=2, stream=1))
+    b = sample_sbm_batch(starts, taus, S3, RngStream(5, step=2, stream=1))
+    c = sample_sbm_batch(starts, taus, S3, RngStream(5, step=2, stream=2))
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
-@pytest.mark.parametrize("kind,dim", [(E2, 2), (TS, 2), (TS, 3), (RA3, 3)])
+def walk_alone(starts, taus, rng):
+    """The geodesic substep walk at every tau, on S^1 or S^2."""
+    return _tangent_walk(starts, taus, rng.generator())
+
+
+def default_path(starts, taus, rng):
+    return sample_sbm_batch(starts, taus, default_sampler(starts.shape[1]), rng)
+
+
+# The ids are the sampler kinds each path once was: TANGENT_SUBSTEP is the
+# walk run at every tau, RADIAL_ANGULAR_3D the S^2 sampler that is exact
+# from tau = 0.15 on and walks below.
+@pytest.mark.parametrize("sample,dim", [
+    pytest.param(default_path, 2, id="SamplerKind.EXACT_2D-2"),
+    pytest.param(walk_alone, 2, id="SamplerKind.TANGENT_SUBSTEP-2"),
+    pytest.param(walk_alone, 3, id="SamplerKind.TANGENT_SUBSTEP-3"),
+    pytest.param(default_path, 3, id="SamplerKind.RADIAL_ANGULAR_3D-3"),
+])
 @pytest.mark.parametrize("tau", [0.01, 0.05, 0.5])
-def test_heat_kernel_moment(kind, dim, tau):
+def test_heat_kernel_moment(sample, dim, tau):
     n = 200_000
-    out = batch_from(pole(dim), n, tau, kind, seed=11)
-    dots = out[:, -1]
+    starts = np.broadcast_to(pole(dim), (n, dim))
+    dots = sample(starts, np.full(n, tau), RngStream(11))[:, -1]
     exact = np.exp(-(dim - 1) * tau / 2.0)
     se = dots.std(ddof=1) / np.sqrt(n)
     assert abs(dots.mean() - exact) <= 3.0 * se
@@ -84,15 +115,17 @@ def test_heat_kernel_moment(kind, dim, tau):
 
 def test_large_time_is_uniform():
     n = 100_000
-    out = batch_from(pole(3), n, 100.0, TS, seed=12)
-    # cos(polar) uniform on [-1, 1] in the uniform law
-    res = kstest(out[:, 2], lambda x: (np.asarray(x) + 1.0) / 2.0)
-    assert res.pvalue > 0.01
+    # S^2: cos(polar) is uniform on [-1, 1]
+    out = batch_from(pole(3), n, 100.0, seed=12)
+    assert kstest(out[:, 2], lambda x: (np.asarray(x) + 1.0) / 2.0).pvalue > 0.01
+    # S^1: the angle is uniform; tau = 1e30 would feed angles of 1e15 to cos/sin
+    out = batch_from(pole(2), n, 1e30, seed=14)
+    angle = np.arctan2(out[:, 1], out[:, 0])
+    assert kstest(angle, lambda x: (np.asarray(x) + np.pi) / (2.0 * np.pi)).pvalue > 0.01
 
 
 def test_radial_cos_basics():
-    assert sample_radial_cos(0.0, RngStream(0)) == 1.0
-    vals = sample_radial_cos(0.7, RngStream(1), size=50_000)
+    vals = polar_cos(0.7, 50_000, seed=1)
     assert np.all((vals >= -1.0) & (vals <= 1.0))
     se = vals.std(ddof=1) / np.sqrt(vals.size)
     assert abs(vals.mean() - np.exp(-0.7)) <= 3.0 * se
@@ -100,22 +133,80 @@ def test_radial_cos_basics():
 
 @pytest.mark.parametrize("tau", [0.05, 0.12])
 def test_radial_cos_moment_small_time_path(tau):
-    vals = sample_radial_cos(tau, RngStream(2), size=100_000)
+    vals = polar_cos(tau, 100_000, seed=2)
     se = vals.std(ddof=1) / np.sqrt(vals.size)
     assert abs(vals.mean() - np.exp(-tau)) <= 3.0 * se
 
 
 @pytest.mark.parametrize("tau", [0.3, 1.0])
 def test_radial_cos_matches_series_oracle(tau):
-    vals = sample_radial_cos(tau, RngStream(3), size=100_000)
-    res = kstest(vals, lambda x: heat_kernel_cos_cdf(x, tau))
+    res = kstest(polar_cos(tau, 100_000, seed=3), lambda x: heat_kernel_cos_cdf(x, tau))
     assert res.pvalue > 0.01
 
 
 def test_tangent_substep_distribution_matches_series_oracle():
-    out = batch_from(pole(3), 100_000, 0.4, TS, seed=13)
-    res = kstest(out[:, 2], lambda x: heat_kernel_cos_cdf(x, 0.4))
+    # tau = 0.12 is in the walk band
+    res = kstest(polar_cos(0.12, 100_000, seed=13), lambda x: heat_kernel_cos_cdf(x, 0.12))
     assert res.pvalue > 0.01
+
+
+def test_one_batch_spans_all_3d_bands():
+    # per-pair distinct tau in the walk, mixture and uniform bands, plus
+    # tau = 0 rows, in one shuffled batch; each band is checked on its own
+    n = 100_000
+    rng = np.random.default_rng(40)
+    edges = [0.0, 0.15, 46.0, 1e3]
+    taus = np.concatenate([rng.uniform(1e-4, 0.15, n),
+                           np.exp(rng.uniform(np.log(0.15), np.log(46.0), n)),
+                           rng.uniform(46.0, 1e3, n), np.zeros(1000)])
+    taus = rng.permutation(taus)
+    starts = unit(rng.standard_normal((taus.size, 3)))
+    out = sample_sbm_batch(starts, taus, S3, RngStream(41))
+    np.testing.assert_array_equal(out[taus == 0], starts[taus == 0])
+    c = np.sum(out * starts, axis=1)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        sel = (taus > lo) & (taus <= hi)
+        assert np.count_nonzero(sel) >= n - 1
+        for l in range(1, 5):
+            r = eval_legendre(l, c[sel]) - np.exp(-l * (l + 1) * taus[sel] / 2.0)
+            z = r.mean() / (r.std(ddof=1) / np.sqrt(r.size))
+            assert abs(z) <= 3.0, (lo, l, z)
+
+
+def test_mixture_band_memory_is_bounded():
+    n = 100_000
+    rng = np.random.default_rng(42)
+    taus = np.exp(rng.uniform(np.log(0.15), np.log(46.0), n))
+    starts = unit(rng.standard_normal((n, 3)))
+    tracemalloc.start()
+    try:
+        sample_sbm_batch(starts, taus, S3, RngStream(43))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
+def test_death_process_series():
+    ts = np.array([0.15, 0.3, 1.0, 5.0, 45.0])
+    q = _death_process_probs(ts)
+    np.testing.assert_allclose(q.sum(axis=1), 1.0, atol=1e-14)
+    # at t = 0.15 the terms reach 1.6e3 with exponents near 300, so each
+    # series carries rounding of about 1e-11 (the raw sums are off by 1.5e-11)
+    for t, row in zip(ts, q):
+        np.testing.assert_allclose(row, death_process_probs(t), rtol=0, atol=1e-10)
+    # E[(1 - cos)/2] = E[1 / (2 + M)] for cos = 1 - 2 Beta(1, 1 + M)
+    mean_x = q @ (1.0 / (2.0 + np.arange(q.shape[1])))
+    np.testing.assert_allclose(1.0 - 2.0 * mean_x, np.exp(-ts), rtol=1e-11, atol=1e-14)
+    with pytest.raises(SeriesTruncated):
+        _death_process_probs(np.array([0.01]))
+
+
+def test_substep_calibration_converges_on_s_delta():
+    delta = np.random.default_rng(44).uniform(1e-6, 0.01, 8000)
+    assert np.all(np.isfinite(_calibrated_c2(delta, max_sweeps=5)))
+    with pytest.raises(FixedPointNotConverged):
+        _calibrated_c2(delta, max_sweeps=1)
 
 
 def test_rotate_from_pole_identity_and_isometry():
@@ -139,28 +230,25 @@ def test_rotate_from_pole_antipodal():
         np.testing.assert_allclose(np.sum(out * s, axis=-1), x[-1], atol=1e-12)
 
 
-@pytest.mark.parametrize("kind", [TS, RA3])
-def test_rotation_equivariance(kind):
+@pytest.mark.parametrize("tau", [0.1, 0.25])
+def test_rotation_equivariance(tau):
     n = 100_000
-    tau = 0.25
     s1 = pole(3)
     s2 = unit(np.array([0.6, -0.7, 0.3]))
-    out1 = batch_from(s1, n, tau, kind, seed=31)
-    out2 = sample_sbm_batch(np.broadcast_to(s2, (n, 3)), np.full(n, tau), kind, RngStream(32))
-    polar1 = out1 @ s1
-    polar2 = out2 @ s2
-    res = ks_2samp(polar1, polar2)
+    out1 = batch_from(s1, n, tau, seed=31)
+    out2 = batch_from(s2, n, tau, seed=32)
+    res = ks_2samp(out1 @ s1, out2 @ s2)
     assert res.pvalue > 0.01
 
 
-@pytest.mark.parametrize("kind", [TS, RA3])
-def test_azimuthal_uniformity(kind):
+@pytest.mark.parametrize("tau", [0.1, 0.3])
+def test_azimuthal_uniformity(tau):
     n = 100_000
     start = unit(np.array([0.2, 0.5, -0.8]))
     # orthonormal frame adapted to the start point
     a = unit(np.cross(start, [1.0, 0.0, 0.0]))
     b = np.cross(start, a)
-    out = batch_from(start, n, 0.3, kind, seed=33)
+    out = batch_from(start, n, tau, seed=33)
     az = np.arctan2(out @ b, out @ a)
     counts, _ = np.histogram(az, bins=36, range=(-np.pi, np.pi))
     res = chisquare(counts)
