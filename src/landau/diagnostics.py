@@ -18,6 +18,10 @@ from .errors import EmptyEnsemble, FormatError, GridMismatch
 # dropped mass is < 1e-8 of each kernel.
 TRUNCATION_SIGMAS = 6.0
 
+# Stencil entries (particles x cells) summed per bincount in mollified_density;
+# it bounds the block temporaries at a few MB whatever N and the grid are.
+_STENCIL_BLOCK = 1 << 19
+
 DEFAULT_GRID_EXTENT = 8.0
 DEFAULT_GRID_CELLS = {2: 128, 3: 64}
 
@@ -76,8 +80,13 @@ def mollified_density(ens, eps, grid: DensityGrid) -> DensityGrid:
     """Gaussian-mollified empirical density on the grid centers.
 
     values[l] = (1/N) sum_i psi_eps(c_l - v_i), psi_eps the centered Gaussian
-    with covariance eps*I, evaluated with per-axis separable weights and
-    tails truncated at TRUNCATION_SIGMAS * sqrt(eps).
+    with covariance eps*I, over the (2w+1)^d cells around each particle's own
+    cell, w = ceil(TRUNCATION_SIGMAS * sqrt(eps) / h) + 1. For each block of
+    _STENCIL_BLOCK stencil entries, the per-axis weights and cell indices are
+    combined by an outer product and summed by one weighted bincount into a
+    grid with a one-cell border; the border collects the stencil cells off
+    the grid and is cropped. Particles whose stencil misses the grid still
+    count in N. Non-finite velocities raise ValueError.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -87,32 +96,34 @@ def mollified_density(ens, eps, grid: DensityGrid) -> DensityGrid:
         raise EmptyEnsemble("mollified_density needs at least one particle")
     if d != grid.dim:
         raise GridMismatch(f"ensemble dim {d} != grid dim {grid.dim}")
+    bad = n - np.count_nonzero(np.isfinite(v).all(axis=1))
+    if bad:
+        raise ValueError(f"mollified_density: {bad} of {n} particles have non-finite velocities")
     ng, h, lo = grid.n_grid, grid.h, grid.lo
-    sig = np.sqrt(eps)
-    w = int(np.ceil(TRUNCATION_SIGMAS * sig / h)) + 1
+    w = int(np.ceil(TRUNCATION_SIGMAS * np.sqrt(eps) / h)) + 1
     offs = np.arange(-w, w + 1)
-    # per-axis nearest cell and Gaussian weights, shape (N, 2w+1)
-    idx0 = np.floor((v - lo) / h).astype(np.int64)
-    wt = []
-    for a in range(d):
-        cent = lo + (idx0[:, a][:, None] + offs[None, :] + 0.5) * h
-        wt.append(np.exp(-((cent - v[:, a][:, None]) ** 2) / (2.0 * eps)))
-    acc = np.zeros(ng**d)
-    strides = [ng ** (d - 1 - a) for a in range(d)]
-    for combo in np.ndindex(*([offs.size] * d)):
-        cell = [idx0[:, a] + offs[combo[a]] for a in range(d)]
-        ok = np.ones(n, dtype=bool)
-        for c in cell:
-            ok &= (c >= 0) & (c < ng)
-        if not np.any(ok):
-            continue
-        flat = sum(cell[a][ok] * strides[a] for a in range(d))
-        wgt = wt[0][ok, combo[0]]
-        for a in range(1, d):
-            wgt = wgt * wt[a][ok, combo[a]]
-        acc += np.bincount(flat, weights=wgt, minlength=ng**d)
+    size = ng + 2
+    strides = size ** np.arange(d - 1, -1, -1)
+    acc = np.zeros(size**d)
+    block = max(1, _STENCIL_BLOCK // offs.size**d)
+    for s in range(0, n, block):
+        vb = v[s:s + block]
+        with np.errstate(over="ignore"):
+            xb = (vb - lo) / h
+        # the stencil of cell floor(x) meets the grid iff -w <= x < ng + w
+        reach = np.all((xb >= -w) & (xb < ng + w), axis=1)
+        xb, vb = xb[reach], vb[reach]
+        cell = np.floor(xb).astype(np.intp)[:, :, None] + offs
+        flat, wgt = np.zeros((len(vb), 1), np.intp), np.ones((len(vb), 1))
+        for a in range(d):
+            wa = np.exp(-((lo + (cell[:, a] + 0.5) * h - vb[:, a, None]) ** 2) / (2.0 * eps))
+            ia = (np.clip(cell[:, a], -1, ng) + 1) * strides[a]
+            flat = (flat[:, :, None] + ia[:, None, :]).reshape(len(vb), offs.size ** (a + 1))
+            wgt = (wgt[:, :, None] * wa[:, None, :]).reshape(flat.shape)
+        acc += np.bincount(flat.ravel(), weights=wgt.ravel(), minlength=acc.size)
+    inner = acc.reshape((size,) * d)[(slice(1, -1),) * d]
     norm = (2.0 * np.pi * eps) ** (-d / 2.0) / n
-    return DensityGrid(grid.dim, grid.lo, grid.hi, ng, acc * norm)
+    return DensityGrid(grid.dim, grid.lo, grid.hi, ng, inner * norm)
 
 
 def relative_l2_error(reference: DensityGrid, estimate: DensityGrid) -> float:

@@ -5,6 +5,7 @@ quadrature, finite differences, root finding) without touching the sampler
 or stepper code paths it is used to check.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -47,6 +48,27 @@ def death_process_probs(t, m_max=64):
                 break
         out.append(total)
     return np.array(out)
+
+
+def direct_mollified_density(v, eps, lo, hi, n_grid, sigmas=6.0):
+    """Gaussian KDE on the cell centres of [lo, hi]^d by a plain double loop.
+
+    Each particle adds exp(-|c - v|^2 / 2 eps) / (2 pi eps)^(d/2) / N to every
+    in-grid cell c whose index differs from the particle's own cell
+    floor((v - lo) / h) by at most w = ceil(sigmas sqrt(eps) / h) + 1 per axis.
+    """
+    v = np.atleast_2d(np.asarray(v, dtype=float))
+    n, d = v.shape
+    h = (hi - lo) / n_grid
+    w = math.ceil(sigmas * math.sqrt(eps) / h) + 1
+    out = np.zeros((n_grid,) * d)
+    for p in v:
+        own = [math.floor((p[a] - lo) / h) for a in range(d)]
+        ranges = [range(max(c - w, 0), min(c + w, n_grid - 1) + 1) for c in own]
+        for cell in itertools.product(*ranges):
+            r2 = sum((lo + (c + 0.5) * h - p[a]) ** 2 for a, c in enumerate(cell))
+            out[cell] += math.exp(-r2 / (2.0 * eps))
+    return out / ((2.0 * math.pi * eps) ** (d / 2.0) * n)
 
 
 def radial_entropy(f_of_r2, dim, r_max=40.0):

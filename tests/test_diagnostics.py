@@ -1,12 +1,18 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+from landau import diagnostics
 from landau.analytic import bkw_mollified_density, sample_bkw
 from landau.diagnostics import (DensityGrid, entropy, load_grid_binary, load_grid_csv,
                                 moments, mollified_density, relative_l2_error,
                                 save_grid_binary, save_grid_csv)
 from landau.errors import EmptyEnsemble, FormatError, GridMismatch
 from landau.streams import RngStream
+
+from oracles import direct_mollified_density
 
 
 def maxwellian_2d(v):
@@ -61,16 +67,89 @@ def test_kde_matches_mollified_reference():
     assert err_moll < relative_l2_error(ref_raw, dens)
 
 
-def test_kde_translation_equivariance():
+@pytest.mark.parametrize("dim, n_grid", [(2, 64), (3, 32)])
+def test_kde_translation_equivariance(dim, n_grid):
     gen = RngStream(5).generator()
-    v = gen.standard_normal((500, 2))
-    shift = np.array([0.37, -1.21])
-    g0 = DensityGrid(2, -6.0, 6.0, 64)
-    g1 = DensityGrid(2, -6.0 + shift[0], 6.0 + shift[0], 64)
-    # same extent on both axes is required by the grid type; shift axis 0 only
+    v = gen.standard_normal((500, dim))
+    shift = 0.37
+    # the grid type needs the same extent on every axis, so shift all axes alike
+    g0 = DensityGrid(dim, -6.0, 6.0, n_grid)
+    g1 = DensityGrid(dim, -6.0 + shift, 6.0 + shift, n_grid)
     d0 = mollified_density(v, 0.01, g0)
-    d1 = mollified_density(v + np.array([shift[0], shift[0]]), 0.01, g1)
+    d1 = mollified_density(v + shift, 0.01, g1)
     np.testing.assert_allclose(d1.values, d0.values, atol=1e-12 * d0.values.max())
+
+
+def _edge_case_ensemble(grid, eps, n_total, rng):
+    """Velocities on cell edges, straddling each face, off the grid, and inside."""
+    d, lo, hi, h, ng = grid.dim, grid.lo, grid.hi, grid.h, grid.n_grid
+    reach = int(np.ceil(diagnostics.TRUNCATION_SIGMAS * np.sqrt(eps) / h)) + 1
+    parts = [lo + h * rng.integers(-reach - 2, ng + reach + 3, (40, d))]
+    for a in range(d):
+        for face, sign in ((lo, -1.0), (hi, 1.0)):
+            p = rng.uniform(lo, hi, (6, d))
+            p[:, a] = face + sign * h * np.array([0.0, 0.3, 1.0, reach - 0.5, reach, reach + 1.5])
+            parts.append(p)
+    off = h * (reach + 3)
+    parts.append(np.array([[lo - off] * d, [hi + off] * d, [0.0] * (d - 1) + [hi + off]]))
+    used = sum(len(p) for p in parts)
+    parts.append(rng.uniform(lo - 0.5, hi + 0.5, (n_total - used, d)))
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("dim, n_grid", [(2, 24), (3, 12)])
+def test_kde_matches_direct_sum(dim, n_grid, monkeypatch):
+    # Exact truncation and edge semantics, within rounding of the double loop.
+    # At eps = 0.01 the stencil's outer layer weighs < 1e-12 of a peak; at the
+    # wider eps (h < sqrt(eps) / 2) it weighs about 1e-9, so a stencil or a
+    # reach test one cell short shows.
+    grid = DensityGrid(dim, -2.0, 2.0, n_grid)
+    for eps in (0.01, 0.16 if dim == 2 else 0.5):
+        v = _edge_case_ensemble(grid, eps, 211, np.random.default_rng(10 + dim))
+        single = np.full((1, dim), grid.lo - 0.3 * grid.h)
+        cases = [(ens, direct_mollified_density(ens, eps, -2.0, 2.0, n_grid)) for ens in (v, single)]
+        # the default block holds all 211 particles; blocks of 1000 stencil
+        # entries hold 8 (2D) or 2 (3D) particles at eps = 0.01, leaving a
+        # partial block, and 1 particle at the wider eps
+        for stencil_block in (diagnostics._STENCIL_BLOCK, 1000):
+            monkeypatch.setattr(diagnostics, "_STENCIL_BLOCK", stencil_block)
+            for ens, ref in cases:
+                got = mollified_density(ens, eps, grid).values
+                assert ref.max() > 0
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * ref.max())
+
+
+@pytest.mark.parametrize("dim, n_grid, n", [(3, 64, 50_000), (2, 128, 100_000)])
+def test_kde_memory_is_bounded(dim, n_grid, n):
+    v = RngStream(11).generator().standard_normal((n, dim))
+    grid = DensityGrid(dim, -8.0, 8.0, n_grid)
+    tracemalloc.start()
+    try:
+        mollified_density(v, 0.01, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
+
+
+def test_kde_rejects_non_finite_velocities():
+    v = np.array([[0.0, 0.0], [np.nan, 0.1], [0.2, np.inf], [0.3, 0.3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="2 of 4 particles"):
+            mollified_density(v, 0.01, DensityGrid(2, -8.0, 8.0, 32))
+
+
+def test_kde_drops_far_off_grid_particles_silently():
+    grid = DensityGrid(2, -8.0, 8.0, 32)
+    near = np.array([[0.1, -0.2]])
+    far = np.array([[1e300, 0.0], [0.0, -1e300], [1.7e308, -1.7e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = mollified_density(near, 0.01, grid).values
+        mixed = mollified_density(np.concatenate([far[:2], near, far[2:]]), 0.01, grid).values
+    # dropped particles still count in N
+    np.testing.assert_allclose(mixed, alone / 4.0, rtol=1e-14, atol=0)
 
 
 def test_kde_rejects_empty_and_mismatched():
