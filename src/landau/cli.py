@@ -15,13 +15,15 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .analytic import bkw_density, bkw_t_min, sample_bkw, sample_bimaxwellian
+from .analytic import BKW_LAMBDA, bkw_density, bkw_t_min, sample_bkw, sample_bimaxwellian
 from .collision import (EM, SBM, DiagnosticsPlan, ParticleEnsemble, SchemeConfig,
                         random_pairing, sbm_collision_step, simulate_homogeneous)
 from .diagnostics import (DensityGrid, load_grid_binary, load_grid_csv,
@@ -31,68 +33,51 @@ from .errors import ConfigError, FormatError, LandauError
 from .kernels import KernelParams
 from .sphere import default_sampler, sample_sbm_batch
 from .streams import RngStream, DOMAIN_INIT, DOMAIN_PAIRING
-from .vpl import PicGrid, VplConfig, iterate_vpl, vpl_diagnostics
+from .vpl import PicGrid, VplConfig, simulate_vpl
 
-HOMOGENEOUS_KINDS = ("bkw2d", "bkw3d", "coulomb2d")
-EXPERIMENT_KINDS = HOMOGENEOUS_KINDS + ("vpl-damping", "convergence-study", "cpu-bench")
-
-_KIND_DEFAULTS = {
-    "bkw2d": dict(dim=2, gamma=0.0, lam=1.0 / 8.0),
-    "bkw3d": dict(dim=3, gamma=0.0, lam=1.0 / 12.0),
-    "coulomb2d": dict(dim=2, gamma=-3.0, lam=1.0 / 8.0),
-    "vpl-damping": dict(dim=2, gamma=-2.0, lam=0.0),
-    "convergence-study": dict(dim=2, gamma=0.0, lam=1.0 / 8.0),
-    "cpu-bench": dict(dim=2, gamma=0.0, lam=1.0 / 8.0),
-}
+REQUIRED = object()  # marks a config field that has no default
 
 
-@dataclass
-class ExperimentConfig:
-    """One experiment: kind, numerical parameters, grids and output paths."""
-
-    kind: str
-    outdir: str = "."
-    scheme: str = SBM
-    seed: int = 0
-    n_particles: Optional[int] = None
-    dt: Optional[float] = None
-    t_end: Optional[float] = None
-    checkpoint_every: Optional[float] = None
-    checkpoints: Optional[list] = None
-    dim: Optional[int] = None
-    gamma: Optional[float] = None
-    lam: Optional[float] = None
-    grid_extent: float = DEFAULT_GRID_EXTENT
-    grid_cells: Optional[int] = None
-    eps: float = 0.01
-    reference_path: Optional[str] = None
-    reference_time: Optional[float] = None
-    dump_density_at: list = field(default_factory=list)
-    # vpl
-    alpha: Optional[float] = None
-    n_cells: int = 128
-    n_iters: int = 5
-    residual_tol: Optional[float] = None
-    record_every: int = 1
-    dump_field: bool = False
-    # convergence study
-    n_list: Optional[list] = None
-    n_seeds: int = 8
-    t_eval: float = 5.0
-    # cpu bench
-    bench_steps: int = 5
-    bench_warmup: int = 2
+class ExperimentConfig(SimpleNamespace):
+    """One validated experiment: its kind, the physics the kind fixes (dim,
+    gamma, lam) and the fields the kind reads, as attributes."""
 
     @classmethod
     def from_dict(cls, raw) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config: top level must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        kind = raw.get("kind")
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise ConfigError(f"kind: must be one of {tuple(_KINDS)}, got {kind!r}")
+        spec = _KINDS[kind]
+        unknown = set(raw) - set(spec.fields) - {"kind"}
         if unknown:
-            raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
-        cfg = cls(**raw)
-        cfg.validate()
+            raise ConfigError(f"unknown config field(s) for kind {kind!r}: "
+                              f"{', '.join(sorted(unknown))}")
+        values = {}
+        for name, (type_, default) in spec.fields.items():
+            value = raw.get(name, default)
+            if value is REQUIRED:
+                raise ConfigError(f"{name}: required for kind {kind!r}")
+            if value is not default:  # defaults are valid as they stand
+                _check_value(name, type_, value)
+            values[name] = value
+        cfg = cls(kind=kind, **spec.physics, **values)
+        if values.get("alpha", 0) >= 1:  # the density 1 + alpha cos(x/2) must stay positive
+            raise ConfigError(f"alpha: must be below 1, got {cfg.alpha!r}")
+        if kind != "vpl-damping":  # the homogeneous solver collides particles in pairs
+            for name in ("n_particles", "n_list"):
+                if any(n % 2 for n in np.atleast_1d(values.get(name, 0))):
+                    raise ConfigError(f"{name}: particle counts must be even")
+        if "n_list" in values and len(set(cfg.n_list)) < 2:
+            raise ConfigError("n_list: the log-log fit needs two distinct particle counts")
+        if (values.get("reference_path") is None) != (values.get("reference_time") is None):
+            raise ConfigError("reference_time: give it together with reference_path")
+        if "checkpoint_every" in values and cfg.checkpoint_times()[-1] != round(cfg.t_end, 12):
+            raise ConfigError("t_end: must be a multiple of checkpoint_every")
+        if "dump_density_at" in values and \
+                not set(cfg.dump_density_at) <= set(cfg.checkpoint_times()):
+            raise ConfigError("dump_density_at: every dump time must be a checkpoint time")
         return cfg
 
     @classmethod
@@ -100,58 +85,41 @@ class ExperimentConfig:
         try:
             with open(path) as fh:
                 raw = json.load(fh)
-        except OSError as exc:
+        except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
-
-    def validate(self):
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ConfigError(f"kind: must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
-        if self.scheme not in (SBM, EM):
-            raise ConfigError(f"scheme: must be '{SBM}' or '{EM}'")
-        defaults = _KIND_DEFAULTS[self.kind]
-        for key in ("dim", "gamma", "lam"):
-            if getattr(self, key) is None:
-                setattr(self, key, defaults[key])
-        if self.grid_cells is None:
-            self.grid_cells = DEFAULT_GRID_CELLS[self.dim]
-        _positive = {"dt": self.dt, "eps": self.eps, "grid_extent": self.grid_extent,
-                     "residual_tol": self.residual_tol}
-        for name, val in _positive.items():
-            if val is not None and val <= 0:
-                raise ConfigError(f"{name}: must be positive")
-        if self.kind in HOMOGENEOUS_KINDS:
-            self._require("n_particles", "dt", "t_end")
-            if self.n_particles % 2 != 0:
-                raise ConfigError("n_particles: must be even for homogeneous runs")
-            if self.checkpoints is None and self.checkpoint_every is None:
-                raise ConfigError("checkpoints: give either 'checkpoints' or 'checkpoint_every'")
-            if self.reference_path is not None and self.reference_time is None:
-                raise ConfigError("reference_time: required when reference_path is given")
-        elif self.kind == "vpl-damping":
-            self._require("n_particles", "dt", "t_end", "alpha")
-        elif self.kind == "convergence-study":
-            self._require("dt", "n_list")
-            if any(n % 2 for n in self.n_list):
-                raise ConfigError("n_list: all particle counts must be even")
-        elif self.kind == "cpu-bench":
-            self._require("dt", "n_list")
-
-    def _require(self, *names):
-        for name in names:
-            if getattr(self, name) is None:
-                raise ConfigError(f"{name}: required for kind {self.kind!r}")
 
     def kernel(self) -> KernelParams:
         return KernelParams(self.lam, self.gamma, self.dim)
 
     def checkpoint_times(self):
-        if self.checkpoints is not None:
-            return [float(t) for t in self.checkpoints]
         n = int(np.floor(self.t_end / self.checkpoint_every + 1e-9))
         return [round(k * self.checkpoint_every, 12) for k in range(n + 1)]
+
+
+# Numbers must be finite and positive, or non-negative for these fields.
+_NON_NEGATIVE = {"seed", "lam", "alpha", "reference_time", "dump_density_at", "bench_warmup"}
+
+
+def _check_value(name, type_, value):
+    """Check one JSON value against its field type: int, float (an int is
+    accepted), bool or str, a tuple of the allowed strings, or [t] for a list
+    of t. bools never pass as numbers."""
+    if isinstance(type_, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name}: expected a list, got {value!r}")
+        for item in value:
+            _check_value(name, type_[0], item)
+    elif isinstance(type_, tuple):
+        if value not in type_:
+            raise ConfigError(f"{name}: must be one of {type_}, got {value!r}")
+    elif not (type(value) is type_ or (type_ is float and type(value) is int)):
+        raise ConfigError(f"{name}: expected {type_.__name__}, got {value!r}")
+    elif type_ in (int, float):
+        non_negative = name in _NON_NEGATIVE
+        if not math.isfinite(value) or value < 0 or (value == 0 and not non_negative):
+            raise ConfigError(f"{name}: must be finite and "
+                              f"{'non-negative' if non_negative else 'positive'}, got {value!r}")
 
 
 @dataclass
@@ -183,18 +151,12 @@ def _git_revision():
         return None
 
 
-def _fmt(x):
-    if x is None:
-        return ""
-    return f"{x:.17g}"
-
-
 def _write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join("" if x is None else
-                              _fmt(x) if isinstance(x, (int, float, np.floating)) else str(x)
+            fh.write(",".join("" if x is None else f"{x:.17g}"
+                              if isinstance(x, (int, float, np.floating)) else str(x)
                               for x in row) + "\n")
 
 
@@ -206,52 +168,44 @@ def load_reference_density(path) -> DensityGrid:
     return grid
 
 
-def _initial_ensemble(cfg: ExperimentConfig, n=None, seed=None) -> ParticleEnsemble:
-    n = cfg.n_particles if n is None else n
-    rng = RngStream(cfg.seed if seed is None else seed, domain=DOMAIN_INIT)
+def _initial_ensemble(cfg: ExperimentConfig, n, seed) -> ParticleEnsemble:
+    rng = RngStream(seed, domain=DOMAIN_INIT)
     if cfg.kind == "coulomb2d":
         return ParticleEnsemble(sample_bimaxwellian(n, rng))
     return ParticleEnsemble(sample_bkw(cfg.dim, bkw_t_min(cfg.dim), n, rng))
 
 
 def _reference_fn(cfg: ExperimentConfig, grid: DensityGrid):
-    if cfg.kind in ("bkw2d", "bkw3d", "convergence-study"):
+    if cfg.kind != "coulomb2d":  # the BKW kinds compare with the closed form
         mesh = grid.center_mesh()
         t0 = bkw_t_min(cfg.dim)
         return lambda t: bkw_density(cfg.dim, t0 + t, mesh)
-    if cfg.reference_path is not None:
-        ref = load_reference_density(cfg.reference_path)
-        if not ref.congruent(grid):
-            raise ConfigError("reference_path: grid does not match the experiment grid "
-                              f"(dim={ref.dim}, n_grid={ref.n_grid}, lo={ref.lo}, hi={ref.hi})")
-        t_ref = cfg.reference_time
-        return lambda t: ref.values if abs(t - t_ref) < 1e-9 else None
-    return None
+    if cfg.reference_path is None:
+        return None
+    ref = load_reference_density(cfg.reference_path)
+    if not ref.congruent(grid):
+        raise ConfigError("reference_path: grid does not match the experiment grid "
+                          f"(dim={ref.dim}, n_grid={ref.n_grid}, lo={ref.lo}, hi={ref.hi})")
+    return lambda t: ref.values if abs(t - cfg.reference_time) < 1e-9 else None
 
 
 def _run_homogeneous(cfg: ExperimentConfig, outdir):
     grid = DensityGrid(cfg.dim, -cfg.grid_extent, cfg.grid_extent, cfg.grid_cells)
     plan = DiagnosticsPlan(grid=grid, eps=cfg.eps, reference=_reference_fn(cfg, grid))
     scheme = SchemeConfig(cfg.dt, cfg.scheme, cfg.kernel(), seed=cfg.seed)
-    init = _initial_ensemble(cfg)
-    checkpoints = cfg.checkpoint_times()
-    dump_at = set(float(t) for t in cfg.dump_density_at)
-    if not dump_at <= set(checkpoints):
-        raise ConfigError("dump_density_at: every dump time must be a checkpoint time")
+    init = _initial_ensemble(cfg, cfg.n_particles, cfg.seed)
+    dump_at = set(cfg.dump_density_at)
     t_start = time.perf_counter()
-    results = simulate_homogeneous(scheme, init, cfg.t_end, checkpoints, plan,
+    results = simulate_homogeneous(scheme, init, cfg.t_end, cfg.checkpoint_times(), plan,
                                    store_snapshots=bool(dump_at))
     elapsed = time.perf_counter() - t_start
 
-    outputs = []
     mom_cols = [f"momentum_{ax}" for ax in "xyz"[: cfg.dim]]
-    rows = []
-    for c in results:
-        rows.append([c.time, *c.record.momentum, c.record.kinetic_energy,
-                     c.record.entropy, c.record.rel_l2_error])
+    rows = [[c.time, *c.record.momentum, c.record.kinetic_energy, c.record.entropy,
+             c.record.rel_l2_error] for c in results]
     diag_path = os.path.join(outdir, "diagnostics.csv")
     _write_csv(diag_path, ["time", *mom_cols, "kinetic_energy", "entropy", "rel_l2_error"], rows)
-    outputs.append(diag_path)
+    outputs = [diag_path]
     for c in results:
         if c.time in dump_at and c.ensemble is not None:
             dens = mollified_density(c.ensemble, cfg.eps, grid)
@@ -271,15 +225,8 @@ def _run_vpl(cfg: ExperimentConfig, outdir):
                      alpha=cfg.alpha, kernel=cfg.kernel(), n_cells=cfg.n_cells,
                      n_iters=cfg.n_iters, residual_tol=cfg.residual_tol,
                      seed=cfg.seed, record_every=cfg.record_every)
-    grid = PicGrid(vcfg.length, vcfg.n_cells)
-    n_steps = max(1, math.ceil(round(cfg.t_end / cfg.dt, 9)))
-    records = []
-    final_state = None
     t_start = time.perf_counter()
-    for step, state in iterate_vpl(vcfg):
-        if step == 0 or step % vcfg.record_every == 0 or step == n_steps:
-            records.append(vpl_diagnostics(state, grid))
-        final_state = state
+    records, final_state = simulate_vpl(vcfg)
     elapsed = time.perf_counter() - t_start
     rows = [[r.time, r.electric_l2, r.kinetic_energy, r.electric_energy,
              r.total_energy, r.momentum[0], r.momentum[1]] for r in records]
@@ -289,18 +236,14 @@ def _run_vpl(cfg: ExperimentConfig, outdir):
     outputs = [ts_path]
     if cfg.dump_field:
         fp = os.path.join(outdir, "field_final.csv")
-        _write_csv(fp, ["x", "E"], list(zip(grid.centers(), final_state.field)))
+        centers = PicGrid(vcfg.length, vcfg.n_cells).centers()
+        _write_csv(fp, ["x", "E"], list(zip(centers, final_state.field)))
         outputs.append(fp)
     e0, e1 = records[0].total_energy, records[-1].total_energy
     summary = {"initial_total_energy": e0, "final_total_energy": e1,
                "relative_energy_drift": abs(e1 - e0) / abs(e0),
                "mass_weight_convention": "per-particle weight q = Q/N with Q = domain length"}
     return outputs, elapsed, summary
-
-
-def _fit_loglog(ns, errs):
-    slope, intercept = np.polyfit(np.log10(ns), np.log10(errs), 1)
-    return float(slope), float(intercept)
 
 
 def _run_convergence(cfg: ExperimentConfig, outdir):
@@ -314,13 +257,13 @@ def _run_convergence(cfg: ExperimentConfig, outdir):
         for s in range(cfg.n_seeds):
             seed = cfg.seed + s
             scheme = SchemeConfig(cfg.dt, cfg.scheme, cfg.kernel(), seed=seed)
-            init = _initial_ensemble(cfg, n=n, seed=seed)
+            init = _initial_ensemble(cfg, n, seed)
             res = simulate_homogeneous(scheme, init, cfg.t_eval, [cfg.t_eval], plan)
             errs.append(res[-1].record.rel_l2_error)
             rows.append([n, seed, errs[-1]])
         means.append(float(np.mean(errs)))
     elapsed = time.perf_counter() - t_start
-    slope, _ = _fit_loglog(cfg.n_list, means)
+    slope = float(np.polyfit(np.log10(cfg.n_list), np.log10(means), 1)[0])
     csv_path = os.path.join(outdir, "convergence.csv")
     _write_csv(csv_path, ["n_particles", "seed", "rel_l2_error"], rows)
     print(f"mean rel-L2 at t={cfg.t_eval:g}: " +
@@ -332,30 +275,70 @@ def _run_convergence(cfg: ExperimentConfig, outdir):
 
 
 def _run_bench(cfg: ExperimentConfig, outdir):
-    kernel = cfg.kernel()
-    rows = []
+    scheme = SchemeConfig(cfg.dt, SBM, cfg.kernel(), seed=cfg.seed)
     times = []
     for n in cfg.n_list:
-        scheme = SchemeConfig(cfg.dt, cfg.scheme, kernel, seed=cfg.seed)
-        ens = _initial_ensemble(cfg, n=n)
+        ens = _initial_ensemble(cfg, n, cfg.seed)
         best = math.inf
-        for rep in range(cfg.bench_warmup + cfg.bench_steps):
-            step = rep + 1
+        for step in range(1, cfg.bench_warmup + cfg.bench_steps + 1):
             t0 = time.perf_counter()
             pairing = random_pairing(ens.n, RngStream(cfg.seed, step=step, domain=DOMAIN_PAIRING))
             ens = sbm_collision_step(ens, pairing, scheme, step)
             dt_step = time.perf_counter() - t0
-            if rep >= cfg.bench_warmup:
+            if step > cfg.bench_warmup:
                 best = min(best, dt_step)
         times.append(best)
-        rows.append([n, best])
         print(f"N={n}: {best * 1e3:.3f} ms per step")
-    slope, _ = _fit_loglog(cfg.n_list, times)
+    slope = float(np.polyfit(np.log10(cfg.n_list), np.log10(times), 1)[0])
     print(f"fitted log-log slope: {slope:.3f}")
     csv_path = os.path.join(outdir, "bench.csv")
-    _write_csv(csv_path, ["n_particles", "seconds_per_step"], rows)
+    _write_csv(csv_path, ["n_particles", "seconds_per_step"], zip(cfg.n_list, times))
     summary = {"n_list": list(cfg.n_list), "seconds_per_step": times, "slope": slope}
     return [csv_path], None, summary
+
+
+# Each kind: the subcommand that runs it, its runner (cfg, outdir) -> (outputs,
+# run_seconds, summary), the dim, gamma and lam it fixes, and the fields it reads
+# as name -> (type as in _check_value, default or REQUIRED).
+_Kind = namedtuple("_Kind", "command runner physics fields")
+
+
+_RUN = {"outdir": (str, "."), "seed": (int, 0), "dt": (float, REQUIRED)}
+
+
+def _density(dim):  # kinds that score the particles by a KDE on a velocity grid
+    return {**_RUN, "scheme": ((SBM, EM), SBM), "grid_extent": (float, DEFAULT_GRID_EXTENT),
+            "grid_cells": (int, DEFAULT_GRID_CELLS[dim]), "eps": (float, 0.01)}
+
+
+def _homogeneous(dim):
+    return {**_density(dim), "n_particles": (int, REQUIRED), "t_end": (float, REQUIRED),
+            "checkpoint_every": (float, REQUIRED), "dump_density_at": ([float], [])}
+
+
+_MAXWELL_2D = {"dim": 2, "gamma": 0.0, "lam": BKW_LAMBDA[2]}
+
+
+_KINDS = {
+    "bkw2d": _Kind("run", _run_homogeneous, _MAXWELL_2D, _homogeneous(2)),
+    "bkw3d": _Kind("run", _run_homogeneous, {"dim": 3, "gamma": 0.0, "lam": BKW_LAMBDA[3]},
+                   _homogeneous(3)),
+    "coulomb2d": _Kind("run", _run_homogeneous, {"dim": 2, "gamma": -3.0, "lam": 1.0 / 8.0},
+                       {**_homogeneous(2), "reference_path": (str, None),
+                        "reference_time": (float, None)}),
+    "vpl-damping": _Kind("run", _run_vpl, {"dim": 2, "gamma": -2.0},
+                         {**_RUN, "n_particles": (int, REQUIRED), "t_end": (float, REQUIRED),
+                          "lam": (float, 0.0), "alpha": (float, REQUIRED),
+                          "n_cells": (int, 128), "n_iters": (int, 5),
+                          "residual_tol": (float, None), "record_every": (int, 1),
+                          "dump_field": (bool, False)}),
+    "convergence-study": _Kind("convergence", _run_convergence, _MAXWELL_2D,
+                               {**_density(2), "n_list": ([int], REQUIRED),
+                                "n_seeds": (int, 8), "t_eval": (float, 5.0)}),
+    "cpu-bench": _Kind("bench", _run_bench, _MAXWELL_2D,
+                       {**_RUN, "n_list": ([int], REQUIRED), "bench_steps": (int, 5),
+                        "bench_warmup": (int, 2)}),
+}
 
 
 def _run_sampler_test(args):
@@ -395,14 +378,8 @@ def _write_manifest(config, seed, outdir, outputs, run_seconds, summary) -> RunM
 def run(cfg: ExperimentConfig) -> RunManifest:
     """Execute the configured experiment and write outputs plus the manifest."""
     os.makedirs(cfg.outdir, exist_ok=True)
-    dispatch = {
-        "vpl-damping": _run_vpl,
-        "convergence-study": _run_convergence,
-        "cpu-bench": _run_bench,
-    }
-    runner = dispatch.get(cfg.kind, _run_homogeneous)
-    outputs, run_seconds, summary = runner(cfg, cfg.outdir)
-    return _write_manifest(dict(cfg.__dict__), cfg.seed, cfg.outdir, outputs, run_seconds,
+    outputs, run_seconds, summary = _KINDS[cfg.kind].runner(cfg, cfg.outdir)
+    return _write_manifest(dict(vars(cfg)), cfg.seed, cfg.outdir, outputs, run_seconds,
                            summary)
 
 
@@ -410,12 +387,10 @@ def _build_parser():
     parser = argparse.ArgumentParser(prog="landau",
                                      description="stochastic particle solver for the Landau equation")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, kinds in (("run", HOMOGENEOUS_KINDS + ("vpl-damping",)),
-                        ("convergence", ("convergence-study",)),
-                        ("bench", ("cpu-bench",))):
-        p = sub.add_parser(name, help=f"execute a config of kind {', '.join(kinds)}")
+    for command in dict.fromkeys(k.command for k in _KINDS.values()):
+        kinds = [name for name, k in _KINDS.items() if k.command == command]
+        p = sub.add_parser(command, help=f"execute a config of kind {', '.join(kinds)}")
         p.add_argument("config", help="JSON experiment config")
-        p.set_defaults(kinds=kinds)
     p = sub.add_parser("sampler-test", help="Monte Carlo check of the sphere sampler")
     p.add_argument("--dim", type=int, choices=(2, 3), required=True)
     p.add_argument("--tau", type=float, required=True)
@@ -432,10 +407,10 @@ def main(argv=None):
             _run_sampler_test(args)
         else:
             cfg = ExperimentConfig.from_file(args.config)
-            if cfg.kind not in args.kinds:
+            if _KINDS[cfg.kind].command != args.command:
                 raise ConfigError(f"kind: {cfg.kind!r} is not runnable by 'landau {args.command}'")
             run(cfg)
-    except LandauError as exc:
+    except (LandauError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

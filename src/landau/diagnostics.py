@@ -67,10 +67,6 @@ class DensityGrid:
                 and self.lo == other.lo and self.hi == other.hi)
 
 
-def default_grid(dim):
-    return DensityGrid(dim, -DEFAULT_GRID_EXTENT, DEFAULT_GRID_EXTENT, DEFAULT_GRID_CELLS[dim])
-
-
 def _velocities(ens):
     v = ens.velocities if hasattr(ens, "velocities") else np.asarray(ens, dtype=float)
     return np.atleast_2d(v)
@@ -153,7 +149,6 @@ def entropy(grid: DensityGrid) -> float:
 class Moments:
     momentum: np.ndarray
     kinetic_energy: float
-    mean_velocity: np.ndarray
     energy_per_particle: float
 
 
@@ -167,7 +162,7 @@ def moments(ens) -> Moments:
     p = np.sum(v, axis=0)
     e = 0.5 * float(np.sum(v * v))
     n = v.shape[0]
-    return Moments(momentum=p, kinetic_energy=e, mean_velocity=p / n, energy_per_particle=e / n)
+    return Moments(momentum=p, kinetic_energy=e, energy_per_particle=e / n)
 
 
 @dataclass

@@ -279,12 +279,14 @@ def iterate_vpl(config: VplConfig):
         yield step, state
 
 
-def simulate_vpl(config: VplConfig) -> list[VplDiagnostics]:
-    """Alternate cell collisions and field steps; diagnostics every step."""
+def simulate_vpl(config: VplConfig) -> tuple[list[VplDiagnostics], VplState]:
+    """Alternate cell collisions and field steps; return the diagnostics of the
+    initial state, of every record_every-th step and of the last step, and
+    the final state."""
     grid = PicGrid(config.length, config.n_cells)
     n_steps = math.ceil(round(config.t_end / config.dt, 9))
     records = []
     for step, state in iterate_vpl(config):
         if step == 0 or step % config.record_every == 0 or step == n_steps:
             records.append(vpl_diagnostics(state, grid))
-    return records
+    return records, state

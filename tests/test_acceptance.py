@@ -59,7 +59,7 @@ def vpl_runs():
             cfg = VplConfig(n_particles=100_000, dt=0.02, t_end=50.0, alpha=0.1,
                             kernel=KernelParams(lam, -2.0, 2), n_cells=128,
                             n_iters=5, residual_tol=tol, seed=7)
-            out[lam, mode] = simulate_vpl(cfg)
+            out[lam, mode], _ = simulate_vpl(cfg)
     return out
 
 

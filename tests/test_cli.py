@@ -52,6 +52,79 @@ def test_config_rejects_sampler_fields():
                                             checkpoint_every=0.5, **{name: value}))
 
 
+# a minimal valid config of each kind
+MINIMAL = {
+    "bkw2d": dict(n_particles=10, dt=0.1, t_end=1.0, checkpoint_every=0.5),
+    "bkw3d": dict(n_particles=10, dt=0.1, t_end=1.0, checkpoint_every=0.5),
+    "coulomb2d": dict(n_particles=10, dt=0.1, t_end=1.0, checkpoint_every=0.5),
+    "vpl-damping": dict(n_particles=100, dt=0.1, t_end=1.0, alpha=0.1),
+    "convergence-study": dict(dt=0.1, n_list=[100, 200]),
+    "cpu-bench": dict(dt=0.1, n_list=[100, 200]),
+}
+
+
+COMMAND = {"convergence-study": "convergence", "cpu-bench": "bench"}  # others: "run"
+
+
+def config_of(kind, **extra):
+    return ExperimentConfig.from_dict({"kind": kind, **MINIMAL[kind], **extra})
+
+
+@pytest.mark.parametrize("kind, name, value", [
+    ("bkw2d", "alpha", 0.1), ("bkw2d", "reference_path", "/nonexistent"),
+    ("bkw2d", "reference_time", 1.0), ("bkw3d", "n_cells", 32),
+    ("coulomb2d", "n_list", [100]), ("vpl-damping", "scheme", "em"),
+    ("vpl-damping", "grid_cells", 64), ("convergence-study", "n_particles", 100),
+    ("convergence-study", "checkpoint_every", 0.5), ("cpu-bench", "scheme", "em"),
+    ("cpu-bench", "eps", 0.01)])
+def test_kind_rejects_fields_of_other_kinds(kind, name, value):
+    config_of(kind)
+    with pytest.raises(ConfigError, match=f"unknown config field.*{kind}.*{name}"):
+        config_of(kind, **{name: value})
+
+
+@pytest.mark.parametrize("kind", sorted(MINIMAL))
+def test_kind_fixes_its_physics(kind):
+    # the closed form (or the preset family) of each kind fixes dim and gamma;
+    # lam is settable only for vpl-damping, whose presets use 1 and 0
+    settable = {"lam"} if kind == "vpl-damping" else set()
+    for name, value in (("dim", 3), ("gamma", -3.0), ("lam", 1.0)):
+        if name in settable:
+            assert getattr(config_of(kind, **{name: value}), name) == value
+        else:
+            with pytest.raises(ConfigError, match=name):
+                config_of(kind, **{name: value})
+
+
+@pytest.mark.parametrize("kind, name, value", [
+    ("bkw2d", "dt", "0.1"), ("bkw2d", "n_particles", 2000.0), ("bkw2d", "seed", True),
+    ("bkw2d", "t_end", -1), ("bkw2d", "n_particles", 0), ("bkw2d", "eps", float("nan")),
+    ("bkw2d", "scheme", "rk4"), ("bkw2d", "checkpoint_every", 0.3),
+    ("bkw2d", "dump_density_at", 1.0), ("bkw2d", "dump_density_at", [0.3]),
+    ("vpl-damping", "dump_field", 1),
+    ("vpl-damping", "alpha", 1.0), ("vpl-damping", "lam", -1.0),
+    ("cpu-bench", "n_list", [100, 301]), ("convergence-study", "n_list", [100.0, 200.0]),
+    ("convergence-study", "n_list", [100, 100]), ("cpu-bench", "n_list", [])])
+def test_bad_values_name_the_field(tmp_path, capsys, kind, name, value):
+    with pytest.raises(ConfigError, match=name):
+        config_of(kind, **{name: value})
+    cfg = {"kind": kind, **MINIMAL[kind], name: value}
+    assert main([COMMAND.get(kind, "run"), write_config(tmp_path / "c.json", **cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+
+
+def test_manifest_records_kind_physics(tmp_path):
+    run(small_bkw2d(tmp_path / "a", t_end=0.5))
+    config = json.loads((tmp_path / "a" / "manifest.json").read_text())["config"]
+    assert (config["dim"], config["gamma"], config["lam"]) == (2, 0.0, 1.0 / 8.0)
+    assert config["grid_cells"] == 64 and "alpha" not in config
+    cfg = config_of("bkw3d", outdir=str(tmp_path / "b"), grid_cells=16)
+    run(cfg)
+    config = json.loads((tmp_path / "b" / "manifest.json").read_text())["config"]
+    assert (config["dim"], config["gamma"], config["lam"]) == (3, 0.0, 1.0 / 12.0)
+
+
 def test_bkw2d_run_outputs(tmp_path):
     cfg = small_bkw2d(tmp_path / "out")
     manifest = run(cfg)
@@ -190,13 +263,26 @@ def test_sampler_test_command(capsys, tmp_path):
 
 
 def test_subcommand_kind_guard(tmp_path, capsys):
-    cfg = write_config(tmp_path / "c.json", kind="cpu-bench", dt=0.1, n_list=[100])
+    cfg = write_config(tmp_path / "c.json", kind="cpu-bench", dt=0.1, n_list=[100, 200])
     assert main(["run", cfg]) == 1
     assert "error:" in capsys.readouterr().err
 
 
-def test_shipped_presets_parse():
+def test_shipped_presets_run(tmp_path, capsys):
+    # every preset, shrunk, runs end to end: a runner that reads a field its
+    # kind does not declare fails here
     import pathlib
     here = pathlib.Path(__file__).resolve().parent.parent / "configs"
-    for preset in sorted(here.glob("*.json")):
-        ExperimentConfig.from_file(preset)
+    caps = dict(n_particles=4000, t_end=0.4, checkpoint_every=0.2, t_eval=0.2, n_seeds=2,
+                bench_steps=1, bench_warmup=0)
+    presets = sorted(here.glob("*.json"))
+    assert presets
+    for preset in presets:
+        raw = json.loads(preset.read_text())
+        raw.update({k: min(raw[k], cap) for k, cap in caps.items() if k in raw})
+        if "n_list" in raw:
+            raw["n_list"] = [400, 800]
+        raw["outdir"] = str(tmp_path / preset.stem)
+        path = write_config(tmp_path / preset.name, **raw)
+        assert main([COMMAND.get(raw["kind"], "run"), path]) == 0, preset.name
+        assert (tmp_path / preset.stem / "manifest.json").exists()

@@ -237,8 +237,8 @@ def test_simulate_vpl_quiet_start():
     cfg = VplConfig(n_particles=20_000, dt=0.02, t_end=1.0, alpha=0.0,
                     kernel=KernelParams(0.0, -2.0, 2), n_cells=64,
                     residual_tol=1e-12, seed=9)
-    recs = simulate_vpl(cfg)
-    assert len(recs) == 51
+    recs, final = simulate_vpl(cfg)
+    assert len(recs) == 51 and final.time == pytest.approx(1.0)
     e0 = recs[0].total_energy
     drift = max(abs(r.total_energy - e0) for r in recs) / abs(e0)
     assert drift <= 1e-3
@@ -249,7 +249,9 @@ def test_simulate_vpl_quiet_start():
 def test_simulate_vpl_determinism():
     cfg = VplConfig(n_particles=2000, dt=0.02, t_end=0.2, alpha=0.1,
                     kernel=COULOMB, n_cells=32, seed=10)
-    a = simulate_vpl(cfg)
-    b = simulate_vpl(cfg)
+    a, state_a = simulate_vpl(cfg)
+    b, state_b = simulate_vpl(cfg)
     assert all(ra.total_energy == rb.total_energy and ra.electric_l2 == rb.electric_l2
                for ra, rb in zip(a, b))
+    np.testing.assert_array_equal(state_a.velocities, state_b.velocities)
+    np.testing.assert_array_equal(state_a.field, state_b.field)
