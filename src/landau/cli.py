@@ -343,6 +343,9 @@ _KINDS = {
 
 def _run_sampler_test(args):
     """Monte Carlo check of E[Y_tau . Y_0] = exp(-(d-1) tau / 2) from the pole."""
+    if args.samples < 2 or not (math.isfinite(args.tau) and args.tau > 0):
+        raise ConfigError("sampler-test: need --samples >= 2 and a finite --tau > 0, "
+                          f"got {args.samples} and {args.tau!r}")
     kind = default_sampler(args.dim)
     start = np.zeros(args.dim)
     start[-1] = 1.0
@@ -351,16 +354,17 @@ def _run_sampler_test(args):
                            RngStream(args.seed, domain=DOMAIN_INIT))
     dots = out @ start
     exact = math.exp(-(args.dim - 1) * args.tau / 2.0)
+    mean = float(np.mean(dots))
     se = float(np.std(dots, ddof=1) / math.sqrt(args.samples))
-    zscore = (float(np.mean(dots)) - exact) / se if se > 0 else 0.0
-    ok = abs(zscore) <= 3.0
+    zscore = (mean - exact) / se if se > 0 else math.nan
+    ok = abs(mean - exact) <= 3.0 * se  # a non-finite SE fails
     print(f"sampler {kind.value}, dim={args.dim}, tau={args.tau:g}, samples={args.samples}")
-    print(f"E[Y_tau . Y_0] = {np.mean(dots):.6f}  exact {exact:.6f}  z = {zscore:+.2f}  "
+    print(f"E[Y_tau . Y_0] = {mean:.6f}  exact {exact:.6f}  z = {zscore:+.2f}  "
           f"[{'PASS' if ok else 'FAIL'} at 3 SE]")
     if not ok:
         raise LandauError("sampler-test failed the 3-standard-error moment check")
     summary = {"kind": kind.value, "dim": args.dim, "tau": args.tau,
-               "mean_dot": float(np.mean(dots)), "exact": exact, "zscore": zscore,
+               "mean_dot": mean, "exact": exact, "zscore": zscore,
                "pass": bool(ok)}
     config = {k: getattr(args, k) for k in ("dim", "tau", "samples", "seed", "outdir")}
     _write_manifest(config, args.seed, args.outdir, [], None, summary)

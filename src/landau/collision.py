@@ -172,14 +172,12 @@ class Checkpoint:
     record: DiagnosticsRecord
 
 
-def _checkpoint_steps(checkpoints, dt, n_steps):
-    out = {}
-    for t in checkpoints:
-        k = round(t / dt)
-        if abs(t - k * dt) > 1e-9 * max(1.0, abs(t)) or k < 0 or k > n_steps:
-            raise InvalidCheckpoint(f"checkpoint {t} is not a step multiple of dt={dt} within the run")
-        out[int(k)] = t
-    return out
+def step_count(t, dt):
+    """Number of dt steps from 0 to t; t must lie on the dt grid."""
+    k = round(t / dt)
+    if abs(t - k * dt) > 1e-9 * max(1.0, abs(t)):
+        raise InvalidCheckpoint(f"time {t} is not a step multiple of dt={dt}")
+    return k
 
 
 def _record(ens, t, plan: DiagnosticsPlan):
@@ -212,8 +210,10 @@ def simulate_homogeneous(cfg: SchemeConfig, init: ParticleEnsemble, t_end, check
     if init.n % 2 != 0:
         raise OddParticleCount(f"homogeneous stepper needs even N, got {init.n}")
     plan = plan or DiagnosticsPlan()
-    n_steps = math.ceil(round(t_end / cfg.dt, 9))
-    marks = _checkpoint_steps(checkpoints, cfg.dt, n_steps)
+    n_steps = step_count(t_end, cfg.dt)
+    marks = {step_count(t, cfg.dt): t for t in checkpoints}
+    if not all(0 <= k <= n_steps for k in marks):
+        raise InvalidCheckpoint(f"checkpoints {list(checkpoints)} reach outside [0, {t_end}]")
     stepper = _STEPPERS[cfg.scheme]
     out = []
     ens = ParticleEnsemble(init.velocities.copy())

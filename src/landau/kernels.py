@@ -4,14 +4,11 @@ All functions broadcast over leading axes: a relative velocity argument of
 shape (..., d) yields (..., d, d) for matrices and (...,) for scalars.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateRelativeVelocity
-
-logger = logging.getLogger(__name__)
 
 # Relative velocities below this magnitude are treated as degenerate;
 # collision steps skip such pairs unchanged instead of evaluating the
@@ -32,14 +29,6 @@ class KernelParams:
             raise ValueError(f"collision strength must be >= 0, got {self.lam}")
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        # The admissible range is advisory only: the 2D Coulomb-like runs use
-        # gamma = -3, the excluded endpoint.
-        if not (-self.dim - 1 < self.gamma <= 1):
-            logger.warning(
-                "gamma=%g outside the admissible range (%g, 1]; proceeding anyway",
-                self.gamma,
-                -self.dim - 1,
-            )
 
 
 def _sq_norm(z):

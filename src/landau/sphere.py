@@ -21,9 +21,9 @@ rounding.
 """
 
 import enum
+import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import FixedPointNotConverged, InvalidSamplerForDim, SeriesTruncated
 from .streams import RngStream
@@ -50,12 +50,11 @@ _SERIES_BLOCK = 2048
 
 
 def _death_series_matrix(K):
-    # S[m, k] = (-1)^(k-m) (2k+1) (m+2)_(k-1) / (m! (k-m)!) for k >= m
-    m = np.arange(K)[:, None]
-    k = np.arange(K)[None, :]
-    lt = (np.log(2 * k + 1) + gammaln(m + k + 1) - gammaln(m + 2) - gammaln(m + 1)
-          - gammaln(np.maximum(k - m, 0) + 1))
-    return np.where(k >= m, np.where((k - m) % 2 == 0, 1.0, -1.0) * np.exp(lt), 0.0)
+    # S[m, k] = (-1)^(k-m) (2k+1) C(k+m, k-m) Cat(m) for k >= m, Cat(m) the
+    # Catalan number C(2m, m) / (m+1); exact integers, rounded once to float
+    return np.array([[(-1) ** (k - m) * (2 * k + 1) * math.comb(k + m, k - m)
+                      * (math.comb(2 * m, m) // (m + 1)) if k >= m else 0
+                      for k in range(K)] for m in range(K)], dtype=float)
 
 
 _DEATH_SERIES = _death_series_matrix(_SERIES_TERMS)
@@ -99,8 +98,7 @@ def _calibrated_c2(delta, dim=3, terms=24, max_sweeps=30):
     # E[W^k] for W ~ chi^2_{d-1}: (d-1) (d+1) ... (d+2k-3)
     mom = np.cumprod(np.r_[1.0, dim - 1 + 2.0 * np.arange(terms - 1)])
     ks = np.arange(terms)
-    log_fact = gammaln(2 * ks + 1)
-    coef = (-1.0) ** ks * mom / np.exp(log_fact)
+    coef = (-1.0) ** ks * mom / np.array([math.factorial(2 * k) for k in ks], dtype=float)
     target = np.exp(-(dim - 1) * delta / 2.0)
     s = np.ones_like(delta)
     for _ in range(max_sweeps):

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .analytic import DAMPING_LENGTH, sample_landau_damping
-from .collision import sbm_pair_update
+from .collision import sbm_pair_update, step_count
 from .errors import FixedPointNotConverged, NonFiniteState
 from .kernels import KernelParams
 from .streams import RngStream, DOMAIN_INIT, DOMAIN_CELLS
@@ -268,10 +268,13 @@ def initial_state(config: VplConfig, grid: PicGrid) -> VplState:
 
 def iterate_vpl(config: VplConfig):
     """Yield (step, state) along the run, starting with the initial state."""
-    grid = PicGrid(config.length, config.n_cells)
+    return _iterate(config, PicGrid(config.length, config.n_cells),
+                    step_count(config.t_end, config.dt))
+
+
+def _iterate(config: VplConfig, grid: PicGrid, n_steps):
     state = initial_state(config, grid)
     yield 0, state
-    n_steps = math.ceil(round(config.t_end / config.dt, 9))
     for step in range(1, n_steps + 1):
         state = cell_collisions(state, config.dt, config.kernel, grid, config.seed, step)
         state = cn_va_step(state, config.dt, config.n_iters, grid,
@@ -284,9 +287,9 @@ def simulate_vpl(config: VplConfig) -> tuple[list[VplDiagnostics], VplState]:
     initial state, of every record_every-th step and of the last step, and
     the final state."""
     grid = PicGrid(config.length, config.n_cells)
-    n_steps = math.ceil(round(config.t_end / config.dt, 9))
+    n_steps = step_count(config.t_end, config.dt)
     records = []
-    for step, state in iterate_vpl(config):
-        if step == 0 or step % config.record_every == 0 or step == n_steps:
+    for step, state in _iterate(config, grid, n_steps):
+        if step % config.record_every == 0 or step == n_steps:
             records.append(vpl_diagnostics(state, grid))
     return records, state

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -218,6 +222,23 @@ def test_vpl_run(tmp_path):
     assert "field_final.csv" in data["outputs"]
 
 
+def test_vpl_run_rejects_t_end_off_the_dt_grid(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", kind="vpl-damping", n_particles=200, dt=0.1,
+                       t_end=0.25, alpha=0.1, n_cells=8, outdir=str(tmp_path / "vpl"))
+    assert main(["run", cfg]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "vpl" / "timeseries.csv").exists()
+
+
+def test_import_loads_no_scipy():
+    # the runtime is numpy and the standard library; scipy serves the tests only
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, landau, landau.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_bkw3d_run(tmp_path):
     cfg = ExperimentConfig.from_dict(dict(
         kind="bkw3d", n_particles=2000, dt=0.1, t_end=0.5, checkpoint_every=0.5,
@@ -260,6 +281,12 @@ def test_sampler_test_command(capsys, tmp_path):
     assert "sphere3d" in capsys.readouterr().out
     data = json.loads((tmp_path / "manifest.json").read_text())
     assert data["summary"]["pass"] and data["config"]["tau"] == 0.5
+    # too few samples for a standard error, or a tau that is not a positive time
+    for flags in (["--tau", "0.1", "--samples", "1"], ["--tau", "0"], ["--tau", "nan"],
+                  ["--tau", "-1"]):
+        assert main(["sampler-test", "--dim", "2", "--samples", "100", *flags,
+                     "--outdir", str(tmp_path)]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 def test_subcommand_kind_guard(tmp_path, capsys):
@@ -271,7 +298,6 @@ def test_subcommand_kind_guard(tmp_path, capsys):
 def test_shipped_presets_run(tmp_path, capsys):
     # every preset, shrunk, runs end to end: a runner that reads a field its
     # kind does not declare fails here
-    import pathlib
     here = pathlib.Path(__file__).resolve().parent.parent / "configs"
     caps = dict(n_particles=4000, t_end=0.4, checkpoint_every=0.2, t_eval=0.2, n_seeds=2,
                 bench_steps=1, bench_warmup=0)

@@ -189,6 +189,8 @@ def test_simulate_rejects_bad_checkpoints_and_odd_n():
         simulate_homogeneous(cfg, ens, 1.0, [0.55])
     with pytest.raises(InvalidCheckpoint):
         simulate_homogeneous(cfg, ens, 1.0, [2.0])  # past t_end
+    with pytest.raises(InvalidCheckpoint):
+        simulate_homogeneous(cfg, ens, 0.25, [0.0])  # t_end off the dt grid
     odd = ParticleEnsemble(np.zeros((3, 2)) + np.arange(3)[:, None])
     with pytest.raises(OddParticleCount):
         simulate_homogeneous(cfg, odd, 1.0, [1.0])

@@ -110,11 +110,10 @@ def test_degenerate_raises_for_negative_gamma():
         projection([0.0, 0.0])
 
 
-def test_gamma_range_warning_logged(caplog):
-    with caplog.at_level("WARNING", logger="landau.kernels"):
-        KernelParams(0.125, -3.0, 2)
-    assert any("admissible range" in r.message for r in caplog.records)
-    caplog.clear()
-    with caplog.at_level("WARNING", logger="landau.kernels"):
-        KernelParams(0.125, -3.0, 3)
+def test_shipped_kinds_log_nothing(caplog):
+    from landau.cli import _KINDS
+    with caplog.at_level("DEBUG"):
+        for kind in _KINDS.values():
+            KernelParams(kind.physics.get("lam", 0.0), kind.physics["gamma"],
+                         kind.physics["dim"])
     assert not caplog.records

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from landau.errors import FixedPointNotConverged, NonFiniteState
+from landau.errors import FixedPointNotConverged, InvalidCheckpoint, NonFiniteState
 from landau.kernels import KernelParams
 from landau.streams import RngStream
 from landau.vpl import (PicGrid, VplConfig, VplState, cell_collisions, cn_va_step,
@@ -255,3 +255,10 @@ def test_simulate_vpl_determinism():
                for ra, rb in zip(a, b))
     np.testing.assert_array_equal(state_a.velocities, state_b.velocities)
     np.testing.assert_array_equal(state_a.field, state_b.field)
+
+
+def test_simulate_vpl_rejects_t_end_off_the_dt_grid():
+    cfg = VplConfig(n_particles=200, dt=0.1, t_end=0.25, alpha=0.1,
+                    kernel=COULOMB, n_cells=8, seed=11)
+    with pytest.raises(InvalidCheckpoint):
+        simulate_vpl(cfg)
