@@ -11,5 +11,5 @@ from .kernels import KernelParams, Z_FLOOR, kernel_A, kernel_K, kernel_sigma, pr
 from .sphere import SamplerKind, default_sampler, rotate_from_pole, sample_sbm_batch
 from .streams import RngStream
 from .vpl import (PicGrid, VplConfig, VplState, cell_collisions, cn_va_step,
-                  deposit_charge, deposit_current, interpolate_field,
+                  deposit_charge, deposit_current, hat_weights, interpolate_field,
                   simulate_vpl, solve_poisson, vpl_diagnostics)

@@ -65,17 +65,42 @@ class VplState:
             raise NonFiniteState("non-finite entries in VplState")
 
 
-def _hat_weights(x, grid: PicGrid):
-    """CIC weights of the unit hat centered on cell centers, periodic wrap."""
-    g = x / grid.dx - 0.5
-    i0 = np.floor(g).astype(np.int64)
-    frac = g - i0
-    return i0 % grid.n0, (i0 + 1) % grid.n0, 1.0 - frac, frac
+def _wrap(x, period):
+    """x % period, in place and bitwise equal to numpy's remainder.
+
+    On [-period, 2 period) one shift by the period gives exactly what %
+    gives: fmod is exact, x - period is exact there (Sterbenz), and adding
+    0.0 turns -0.0 into the +0.0 that % returns. That costs a tenth of
+    np.remainder, which serves the inputs outside that range.
+    """
+    if x.min(initial=np.inf) < -period or x.max(initial=-np.inf) >= 2 * period:
+        return np.remainder(x, period, out=x)
+    np.subtract(x, period, out=x, where=x >= period)
+    np.add(x, period, out=x, where=x < 0)
+    x += 0.0
+    return x
 
 
-def deposit_weighted(x, w, grid: PicGrid):
-    """(1/dx) sum_i S_hat(x_i - x_k) w_i accumulated on the cell centers."""
-    i0, i1, w0, w1 = _hat_weights(np.asarray(x, dtype=float), grid)
+def hat_weights(x, grid: PicGrid):
+    """CIC weights (i0, i1, w0, w1) of positions x for the unit hat centered
+    on cell centers.
+
+    Cell indices wrap periodically. The sweep of cn_va_step computes them
+    once and hands the same tuple to deposit_current and interpolate_field.
+    """
+    g = np.asarray(x, dtype=float) / grid.dx - 0.5
+    fl = np.floor(g)
+    g -= fl  # the fraction
+    i0 = _wrap(fl, grid.n0).astype(np.int64)
+    i1 = i0 + 1
+    i1[i1 == grid.n0] = 0
+    return i0, i1, np.subtract(1.0, g, out=fl), g
+
+
+def deposit_weighted(hat, w, grid: PicGrid):
+    """(1/dx) sum_i S_hat(x_i - x_k) w_i accumulated on the cell centers, from
+    the hat weights of the x_i."""
+    i0, i1, w0, w1 = hat
     w = np.broadcast_to(np.asarray(w, dtype=float), i0.shape)
     acc = np.bincount(i0, weights=w0 * w, minlength=grid.n0)
     acc += np.bincount(i1, weights=w1 * w, minlength=grid.n0)
@@ -84,7 +109,7 @@ def deposit_weighted(x, w, grid: PicGrid):
 
 def deposit_charge(state: VplState, grid: PicGrid):
     """Cell-center charge density with the neutralizing background removed."""
-    raw = state.charge * deposit_weighted(state.positions, 1.0, grid)
+    raw = state.charge * deposit_weighted(hat_weights(state.positions, grid), 1.0, grid)
     return raw - raw.mean()
 
 
@@ -103,16 +128,18 @@ def solve_poisson(rho, grid: PicGrid):
     return np.fft.irfft(phi_hat, n=grid.n0), np.fft.irfft(e_hat, n=grid.n0)
 
 
-def interpolate_field(field, x, grid: PicGrid):
-    """E(x) = sum_k E_k S_hat(x_k - x): linear interpolation between centers."""
+def interpolate_field(field, hat):
+    """E(x) = sum_k E_k S_hat(x_k - x): linear interpolation between centers,
+    from the hat weights of x."""
+    i0, i1, w0, w1 = hat
     field = np.asarray(field, dtype=float)
-    i0, i1, w0, w1 = _hat_weights(np.asarray(x, dtype=float), grid)
-    return w0 * field[i0] + w1 * field[i1]
+    return w0 * field.take(i0) + w1 * field.take(i1)
 
 
-def deposit_current(positions, vx, grid: PicGrid, charge):
-    """Midpoint current J_k = (q/dx) sum_i S_hat(x_k - x_i) v_{x,i} and its mean."""
-    j = charge * deposit_weighted(positions, vx, grid)
+def deposit_current(hat, vx, grid: PicGrid, charge):
+    """Midpoint current J_k = (q/dx) sum_i S_hat(x_k - x_i) v_{x,i} and its
+    mean, from the hat weights of the x_i."""
+    j = charge * deposit_weighted(hat, vx, grid)
     return j, float(j.mean())
 
 
@@ -133,8 +160,7 @@ def cn_va_step(state: VplState, dt, n_iters, grid: PicGrid, residual_tol=None) -
     vx0 = state.velocities[:, 0]
     e0 = state.field
     # Euler predictor; positions stay unwrapped until the end of the step
-    accel0 = interpolate_field(e0, x0, grid)
-    vg = vx0 + accel0 * dt
+    vg = vx0 + interpolate_field(e0, hat_weights(x0, grid)) * dt
     xg = x0 + vx0 * dt
     if not (np.all(np.isfinite(vg)) and np.all(np.isfinite(xg))):
         raise NonFiniteState(f"Euler predictor diverged at t={state.time}")
@@ -142,44 +168,53 @@ def cn_va_step(state: VplState, dt, n_iters, grid: PicGrid, residual_tol=None) -
     iters = 0
     while True:
         iters += 1
-        vmid = 0.5 * (vx0 + vg)
-        xmid = (x0 + 0.5 * (xg - x0)) % grid.length
-        j, jmean = deposit_current(xmid, vmid, grid, state.charge)
+        # one weight pass per sweep, freed before the particle updates so
+        # that no two sets of weights are alive at once
+        hat = hat_weights(_wrap(x0 + 0.5 * (xg - x0), grid.length), grid)
+        j, jmean = deposit_current(hat, 0.5 * (vx0 + vg), grid, state.charge)
         enew = e0 - dt * (j - jmean)
-        accel = interpolate_field(0.5 * (e0 + enew), xmid, grid)
-        vnew = vx0 + accel * dt
+        vnew = vx0 + interpolate_field(0.5 * (e0 + enew), hat) * dt
+        del hat
         xnew = x0 + 0.5 * (vx0 + vnew) * dt
-        res = max(np.max(np.abs(enew - eg)), np.max(np.abs(vnew - vg)),
-                  np.max(np.abs(xnew - xg)))
-        vg, xg, eg = vnew, xnew, enew
-        if not np.isfinite(res):
+        # stop a diverging sweep before the next one wraps and casts it to cells
+        if not (np.isfinite(xnew).all() and np.isfinite(enew).all()):
             raise NonFiniteState(f"Vlasov-Ampere iteration diverged at t={state.time}")
-        if residual_tol is not None:
-            if res < residual_tol:
-                break
-            if iters >= _MAX_FIXED_POINT_ITERS:
+        if residual_tol is None:
+            done = iters >= n_iters
+        else:
+            res = max(np.max(np.abs(enew - eg)), np.max(np.abs(vnew - vg)),
+                      np.max(np.abs(xnew - xg)))
+            done = res < residual_tol
+            if not done and iters >= _MAX_FIXED_POINT_ITERS:
                 raise FixedPointNotConverged(
                     f"Vlasov-Ampere iteration at t={state.time}: residual {res:.3e} still above "
                     f"residual_tol={residual_tol:g} after {iters} sweeps")
-        elif iters >= n_iters:
+        vg, xg, eg = vnew, xnew, enew
+        if done:
             break
     v = state.velocities.copy()
     v[:, 0] = vg
-    return VplState(xg % grid.length, v, eg, state.charge, state.time + dt)
+    return VplState(_wrap(xg, grid.length), v, eg, state.charge, state.time + dt)
 
 
-def _cell_pairs(cell, gen):
+def _cell_pairs(cell, n_cells, gen):
     """Random disjoint pairs (i, j) within each cell, plus the leftover pairs.
 
-    A shuffle is grouped by cell with a stable sort, so each cell keeps a
-    uniformly random order, and taken two at a time. The leftover of a cell
-    with an odd count of at least 3 is paired, with probability 1/2, with a
-    uniformly chosen mate that is already paired: (li, lj).
+    cell holds each particle's cell index in [0, n_cells). A shuffle is
+    grouped by cell with a stable sort, so each cell keeps a uniformly random
+    order, and taken two at a time. The leftover of a cell with an odd count
+    of at least 3 is paired, with probability 1/2, with a uniformly chosen
+    mate that is already paired: (li, lj).
     """
     n = cell.size
     order = gen.permutation(n)
-    order = order[np.argsort(cell[order], kind="stable")]
-    csort = cell[order]
+    key = cell[order]
+    # the stable sort is unique; on int16 keys numpy runs it as a radix sort
+    if n_cells <= np.iinfo(np.int16).max:
+        key = key.astype(np.int16)
+    perm = np.argsort(key, kind="stable")
+    order = order[perm]
+    csort = key[perm]
     same = csort[1:] == csort[:-1]
     starts = np.flatnonzero(np.r_[True, ~same])
     sizes = np.diff(np.r_[starts, n])
@@ -204,8 +239,9 @@ def cell_collisions(state: VplState, dt, kernel: KernelParams, grid: PicGrid,
     """
     if kernel.lam == 0:
         return state
-    cell = np.floor(state.positions / grid.dx).astype(np.int64) % grid.n0
-    i, j, li, lj = _cell_pairs(cell, RngStream(seed, step=step, domain=DOMAIN_CELLS).generator())
+    cell = _wrap(np.floor(state.positions / grid.dx), grid.n0).astype(np.int64)
+    i, j, li, lj = _cell_pairs(cell, grid.n0,
+                               RngStream(seed, step=step, domain=DOMAIN_CELLS).generator())
     v = state.velocities.copy()
     sbm_pair_update(v, i, j, kernel, dt,
                     RngStream(seed, step=step, stream=1, domain=DOMAIN_CELLS))

@@ -137,3 +137,78 @@ def gauss_legendre_cell_masses(density, lo, hi, nbins, order=8):
     grid = np.stack(np.broadcast_arrays(xx, yy), axis=-1)
     vals = density(grid)
     return np.einsum("abij,i,j->ab", vals, w, w)
+
+
+def reference_hat_weights(x, grid):
+    """CIC weights of the unit hat on cell centers, both indices wrapped by %."""
+    g = x / grid.dx - 0.5
+    i0 = np.floor(g).astype(np.int64)
+    frac = g - i0
+    return i0 % grid.n0, (i0 + 1) % grid.n0, 1.0 - frac, frac
+
+
+def reference_cn_va_step(state, dt, n_iters, grid, residual_tol=None, max_sweeps=200):
+    """Crank-Nicolson Vlasov-Ampere step with the hat weights computed apart
+    for the deposit and the interpolation and the residual taken every sweep.
+
+    Returns (positions, velocities, field, sweeps).
+    """
+    x0 = state.positions
+    vx0 = state.velocities[:, 0]
+    e0 = state.field
+
+    def interpolate(field, x):
+        i0, i1, w0, w1 = reference_hat_weights(x, grid)
+        return w0 * field[i0] + w1 * field[i1]
+
+    def deposit(x, w):
+        i0, i1, w0, w1 = reference_hat_weights(x, grid)
+        acc = np.bincount(i0, weights=w0 * w, minlength=grid.n0)
+        acc += np.bincount(i1, weights=w1 * w, minlength=grid.n0)
+        return acc / grid.dx
+
+    vg = vx0 + interpolate(e0, x0) * dt
+    xg = x0 + vx0 * dt
+    eg = e0.copy()
+    sweeps = 0
+    while True:
+        sweeps += 1
+        vmid = 0.5 * (vx0 + vg)
+        xmid = (x0 + 0.5 * (xg - x0)) % grid.length
+        j = state.charge * deposit(xmid, vmid)
+        enew = e0 - dt * (j - float(j.mean()))
+        vnew = vx0 + interpolate(0.5 * (e0 + enew), xmid) * dt
+        xnew = x0 + 0.5 * (vx0 + vnew) * dt
+        res = max(np.max(np.abs(enew - eg)), np.max(np.abs(vnew - vg)),
+                  np.max(np.abs(xnew - xg)))
+        vg, xg, eg = vnew, xnew, enew
+        if residual_tol is not None:
+            if res < residual_tol:
+                break
+            assert sweeps < max_sweeps, "reference sweep did not converge"
+        elif sweeps >= n_iters:
+            break
+    v = state.velocities.copy()
+    v[:, 0] = vg
+    return xg % grid.length, v, eg, sweeps
+
+
+def reference_cell_pairs(cell, gen):
+    """Random disjoint within-cell pairs and leftover pairs, grouped by a
+    stable sort of the int64 cell indices."""
+    n = cell.size
+    order = gen.permutation(n)
+    order = order[np.argsort(cell[order], kind="stable")]
+    csort = cell[order]
+    same = csort[1:] == csort[:-1]
+    starts = np.flatnonzero(np.r_[True, ~same])
+    sizes = np.diff(np.r_[starts, n])
+    offset = np.arange(n - 1) - np.repeat(starts, sizes)[:-1]
+    first = np.flatnonzero(same & (offset % 2 == 0))
+    odd = (sizes % 2 == 1) & (sizes >= 3)
+    l_starts, l_sizes = starts[odd], sizes[odd]
+    coins = gen.random(l_starts.size) < 0.5
+    partner_off = gen.integers(0, l_sizes - 1)
+    li = order[(l_starts + l_sizes - 1)[coins]]
+    lj = order[(l_starts + partner_off)[coins]]
+    return order[first], order[first + 1], li, lj

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
+import landau.vpl as vpl
 from landau.errors import FixedPointNotConverged, InvalidCheckpoint, NonFiniteState
 from landau.kernels import KernelParams
 from landau.streams import RngStream
-from landau.vpl import (PicGrid, VplConfig, VplState, cell_collisions, cn_va_step,
-                        deposit_charge, deposit_current, deposit_weighted,
-                        initial_state, interpolate_field, simulate_vpl,
+from landau.vpl import (PicGrid, VplConfig, VplState, _cell_pairs, _wrap, cell_collisions,
+                        cn_va_step, deposit_charge, deposit_current, deposit_weighted,
+                        hat_weights, initial_state, interpolate_field, simulate_vpl,
                         solve_poisson, vpl_diagnostics)
+from oracles import reference_cell_pairs, reference_cn_va_step, reference_hat_weights
+
+# an overflow or an invalid value in a step is a bug, not a warning to read past
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 LENGTH = 4.0 * np.pi
 COULOMB = KernelParams(1.0, -2.0, 2)
@@ -23,7 +28,7 @@ def make_state(x, v, grid, field=None, q=None):
 def test_deposit_single_particle_at_center():
     grid = PicGrid(LENGTH, 16)
     x = np.array([grid.centers()[5]])
-    raw = deposit_weighted(x, 1.0, grid)
+    raw = deposit_weighted(hat_weights(x, grid), 1.0, grid)
     expect = np.zeros(16)
     expect[5] = 1.0 / grid.dx
     np.testing.assert_allclose(raw, expect, atol=1e-12)
@@ -33,7 +38,7 @@ def test_deposit_single_particle_midway():
     grid = PicGrid(LENGTH, 16)
     c = grid.centers()
     x = np.array([(c[5] + c[6]) / 2.0])
-    raw = deposit_weighted(x, 1.0, grid)
+    raw = deposit_weighted(hat_weights(x, grid), 1.0, grid)
     assert raw[5] == pytest.approx(0.5 / grid.dx, rel=1e-12)
     assert raw[6] == pytest.approx(0.5 / grid.dx, rel=1e-12)
     assert np.sum(raw != 0) == 2
@@ -44,7 +49,7 @@ def test_deposit_total_charge_and_neutrality():
     gen = RngStream(1).generator()
     n = 10_000
     state = make_state(gen.uniform(0, LENGTH, n), gen.standard_normal((n, 2)), grid)
-    raw = state.charge * deposit_weighted(state.positions, 1.0, grid)
+    raw = state.charge * deposit_weighted(hat_weights(state.positions, grid), 1.0, grid)
     assert np.sum(raw) * grid.dx == pytest.approx(n * state.charge, rel=1e-12)
     rho = deposit_charge(state, grid)
     assert abs(np.sum(rho)) <= 1e-12 * np.max(np.abs(rho)) * grid.n0
@@ -54,7 +59,7 @@ def test_partition_of_unity_via_constant_field():
     grid = PicGrid(LENGTH, 32)
     gen = RngStream(2).generator()
     x = gen.uniform(0, LENGTH, 10_000)
-    ones = interpolate_field(np.ones(32), x, grid)
+    ones = interpolate_field(np.ones(32), hat_weights(x, grid))
     np.testing.assert_allclose(ones, 1.0, atol=1e-12)
 
 
@@ -83,13 +88,15 @@ def test_interpolation_cases():
     grid = PicGrid(LENGTH, 32)
     c = grid.centers()
     field = np.arange(32.0)
-    assert interpolate_field(field, np.array([c[7]]), grid)[0] == pytest.approx(7.0, abs=1e-12)
-    assert interpolate_field(field, np.array([(c[7] + c[8]) / 2]), grid)[0] == pytest.approx(7.5, abs=1e-12)
+    at = interpolate_field(field, hat_weights(np.array([c[7], (c[7] + c[8]) / 2]), grid))
+    assert at[0] == pytest.approx(7.0, abs=1e-12)
+    assert at[1] == pytest.approx(7.5, abs=1e-12)
     # linear fields are reproduced exactly between centers away from the seam
     a, b = 0.7, -2.0
     lin = a * c + b
     xs = np.linspace(c[1], c[-2], 57)
-    np.testing.assert_allclose(interpolate_field(lin, xs, grid), a * xs + b, atol=1e-12)
+    np.testing.assert_allclose(interpolate_field(lin, hat_weights(xs, grid)), a * xs + b,
+                               atol=1e-12)
 
 
 def test_current_deposit():
@@ -99,10 +106,11 @@ def test_current_deposit():
     x = gen.uniform(0, LENGTH, n)
     v = gen.standard_normal((n, 2))
     q = LENGTH / n
-    j, jmean = deposit_current(x, v[:, 0], grid, q)
+    hat = hat_weights(x, grid)
+    j, jmean = deposit_current(hat, v[:, 0], grid, q)
     assert np.sum(j) * grid.dx == pytest.approx(q * np.sum(v[:, 0]), rel=1e-12)
     assert jmean == pytest.approx(np.mean(j), rel=1e-14)
-    j0, _ = deposit_current(x, np.zeros(n), grid, q)
+    j0, _ = deposit_current(hat, np.zeros(n), grid, q)
     np.testing.assert_array_equal(j0, np.zeros(16))
 
 
@@ -140,6 +148,91 @@ def test_cn_step_raises_on_nonfinite():
         cn_va_step(state, 1e6, 5, grid)
 
 
+@pytest.mark.parametrize("tol", [None, 1e-10])
+def test_cn_step_raises_on_sweep_divergence(tol):
+    # the Euler predictor stays finite; the first sweep overflows the positions
+    grid = PicGrid(LENGTH, 16)
+    state = make_state(np.array([1.0, 2.0]), np.array([[1e300, 0.0], [-1e300, 0.0]]), grid)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteState, match=r"diverged at t=0\.0"):
+        cn_va_step(state, 1e3, 5, grid, residual_tol=tol)
+
+
+def _sweep_state(n=5000, seed=12):
+    cfg = VplConfig(n_particles=n, dt=0.05, t_end=1.0, alpha=0.3, kernel=COULOMB,
+                    n_cells=64, seed=seed)
+    grid = PicGrid(cfg.length, cfg.n_cells)
+    state = initial_state(cfg, grid)
+    return cell_collisions(state, cfg.dt, COULOMB, grid, seed=seed, step=1), grid
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    inner = getattr(vpl, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(vpl, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_iters, tol", [(5, None), (1, None), (50, 1e-12)])
+def test_cn_step_matches_reference_bitwise(monkeypatch, n_iters, tol):
+    # chained steps wrap positions across both ends of the domain
+    state, grid = _sweep_state()
+    deposits = _counting(monkeypatch, "deposit_current")
+    for _ in range(3):
+        x, v, e, sweeps = reference_cn_va_step(state, 0.05, n_iters, grid, residual_tol=tol)
+        deposits.clear()
+        out = cn_va_step(state, 0.05, n_iters, grid, residual_tol=tol)
+        np.testing.assert_array_equal(out.positions, x)
+        np.testing.assert_array_equal(out.velocities, v)
+        np.testing.assert_array_equal(out.field, e)
+        assert len(deposits) == sweeps
+        state = out
+    assert tol is None or 1 < sweeps < 50
+
+
+def test_cn_step_calls_each_layer_once_per_sweep(monkeypatch):
+    state, grid = _sweep_state(n=500)
+    deposits = _counting(monkeypatch, "deposit_current")
+    interpolations = _counting(monkeypatch, "interpolate_field")
+    cn_va_step(state, 0.05, 5, grid)
+    assert len(deposits) == 5
+    assert len(interpolations) == 6  # the Euler predictor, then one per sweep
+
+
+def test_wrap_is_bitwise_remainder():
+    period = LENGTH
+    tiny = np.nextafter(0.0, 1.0)
+    up, down = np.nextafter(period, np.inf), np.nextafter(period, 0.0)
+    edges = np.array([0.0, -0.0, tiny, -tiny, -1e-20, period, up, down, -period, -up, -down,
+                      2 * period, np.nextafter(2 * period, 0.0), 2.5 * period, -1.5 * period,
+                      -7.25 * period])
+    gen = RngStream(13).generator()
+    # one edge at a time: an array's extreme value picks its path
+    for x in (*edges[:, None], gen.uniform(-period, 2 * period, 10_000),
+              gen.uniform(-0.01, period + 0.01, 10_000), np.array([])):
+        got = _wrap(x.copy(), period)
+        want = np.remainder(x, period)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    cells = np.floor(gen.uniform(-3 * LENGTH, 3 * LENGTH, 10_000))
+    np.testing.assert_array_equal(_wrap(cells.copy(), 64), cells % 64)
+
+
+def test_hat_weights_match_reference_bitwise():
+    grid = PicGrid(LENGTH, 32)
+    gen = RngStream(14).generator()
+    c = grid.centers()
+    for x in (gen.uniform(0, LENGTH, 10_000), gen.uniform(-2 * LENGTH, 3 * LENGTH, 10_000),
+              np.r_[0.0, c, c - 0.5 * grid.dx, LENGTH, np.nextafter(LENGTH, 0.0)]):
+        for got, want in zip(hat_weights(x, grid), reference_hat_weights(x, grid)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
 def test_cn_step_raises_when_residual_tol_is_not_met():
     grid = PicGrid(LENGTH, 16)
     gen = RngStream(4).generator()
@@ -154,6 +247,18 @@ def test_cell_collisions_lambda0_identity():
     state = make_state(gen.uniform(0, LENGTH, 100), gen.standard_normal((100, 2)), grid)
     out = cell_collisions(state, 0.1, KernelParams(0.0, -2.0, 2), grid, seed=1, step=1)
     assert out is state
+
+
+@pytest.mark.parametrize("n0", [16, 128, 40_000])
+def test_cell_pairs_match_reference_bitwise(n0):
+    # 40 000 cells exceed int16, so that case sorts the int64 indices
+    gen = RngStream(15).generator()
+    cell = gen.integers(0, n0, 100_000)
+    got = _cell_pairs(cell, n0, RngStream(16).generator())
+    want = reference_cell_pairs(cell, RngStream(16).generator())
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+    assert got[2].size > 0
 
 
 def test_cell_collisions_conserve_per_cell():
