@@ -38,7 +38,7 @@ class NonFiniteState(LandauError):
 
 
 class FixedPointNotConverged(LandauError):
-    """An implicit iteration hit its sweep cap with the residual above tolerance."""
+    """An iteration hit its sweep or round cap before it met its condition."""
 
 
 class SeriesTruncated(LandauError):

@@ -1,19 +1,19 @@
 """Spherical Brownian motion increments on S^1 and S^2.
 
-One sampler per dimension; within it the time tau alone picks the method:
+One sampler per dimension; within it the time tau alone picks the method,
+and every method is exact in law:
 
 * ``EXACT_2D``: on the circle the increment is exact, the start point
   rotated by a Brownian angle increment, or by a uniform angle once tau is
   past ``_uniform_time(2)``.
-* ``SPHERE_3D``: for tau >= ``_MIXTURE_MIN_TAU`` the polar-angle cosine is
-  drawn exactly, uniform past ``_uniform_time(3)`` and otherwise
-  1 - 2 Beta(1, 1 + M) with M from the death-process law of the
-  Wright-Fisher radial diffusion (Jenkins & Spano 2017); the azimuth is
-  uniform and the sample is rotated back to the start point. Smaller tau
-  takes a geodesic random walk with substeps of at most ``TANGENT_TAU0``,
-  whose step angle ``c(delta) |xi|`` (``xi`` a tangent Gaussian) is
-  calibrated so the first Legendre moment ``exp(-delta)`` is matched
-  exactly per substep and higher moments to second order in the substep.
+* ``SPHERE_3D``, by band: below ``_MIXTURE_MIN_TAU`` the SO(3) lift rotates
+  the start point by a draw of the SO(3) heat kernel, an isotropic Gaussian
+  in exponential coordinates reweighted by sin(psi/2) / (psi/2) through
+  rejection (Nikolayev & Savyolova 1997). Up to ``_uniform_time(3)`` the
+  polar-angle cosine is 1 - 2 Beta(1, 1 + M), M from the death-process law
+  of the Wright-Fisher radial diffusion (Jenkins & Spano 2017), with a
+  uniform azimuth, rotated back to the start point; past it the cosine is
+  uniform (M = 0).
 
 The 3D sampler renormalizes to unit length and the 2D rotation keeps the
 length of the start point, so downstream energy conservation is exact up to
@@ -28,8 +28,6 @@ import numpy as np
 from .errors import FixedPointNotConverged, InvalidSamplerForDim, SeriesTruncated
 from .streams import RngStream
 
-TANGENT_TAU0 = 0.01
-
 # Beyond this time the heat kernel on S^{d-1} is uniform to ~1e-20 in total
 # variation (first spectral gap d-1), so sampling the uniform law is exact
 # at machine precision.
@@ -38,8 +36,12 @@ def _uniform_time(dim):
 
 
 # The alternating death-process series is numerically clean down to here;
-# smaller times take the tangent walk.
+# smaller times take the SO(3) lift.
 _MIXTURE_MIN_TAU = 0.15
+# Redraw rounds of the SO(3) lift: a row is rejected with probability
+# 1 - exp(-tau/8) < 0.019 per round, so all 64 reject with probability
+# below 1e-100.
+_LIFT_MAX_ROUNDS = 64
 
 # Terms m, k < _SERIES_TERMS of the death-process series: at tau = 0.15 every
 # dropped term is below 1e-85 (the largest kept one is about 1.6e3).
@@ -86,58 +88,46 @@ def _check_kind(kind, dim):
         raise InvalidSamplerForDim(f"{kind} does not sample S^{dim - 1}")
 
 
-def _calibrated_c2(delta, dim=3, terms=24, max_sweeps=30):
-    """Squared angle scaling of the geodesic substep.
+def _so3_lift(y0, t, gen):
+    """Spherical Brownian motion on S^2 from y0 for times t, exactly.
 
-    Solves E[cos(c |xi|)] = exp(-(d-1) delta / 2) for c^2, where
-    |xi|^2 ~ delta * chi^2_{d-1}, by Newton sweeps on s = c^2. They stop
-    once s * delta, the quantity the walk uses, moves by at most 4 ulps of
-    1; s itself can stall far above that for tiny delta.
+    Rotates y0 by omega, a draw of the SO(3) heat kernel at time t in
+    exponential coordinates: a Gaussian of variance t per axis accepted with
+    probability sin(psi/2) / (psi/2), psi = |omega|, so each row is kept with
+    probability exp(-t/8). The two Laplacians share the eigenvalues
+    l(l+1), so E[P_l(y0 . y)] = exp(-l(l+1) t / 2). The law drops only the
+    negative-weight shell 2 pi < psi < 4 pi, of mass below 1e-50 for
+    t < _MIXTURE_MIN_TAU.
     """
-    delta = np.asarray(delta, dtype=float)
-    # E[W^k] for W ~ chi^2_{d-1}: (d-1) (d+1) ... (d+2k-3)
-    mom = np.cumprod(np.r_[1.0, dim - 1 + 2.0 * np.arange(terms - 1)])
-    ks = np.arange(terms)
-    coef = (-1.0) ** ks * mom / np.array([math.factorial(2 * k) for k in ks], dtype=float)
-    target = np.exp(-(dim - 1) * delta / 2.0)
-    s = np.ones_like(delta)
-    for _ in range(max_sweeps):
-        w = s[..., None] * delta[..., None]
-        pw = w ** ks
-        f = np.sum(coef * pw, axis=-1) - target
-        df = np.sum(coef[1:] * ks[1:] * pw[..., :-1] * delta[..., None], axis=-1)
-        snew = s - f / df
-        step = np.max(np.abs(snew - s) * delta)
-        s = snew
-        if step <= 4.0 * np.finfo(float).eps:
-            return s
-    raise FixedPointNotConverged(
-        f"substep calibration: s * delta still moved by {step:.3g} after {max_sweeps} sweeps")
+    omega = np.empty((t.size, 3))
+    todo = np.arange(t.size)
+    sq = np.sqrt(t)[:, None]
+    for _ in range(_LIFT_MAX_ROUNDS):
+        w = gen.standard_normal((todo.size, 3)) * sq[todo]
+        psi = np.sqrt(np.einsum("ij,ij->i", w, w))
+        keep = gen.random(todo.size) < np.sinc(psi / (2.0 * np.pi))
+        omega[todo[keep]] = w[keep]
+        todo = todo[~keep]
+        if todo.size == 0:
+            break
+    else:
+        raise FixedPointNotConverged(
+            f"SO(3) lift: {todo.size} rows still rejected after {_LIFT_MAX_ROUNDS} rounds")
+    return _rodrigues(omega, y0)
 
 
-def _tangent_walk(y, taus, gen):
-    """Advance unit vectors y by their individual times via geodesic substeps."""
-    y = np.array(y, dtype=float)
-    m_all = np.maximum(1, np.ceil(taus / TANGENT_TAU0).astype(int))
-    dim = y.shape[-1]
-    for m in np.unique(m_all):
-        sel = m_all == m
-        g = int(np.count_nonzero(sel))
-        delta = taus[sel] / m
-        c = np.sqrt(_calibrated_c2(delta, dim))
-        yy = y[sel]
-        sq = np.sqrt(delta)[:, None]
-        for _ in range(m):
-            eta = gen.standard_normal((g, dim)) * sq
-            xi = eta - np.sum(eta * yy, axis=1)[:, None] * yy
-            r = np.linalg.norm(xi, axis=1)
-            phi = c * r
-            rsafe = np.where(r > 0, r, 1.0)
-            u = xi / rsafe[:, None]
-            yy = np.cos(phi)[:, None] * yy + np.sin(phi)[:, None] * u
-            yy /= np.linalg.norm(yy, axis=1)[:, None]
-        y[sel] = yy
-    return y
+def _rodrigues(omega, y):
+    """Rotate the rows of y by the rotation vectors omega, then renormalize:
+    cos psi y + sinc(psi) omega x y + sinc(psi/2)^2 / 2 (omega . y) omega,
+    with sinc(x) = sin(x) / x taken from np.sinc, so psi = 0 needs no
+    division."""
+    psi = np.sqrt(np.einsum("ij,ij->i", omega, omega))
+    half = np.sinc(psi / (2.0 * np.pi))
+    out = np.cos(psi)[:, None] * y
+    out += np.sinc(psi / np.pi)[:, None] * np.cross(omega, y)
+    out += (0.5 * half * half * np.einsum("ij,ij->i", omega, y))[:, None] * omega
+    out /= np.linalg.norm(out, axis=1)[:, None]
+    return out
 
 
 def _death_process_probs(ts):
@@ -172,7 +162,7 @@ def _death_process_draws(t, gen):
 def _sample_s2(y0, t, gen):
     small = t < _MIXTURE_MIN_TAU
     if small.all():
-        return _tangent_walk(y0, t, gen)
+        return _so3_lift(y0, t, gen)
     res = np.empty_like(y0)
     big = np.flatnonzero(~small)
     tb = t[big]
@@ -187,7 +177,7 @@ def _sample_s2(y0, t, gen):
     local = np.column_stack([sin_th * np.cos(phi), sin_th * np.sin(phi), x])
     res[big] = rotate_from_pole(y0[big], local)
     if small.any():
-        res[small] = _tangent_walk(y0[small], t[small], gen)
+        res[small] = _so3_lift(y0[small], t[small], gen)
     return res
 
 
@@ -226,14 +216,15 @@ def rotate_from_pole(start, local):
 def sample_sbm_batch(starts, taus, kind, rng: RngStream):
     """Sample SBM increments for a batch of start points and times.
 
-    ``kind`` must be ``default_sampler(dim)``. Returns a new array aligned
-    with ``starts``; rows with tau = 0 keep their start point.
+    ``kind`` must be ``default_sampler(dim)``. Every tau must be >= 0: rows
+    with tau = 0 keep their start point and tau = inf samples the uniform
+    law. Returns a new array aligned with ``starts``.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     n, dim = starts.shape
     taus = np.broadcast_to(np.asarray(taus, dtype=float), (n,))
-    if np.any(taus < 0):
-        raise ValueError("tau must be >= 0")
+    if not np.all(taus >= 0):
+        raise ValueError("tau must be >= 0 and not NaN")
     _check_kind(kind, dim)
     active = taus > 0
     # with every tau > 0 (the usual case) the batch is sampled without copies

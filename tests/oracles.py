@@ -30,6 +30,35 @@ def heat_kernel_cos_cdf(x, tau, lmax=400, tol=1e-18):
     return np.clip(c, 0.0, 1.0)
 
 
+def so3_lift_legendre_moment(l, tau, weighted=True):
+    """E[P_l(y0 . R(omega) y0)] for omega = sqrt(tau) g, g standard normal in
+    R^3, accepted with probability sin(psi/2) / (psi/2), psi = |omega|
+    (plain Gaussian when ``weighted`` is False).
+
+    With n = omega / psi uniform on S^2 and mu = n . y0 uniform on [-1, 1],
+    Rodrigues gives y0 . R y0 = 1 - 2 sin^2(psi/2) (1 - mu^2). The inner mu
+    average is a polynomial of degree 2l, exact by 24-node Gauss-Legendre
+    for l <= 23; psi = sqrt(tau) r is integrated by adaptive quadrature up
+    to the first zero of the weight, r = 2 pi / sqrt(tau), or to r = 12,
+    past which the Gaussian mass is below 1e-30.
+    """
+    mu, wmu = np.polynomial.legendre.leggauss(24)
+    s = math.sqrt(tau)
+
+    def density(r):
+        psi = s * r
+        w = math.sin(psi / 2.0) / (psi / 2.0) if weighted and psi > 0 else 1.0
+        return r * r * math.exp(-r * r / 2.0) * w
+
+    def moment(r):
+        c = 1.0 - 2.0 * math.sin(s * r / 2.0) ** 2 * (1.0 - mu * mu)
+        return density(r) * 0.5 * float(np.dot(wmu, eval_legendre(l, c)))
+
+    top = min(12.0, 2.0 * math.pi / s)
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=400)
+    return integrate.quad(moment, 0.0, top, **opts)[0] / integrate.quad(density, 0.0, top, **opts)[0]
+
+
 def death_process_probs(t, m_max=64):
     """P(A_t = m), m < m_max, of the Kingman death process with mutation rate 2.
 

@@ -3,11 +3,12 @@ import pytest
 from scipy import integrate
 from scipy.stats import chisquare, kstest
 
+from landau import analytic
 from landau.analytic import (BIMAX_U1, BIMAX_U2, DAMPING_LENGTH, bimaxwellian_density,
                              bkw_density, bkw_mollified_density, bkw_scale, bkw_t_min,
                              landau_damping_density, sample_bimaxwellian, sample_bkw,
                              sample_landau_damping)
-from landau.errors import InvalidTime
+from landau.errors import FixedPointNotConverged, InvalidTime
 from landau.streams import RngStream
 
 from oracles import gauss_legendre_cell_masses, radial_moment
@@ -182,3 +183,19 @@ def test_damping_sampler_inverse_cdf_accuracy():
     gen = RngStream(6).generator()
     u = gen.random(n) * DAMPING_LENGTH
     np.testing.assert_allclose(x + 2 * alpha * np.sin(0.5 * x), u, atol=2e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.99, 1.0 - 1e-6])
+def test_damping_sampler_converges_near_alpha_one(alpha):
+    # plain Newton from x = u diverges here; the sweeps from the convex side do not
+    n = 100_000
+    x, _ = sample_landau_damping(n, alpha, RngStream(7))
+    u = RngStream(7).generator().random(n) * DAMPING_LENGTH
+    assert np.all((x >= 0) & (x <= DAMPING_LENGTH))
+    np.testing.assert_allclose(x + 2 * alpha * np.sin(0.5 * x), u, atol=2e-12)
+
+
+def test_damping_sampler_raises_at_its_sweep_cap(monkeypatch):
+    monkeypatch.setattr(analytic, "_DAMPING_MAX_SWEEPS", 1)
+    with pytest.raises(FixedPointNotConverged):
+        sample_landau_damping(1000, 0.5, RngStream(8))

@@ -2,17 +2,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.special import eval_legendre
 from scipy.stats import chisquare, kstest, ks_2samp
 
+from landau import sphere
 from landau.collision import SBM, SchemeConfig
 from landau.errors import FixedPointNotConverged, InvalidSamplerForDim, SeriesTruncated
 from landau.kernels import KernelParams
-from landau.sphere import (SamplerKind, _calibrated_c2, _death_process_probs, _tangent_walk,
+from landau.sphere import (SamplerKind, _death_process_probs, _rodrigues, _so3_lift,
                            default_sampler, rotate_from_pole, sample_sbm_batch, unit)
 from landau.streams import RngStream
 
-from oracles import death_process_probs, heat_kernel_cos_cdf
+from oracles import death_process_probs, heat_kernel_cos_cdf, so3_lift_legendre_moment
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 E2 = SamplerKind.EXACT_2D
 S3 = SamplerKind.SPHERE_3D
@@ -85,22 +89,21 @@ def test_determinism_of_streams():
     assert not np.array_equal(a, c)
 
 
-def walk_alone(starts, taus, rng):
-    """The geodesic substep walk at every tau, on S^1 or S^2."""
-    return _tangent_walk(starts, taus, rng.generator())
+def lift_alone(starts, taus, rng):
+    """The SO(3) lift at every tau, also past its band."""
+    return _so3_lift(starts, taus, rng.generator())
 
 
 def default_path(starts, taus, rng):
     return sample_sbm_batch(starts, taus, default_sampler(starts.shape[1]), rng)
 
 
-# The ids are the sampler kinds each path once was: TANGENT_SUBSTEP is the
-# walk run at every tau, RADIAL_ANGULAR_3D the S^2 sampler that is exact
-# from tau = 0.15 on and walks below.
+# The ids are the sampler kinds each path once was: TANGENT_SUBSTEP-3 is the
+# path below the mixture band run at every tau, now the SO(3) lift;
+# RADIAL_ANGULAR_3D the S^2 sampler with all three bands.
 @pytest.mark.parametrize("sample,dim", [
     pytest.param(default_path, 2, id="SamplerKind.EXACT_2D-2"),
-    pytest.param(walk_alone, 2, id="SamplerKind.TANGENT_SUBSTEP-2"),
-    pytest.param(walk_alone, 3, id="SamplerKind.TANGENT_SUBSTEP-3"),
+    pytest.param(lift_alone, 3, id="SamplerKind.TANGENT_SUBSTEP-3"),
     pytest.param(default_path, 3, id="SamplerKind.RADIAL_ANGULAR_3D-3"),
 ])
 @pytest.mark.parametrize("tau", [0.01, 0.05, 0.5])
@@ -145,13 +148,13 @@ def test_radial_cos_matches_series_oracle(tau):
 
 
 def test_tangent_substep_distribution_matches_series_oracle():
-    # tau = 0.12 is in the walk band
+    # tau = 0.12 is in the SO(3) lift band
     res = kstest(polar_cos(0.12, 100_000, seed=13), lambda x: heat_kernel_cos_cdf(x, 0.12))
     assert res.pvalue > 0.01
 
 
 def test_one_batch_spans_all_3d_bands():
-    # per-pair distinct tau in the walk, mixture and uniform bands, plus
+    # per-pair distinct tau in the lift, mixture and uniform bands, plus
     # tau = 0 rows, in one shuffled batch; each band is checked on its own
     n = 100_000
     rng = np.random.default_rng(40)
@@ -202,11 +205,76 @@ def test_death_process_series():
         _death_process_probs(np.array([0.01]))
 
 
-def test_substep_calibration_converges_on_s_delta():
-    delta = np.random.default_rng(44).uniform(1e-6, 0.01, 8000)
-    assert np.all(np.isfinite(_calibrated_c2(delta, max_sweeps=5)))
+@pytest.mark.parametrize("tau", [1e-4, 1e-3, 1.0 / 30.0, 0.15])
+def test_lift_law_legendre_moments_by_quadrature(tau):
+    for l in range(1, 9):
+        exact = np.exp(-l * (l + 1) * tau / 2.0)
+        assert abs(so3_lift_legendre_moment(l, tau) - exact) <= 1e-13, l
+    # without the sin(psi/2) / (psi/2) acceptance the law is off at l = 1
+    assert abs(so3_lift_legendre_moment(1, tau, weighted=False) - np.exp(-tau)) > 5e-10
+
+
+def test_lift_moments_resolve_the_acceptance_weight():
+    # 4e6 draws at tau = 1/30 in four blocks; dropping the acceptance shifts
+    # E[P_1] by 9e-5, about 5 standard errors here
+    tau = 1.0 / 30.0
+    sums = np.zeros((2, 6))
+    n = 1_000_000
+    starts = np.broadcast_to(pole(3), (n, 3))
+    for block in range(4):
+        c = sample_sbm_batch(starts, np.full(n, tau), S3, RngStream(50, step=block))[:, 2]
+        for l in range(1, 7):
+            r = eval_legendre(l, c) - np.exp(-l * (l + 1) * tau / 2.0)
+            sums[:, l - 1] += r.sum(), (r * r).sum()
+    total = 4 * n
+    mean = sums[0] / total
+    se = np.sqrt((sums[1] / total - mean ** 2) / (total - 1))
+    assert np.all(np.abs(mean / se) <= 3.0), mean / se
+
+
+@pytest.mark.parametrize("psi", [1e-12, 1.0, 6.0])
+def test_rodrigues_matches_matrix_exponential(psi):
+    rng = np.random.default_rng(51)
+    axes = unit(rng.standard_normal((20, 3)))
+    ys = unit(rng.standard_normal((20, 3)))
+    omega = psi * axes
+    out = _rodrigues(omega, ys)
+    for w, y, o in zip(omega, ys, out):
+        skew = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+        np.testing.assert_allclose(o, expm(skew) @ y, rtol=0, atol=1e-14)
+
+
+def test_chapman_kolmogorov_across_the_mixture_edge():
+    # two lift steps of 0.1 against one mixture step of 0.2, no formula used
+    n = 200_000
+    starts = np.broadcast_to(pole(3), (n, 3))
+    half = sample_sbm_batch(starts, np.full(n, 0.1), S3, RngStream(52))
+    twice = sample_sbm_batch(half, np.full(n, 0.1), S3, RngStream(52, step=1))
+    once = sample_sbm_batch(starts, np.full(n, 0.2), S3, RngStream(53))
+    assert ks_2samp(twice[:, 2], once[:, 2]).pvalue > 0.01
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_nan_tau_raises(dim):
+    starts = np.broadcast_to(pole(dim), (3, dim))
+    with pytest.raises(ValueError, match="NaN"):
+        sample_sbm_batch(starts, [np.nan, 0.01, 0.5], default_sampler(dim), RngStream(0))
+
+
+def test_infinite_tau_is_uniform():
+    n = 100_000
+    out = batch_from(pole(3), n, np.inf, seed=54)
+    assert kstest(out[:, 2], lambda x: (np.asarray(x) + 1.0) / 2.0).pvalue > 0.01
+    out = batch_from(pole(2), n, np.inf, seed=55)
+    angle = np.arctan2(out[:, 1], out[:, 0])
+    assert kstest(angle, lambda x: (np.asarray(x) + np.pi) / (2.0 * np.pi)).pvalue > 0.01
+
+
+def test_lift_raises_at_its_round_cap(monkeypatch):
+    # one round rejects about 1.2% of 10 000 rows at tau = 0.1
+    monkeypatch.setattr(sphere, "_LIFT_MAX_ROUNDS", 1)
     with pytest.raises(FixedPointNotConverged):
-        _calibrated_c2(delta, max_sweeps=1)
+        batch_from(pole(3), 10_000, 0.1, seed=56)
 
 
 def test_rotate_from_pole_identity_and_isometry():
