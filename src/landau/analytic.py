@@ -97,14 +97,6 @@ def sample_bkw(dim, t, n, rng: RngStream):
     return out
 
 
-def bimaxwellian_density(v):
-    """Anisotropic 2D initial condition: (0.4, 1.6)/(4 pi) Gaussian mixture."""
-    v = np.asarray(v, dtype=float)
-    d1 = np.sum((v - BIMAX_U1) ** 2, axis=-1)
-    d2 = np.sum((v - BIMAX_U2) ** 2, axis=-1)
-    return (0.4 * np.exp(-d1 / 2.0) + 1.6 * np.exp(-d2 / 2.0)) / (4.0 * np.pi)
-
-
 def sample_bimaxwellian(n, rng: RngStream):
     gen = rng.generator()
     pick = gen.random(n) < 0.2
@@ -112,16 +104,6 @@ def sample_bimaxwellian(n, rng: RngStream):
     out[pick] += BIMAX_U1
     out[~pick] += BIMAX_U2
     return out
-
-
-def landau_damping_density(x, v, alpha):
-    """Perturbed Maxwellian f(x, v) = (1 + alpha cos(x/2)) N(0, I_2) on [0, 4 pi]."""
-    if not 0 <= alpha < 1:
-        raise ValueError("alpha must lie in [0, 1)")
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    r2 = np.sum(v * v, axis=-1)
-    return (1.0 + alpha * np.cos(DAMPING_WAVENUMBER * x)) / (2.0 * np.pi) * np.exp(-r2 / 2.0)
 
 
 def sample_landau_damping(n, alpha, rng: RngStream):

@@ -78,8 +78,11 @@ def mollified_density(ens, eps, grid: DensityGrid) -> DensityGrid:
     values[l] = (1/N) sum_i psi_eps(c_l - v_i), psi_eps the centered Gaussian
     with covariance eps*I, over the (2w+1)^d cells around each particle's own
     cell, w = ceil(TRUNCATION_SIGMAS * sqrt(eps) / h) + 1. For each block of
-    _STENCIL_BLOCK stencil entries, the per-axis weights and cell indices are
-    combined by an outer product and summed by one weighted bincount into a
+    _STENCIL_BLOCK stencil entries, the per-axis weights and cell indices,
+    (m, B) for the m = 2w+1 offsets and the block's B particles, are combined
+    by outer products offsets-major, (m, B) -> (m^2, B) -> ..., so that every
+    broadcast runs over the whole block; the last product is written into two
+    buffers reused by every block. One weighted bincount sums them into a
     grid with a one-cell border; the border collects the stencil cells off
     the grid and is cropped. Particles whose stencil misses the grid still
     count in N. Non-finite velocities raise ValueError.
@@ -102,21 +105,33 @@ def mollified_density(ens, eps, grid: DensityGrid) -> DensityGrid:
     strides = size ** np.arange(d - 1, -1, -1)
     acc = np.zeros(size**d)
     block = max(1, _STENCIL_BLOCK // offs.size**d)
+    # each block's stencil goes into these buffers: fresh multi-MB arrays per
+    # block are page-faulted in anew whenever the allocator has released them
+    flat = np.empty(min(n, block) * offs.size**d, np.intp)
+    wgt = np.empty(flat.size)
     for s in range(0, n, block):
         vb = v[s:s + block]
         with np.errstate(over="ignore"):
             xb = (vb - lo) / h
         # the stencil of cell floor(x) meets the grid iff -w <= x < ng + w
         reach = np.all((xb >= -w) & (xb < ng + w), axis=1)
-        xb, vb = xb[reach], vb[reach]
-        cell = np.floor(xb).astype(np.intp)[:, :, None] + offs
-        flat, wgt = np.zeros((len(vb), 1), np.intp), np.ones((len(vb), 1))
-        for a in range(d):
-            wa = np.exp(-((lo + (cell[:, a] + 0.5) * h - vb[:, a, None]) ** 2) / (2.0 * eps))
-            ia = (np.clip(cell[:, a], -1, ng) + 1) * strides[a]
-            flat = (flat[:, :, None] + ia[:, None, :]).reshape(len(vb), offs.size ** (a + 1))
-            wgt = (wgt[:, :, None] * wa[:, None, :]).reshape(flat.shape)
-        acc += np.bincount(flat.ravel(), weights=wgt.ravel(), minlength=acc.size)
+        xb, vb = xb[reach].T, vb[reach].T
+        nb = vb.shape[1]
+        cell = np.floor(xb).astype(np.intp)[:, None, :] + offs[:, None]
+        wa = -((lo + (cell + 0.5) * h - vb[:, None, :]) ** 2) / (2.0 * eps)
+        np.exp(wa, out=wa)
+        ia = np.clip(cell, -1, ng, out=cell)
+        ia += 1
+        ia *= strides[:, None, None]
+        fa, wt = ia[0], wa[0]
+        for a in range(1, d - 1):
+            fa = (fa[:, None, :] + ia[a]).reshape(offs.size ** (a + 1), nb)
+            wt = (wt[:, None, :] * wa[a]).reshape(fa.shape)
+        k = fa.size * offs.size
+        np.add(fa[:, None, :], ia[-1], out=flat[:k].reshape(len(fa), offs.size, nb))
+        np.multiply(wt[:, None, :], wa[-1], out=wgt[:k].reshape(len(fa), offs.size, nb))
+        del cell, ia, wa, fa, wt  # before the next block builds its own
+        acc += np.bincount(flat[:k], weights=wgt[:k], minlength=acc.size)
     inner = acc.reshape((size,) * d)[(slice(1, -1),) * d]
     norm = (2.0 * np.pi * eps) ** (-d / 2.0) / n
     return DensityGrid(grid.dim, grid.lo, grid.hi, ng, inner * norm)
@@ -183,13 +198,6 @@ class DiagnosticsRecord:
 # --- DensityGrid serialization -------------------------------------------
 
 _BIN_HEADER = struct.Struct("<IddI")
-
-
-def save_grid_binary(grid: DensityGrid, path):
-    """Compact layout: header (dim, lo, hi, n_grid) then row-major f64 LE."""
-    with open(path, "wb") as fh:
-        fh.write(_BIN_HEADER.pack(grid.dim, grid.lo, grid.hi, grid.n_grid))
-        fh.write(np.ascontiguousarray(grid.values, dtype="<f8").tobytes())
 
 
 def load_grid_binary(path) -> DensityGrid:

@@ -86,6 +86,8 @@ def projection(z):
 
 def time_scale_k(z, p: KernelParams):
     """Time-scaling coefficient k = 4 lam |z|^gamma of the rescaled sphere diffusion."""
+    if p.gamma == 0 and np.shape(z)[-1] in (2, 3):  # the constant 4 lam, without a pass over z
+        return np.full(np.shape(z)[:-1], 4.0 * p.lam)
     z, r2 = _sq_norm(z)
     if p.gamma < 0:
         _check_floor(r2, "time_scale_k")

@@ -99,32 +99,38 @@ def _so3_lift(y0, t, gen):
     negative-weight shell 2 pi < psi < 4 pi, of mass below 1e-50 for
     t < _MIXTURE_MIN_TAU.
     """
-    omega = np.empty((t.size, 3))
-    todo = np.arange(t.size)
     sq = np.sqrt(t)[:, None]
-    for _ in range(_LIFT_MAX_ROUNDS):
-        w = gen.standard_normal((todo.size, 3)) * sq[todo]
-        psi = np.sqrt(np.einsum("ij,ij->i", w, w))
-        keep = gen.random(todo.size) < np.sinc(psi / (2.0 * np.pi))
-        omega[todo[keep]] = w[keep]
-        todo = todo[~keep]
-        if todo.size == 0:
-            break
-    else:
-        raise FixedPointNotConverged(
-            f"SO(3) lift: {todo.size} rows still rejected after {_LIFT_MAX_ROUNDS} rounds")
-    return _rodrigues(omega, y0)
-
-
-def _rodrigues(omega, y):
-    """Rotate the rows of y by the rotation vectors omega, then renormalize:
-    cos psi y + sinc(psi) omega x y + sinc(psi/2)^2 / 2 (omega . y) omega,
-    with sinc(x) = sin(x) / x taken from np.sinc, so psi = 0 needs no
-    division."""
+    omega = gen.standard_normal((t.size, 3)) * sq
     psi = np.sqrt(np.einsum("ij,ij->i", omega, omega))
     half = np.sinc(psi / (2.0 * np.pi))
+    todo = np.flatnonzero(gen.random(t.size) >= half)
+    for _ in range(_LIFT_MAX_ROUNDS - 1):
+        if todo.size == 0:
+            break
+        w = gen.standard_normal((todo.size, 3)) * sq[todo]
+        p = np.sqrt(np.einsum("ij,ij->i", w, w))
+        hp = np.sinc(p / (2.0 * np.pi))
+        keep = gen.random(todo.size) < hp
+        rows = todo[keep]
+        omega[rows], psi[rows], half[rows] = w[keep], p[keep], hp[keep]
+        todo = todo[~keep]
+    if todo.size:
+        raise FixedPointNotConverged(
+            f"SO(3) lift: {todo.size} rows still rejected after {_LIFT_MAX_ROUNDS} rounds")
+    return _rodrigues(omega, psi, half, y0)
+
+
+def _rodrigues(omega, psi, half, y):
+    """Rotate the rows of y by the rotation vectors omega of lengths psi, then
+    renormalize: cos psi y + sinc(psi) omega x y + half^2 / 2 (omega . y) omega,
+    half = sinc(psi/2), sinc(x) = sin(x) / x from np.sinc, so psi = 0 needs no
+    division; the cross product is np.cross's, written out by columns."""
+    (o0, o1, o2), (y0, y1, y2) = omega.T, y.T
+    s = np.sinc(psi / np.pi)
     out = np.cos(psi)[:, None] * y
-    out += np.sinc(psi / np.pi)[:, None] * np.cross(omega, y)
+    out[:, 0] += s * (o1 * y2 - o2 * y1)
+    out[:, 1] += s * (o2 * y0 - o0 * y2)
+    out[:, 2] += s * (o0 * y1 - o1 * y0)
     out += (0.5 * half * half * np.einsum("ij,ij->i", omega, y))[:, None] * omega
     out /= np.linalg.norm(out, axis=1)[:, None]
     return out

@@ -7,11 +7,14 @@ or stepper code paths it is used to check.
 
 import itertools
 import math
+import struct
 
 import numpy as np
 from scipy import integrate
 from scipy.optimize import fsolve
 from scipy.special import eval_legendre, wofz
+
+from landau.analytic import BIMAX_U1, BIMAX_U2, DAMPING_WAVENUMBER
 
 
 def heat_kernel_cos_cdf(x, tau, lmax=400, tol=1e-18):
@@ -241,3 +244,84 @@ def reference_cell_pairs(cell, gen):
     li = order[(l_starts + l_sizes - 1)[coins]]
     lj = order[(l_starts + partner_off)[coins]]
     return order[first], order[first + 1], li, lj
+
+
+def reference_mollified_density(v, eps, lo, hi, n_grid, block=1 << 19, sigmas=6.0):
+    """Blocked separable Gaussian KDE with the stencil built particle-major,
+    (B, m) -> (B, m^2) -> ..., one weighted bincount per block of ``block``
+    stencil entries into a grid with a one-cell clipped border.
+    Returns the (n_grid,)^d array of values."""
+    v = np.atleast_2d(np.asarray(v, dtype=float))
+    n, d = v.shape
+    h = (hi - lo) / n_grid
+    w = int(np.ceil(sigmas * np.sqrt(eps) / h)) + 1
+    offs = np.arange(-w, w + 1)
+    size = n_grid + 2
+    strides = size ** np.arange(d - 1, -1, -1)
+    acc = np.zeros(size**d)
+    step = max(1, block // offs.size**d)
+    for s in range(0, n, step):
+        vb = v[s:s + step]
+        xb = (vb - lo) / h
+        reach = np.all((xb >= -w) & (xb < n_grid + w), axis=1)
+        xb, vb = xb[reach], vb[reach]
+        cell = np.floor(xb).astype(np.intp)[:, :, None] + offs
+        flat, wgt = np.zeros((len(vb), 1), np.intp), np.ones((len(vb), 1))
+        for a in range(d):
+            wa = np.exp(-((lo + (cell[:, a] + 0.5) * h - vb[:, a, None]) ** 2) / (2.0 * eps))
+            ia = (np.clip(cell[:, a], -1, n_grid) + 1) * strides[a]
+            flat = (flat[:, :, None] + ia[:, None, :]).reshape(len(vb), offs.size ** (a + 1))
+            wgt = (wgt[:, :, None] * wa[:, None, :]).reshape(flat.shape)
+        acc += np.bincount(flat.ravel(), weights=wgt.ravel(), minlength=acc.size)
+    inner = acc.reshape((size,) * d)[(slice(1, -1),) * d]
+    return inner * ((2.0 * np.pi * eps) ** (-d / 2.0) / n)
+
+
+def reference_so3_lift(y0, t, gen, max_rounds=64):
+    """SO(3)-lift draw with every round's candidates kept apart and the
+    rotation computed afresh from omega by Rodrigues' formula with np.cross."""
+    omega = np.empty((t.size, 3))
+    todo = np.arange(t.size)
+    sq = np.sqrt(t)[:, None]
+    for _ in range(max_rounds):
+        w = gen.standard_normal((todo.size, 3)) * sq[todo]
+        psi = np.sqrt(np.einsum("ij,ij->i", w, w))
+        keep = gen.random(todo.size) < np.sinc(psi / (2.0 * np.pi))
+        omega[todo[keep]] = w[keep]
+        todo = todo[~keep]
+        if todo.size == 0:
+            break
+    assert todo.size == 0, "reference lift hit its round cap"
+    psi = np.sqrt(np.einsum("ij,ij->i", omega, omega))
+    half = np.sinc(psi / (2.0 * np.pi))
+    out = np.cos(psi)[:, None] * y0
+    out += np.sinc(psi / np.pi)[:, None] * np.cross(omega, y0)
+    out += (0.5 * half * half * np.einsum("ij,ij->i", omega, y0))[:, None] * omega
+    out /= np.linalg.norm(out, axis=1)[:, None]
+    return out
+
+
+def bimaxwellian_density(v):
+    """Anisotropic 2D initial condition: (0.4, 1.6)/(4 pi) Gaussian mixture."""
+    v = np.asarray(v, dtype=float)
+    d1 = np.sum((v - BIMAX_U1) ** 2, axis=-1)
+    d2 = np.sum((v - BIMAX_U2) ** 2, axis=-1)
+    return (0.4 * np.exp(-d1 / 2.0) + 1.6 * np.exp(-d2 / 2.0)) / (4.0 * np.pi)
+
+
+def landau_damping_density(x, v, alpha):
+    """Perturbed Maxwellian f(x, v) = (1 + alpha cos(x/2)) N(0, I_2) on [0, 4 pi]."""
+    if not 0 <= alpha < 1:
+        raise ValueError("alpha must lie in [0, 1)")
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    r2 = np.sum(v * v, axis=-1)
+    return (1.0 + alpha * np.cos(DAMPING_WAVENUMBER * x)) / (2.0 * np.pi) * np.exp(-r2 / 2.0)
+
+
+def save_grid_binary(grid, path):
+    """Binary density grid: header (dim, lo, hi, n_grid) as little-endian
+    uint32, two float64 and uint32, then the values as row-major float64 LE."""
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<IddI", grid.dim, grid.lo, grid.hi, grid.n_grid))
+        fh.write(np.ascontiguousarray(grid.values, dtype="<f8").tobytes())

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from landau.cli import ExperimentConfig, load_reference_density, main, run
-from landau.diagnostics import DensityGrid, save_grid_binary, save_grid_csv
+from landau.diagnostics import DensityGrid, save_grid_csv
 from landau.errors import ConfigError, FormatError
+
+from oracles import save_grid_binary
 
 
 def write_config(path, **kw):

@@ -9,6 +9,8 @@ from landau.errors import InvalidCheckpoint, OddParticleCount
 from landau.kernels import KernelParams, kernel_K, projection
 from landau.streams import RngStream
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 MAXWELL_2D = KernelParams(1.0 / 8.0, 0.0, 2)
 MAXWELL_3D = KernelParams(1.0 / 12.0, 0.0, 3)
 COULOMB_2D = KernelParams(1.0 / 8.0, -3.0, 2)

@@ -7,12 +7,13 @@ import pytest
 from landau import diagnostics
 from landau.analytic import bkw_mollified_density, sample_bkw
 from landau.diagnostics import (DensityGrid, entropy, load_grid_binary, load_grid_csv,
-                                moments, mollified_density, relative_l2_error,
-                                save_grid_binary, save_grid_csv)
+                                moments, mollified_density, relative_l2_error, save_grid_csv)
 from landau.errors import EmptyEnsemble, FormatError, GridMismatch
 from landau.streams import RngStream
 
-from oracles import direct_mollified_density
+from oracles import direct_mollified_density, reference_mollified_density, save_grid_binary
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def maxwellian_2d(v):
@@ -117,6 +118,20 @@ def test_kde_matches_direct_sum(dim, n_grid, monkeypatch):
                 got = mollified_density(ens, eps, grid).values
                 assert ref.max() > 0
                 np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * ref.max())
+
+
+@pytest.mark.parametrize("dim, n_grid, n", [(3, 64, 50_000), (2, 128, 100_000)])
+def test_kde_matches_particle_major_reference(dim, n_grid, n, monkeypatch):
+    # the offsets-major stencil sums the same entries in another order; blocks
+    # of 1000 entries (1 particle in 3D, 12 in 2D) run on the first 2000
+    # particles, since each block adds a full-grid bincount
+    v = RngStream(12).generator().standard_normal((n, dim))
+    grid = DensityGrid(dim, -8.0, 8.0, n_grid)
+    for stencil_block, ens in ((diagnostics._STENCIL_BLOCK, v), (1000, v[:2000])):
+        monkeypatch.setattr(diagnostics, "_STENCIL_BLOCK", stencil_block)
+        ref = reference_mollified_density(ens, 0.01, -8.0, 8.0, n_grid, block=stencil_block)
+        got = mollified_density(ens, 0.01, grid).values
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * ref.max())
 
 
 @pytest.mark.parametrize("dim, n_grid, n", [(3, 64, 50_000), (2, 128, 100_000)])

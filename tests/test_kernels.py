@@ -7,6 +7,8 @@ from landau.kernels import (KernelParams, Z_FLOOR, kernel_A, kernel_K,
 
 from oracles import divergence_of_matrix_field
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 P2 = KernelParams(1.0 / 8.0, 0.0, 2)
 P3 = KernelParams(1.0 / 12.0, 0.0, 3)
 
@@ -96,6 +98,19 @@ def test_time_scale_examples():
     assert time_scale_k([3.0, 4.0], P2) == pytest.approx(0.5, rel=1e-15)
     assert time_scale_k([2.0, 0.0], KernelParams(0.125, -3.0, 2)) == pytest.approx(1.0 / 16.0, rel=1e-14)
     assert time_scale_k([0.5, 0.0], KernelParams(1.0, -2.0, 2)) == pytest.approx(16.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [P2, P3, KernelParams(0.0, 0.0, 3)])
+def test_time_scale_at_gamma_zero_is_bitwise_constant(p):
+    zs = [random_vectors(p.dim, 50, seed=3), np.zeros((4, p.dim)), np.ones(p.dim),
+          np.full((2, 3, p.dim), np.inf)]
+    for z in zs:
+        expect = 4.0 * p.lam * np.power(np.sum(z * z, axis=-1), 0.0)
+        got = time_scale_k(z, p)
+        assert np.shape(got) == np.shape(expect)
+        np.testing.assert_array_equal(got, expect)
+    with pytest.raises(ValueError):
+        time_scale_k(np.ones(4), p)
 
 
 def test_degenerate_raises_for_negative_gamma():

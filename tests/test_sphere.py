@@ -14,7 +14,8 @@ from landau.sphere import (SamplerKind, _death_process_probs, _rodrigues, _so3_l
                            default_sampler, rotate_from_pole, sample_sbm_batch, unit)
 from landau.streams import RngStream
 
-from oracles import death_process_probs, heat_kernel_cos_cdf, so3_lift_legendre_moment
+from oracles import (death_process_probs, heat_kernel_cos_cdf, reference_so3_lift,
+                     so3_lift_legendre_moment)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -238,7 +239,8 @@ def test_rodrigues_matches_matrix_exponential(psi):
     axes = unit(rng.standard_normal((20, 3)))
     ys = unit(rng.standard_normal((20, 3)))
     omega = psi * axes
-    out = _rodrigues(omega, ys)
+    norms = np.linalg.norm(omega, axis=1)
+    out = _rodrigues(omega, norms, np.sinc(norms / (2.0 * np.pi)), ys)
     for w, y, o in zip(omega, ys, out):
         skew = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
         np.testing.assert_allclose(o, expm(skew) @ y, rtol=0, atol=1e-14)
@@ -268,6 +270,17 @@ def test_infinite_tau_is_uniform():
     out = batch_from(pole(2), n, np.inf, seed=55)
     angle = np.arctan2(out[:, 1], out[:, 0])
     assert kstest(angle, lambda x: (np.asarray(x) + np.pi) / (2.0 * np.pi)).pvalue > 0.01
+
+
+@pytest.mark.parametrize("taus", [np.full(25_000, 1.0 / 30.0), np.geomspace(1e-4, 0.149, 25_000)])
+def test_lift_matches_reference_bitwise(taus):
+    starts = unit(np.random.default_rng(57).standard_normal((taus.size, 3)))
+    # the first round rejects some rows, so the redraws are compared too
+    first = np.random.default_rng(58)
+    w = first.standard_normal((taus.size, 3)) * np.sqrt(taus)[:, None]
+    assert np.any(first.random(taus.size) >= np.sinc(np.linalg.norm(w, axis=1) / (2.0 * np.pi)))
+    got = _so3_lift(starts, taus, np.random.default_rng(58))
+    np.testing.assert_array_equal(got, reference_so3_lift(starts, taus, np.random.default_rng(58)))
 
 
 def test_lift_raises_at_its_round_cap(monkeypatch):
