@@ -71,39 +71,55 @@ def _wrap(x, period):
     On [-period, 2 period) one shift by the period gives exactly what %
     gives: fmod is exact, x - period is exact there (Sterbenz), and adding
     0.0 turns -0.0 into the +0.0 that % returns. That costs a tenth of
-    np.remainder, which serves the inputs outside that range.
+    np.remainder, which serves the inputs outside that range. A shift that
+    no entry needs is skipped.
     """
-    if x.min(initial=np.inf) < -period or x.max(initial=-np.inf) >= 2 * period:
+    lo, hi = x.min(initial=np.inf), x.max(initial=-np.inf)
+    if lo < -period or hi >= 2 * period:
         return np.remainder(x, period, out=x)
-    np.subtract(x, period, out=x, where=x >= period)
-    np.add(x, period, out=x, where=x < 0)
+    if hi >= period:
+        np.subtract(x, period, out=x, where=x >= period)
+    if lo < 0:
+        np.add(x, period, out=x, where=x < 0)
     x += 0.0
     return x
 
 
-def hat_weights(x, grid: PicGrid):
+def hat_weights(x, grid: PicGrid, out=None):
     """CIC weights (i0, i1, w0, w1) of positions x for the unit hat centered
     on cell centers.
 
     Cell indices wrap periodically. The sweep of cn_va_step computes them
     once and hands the same tuple to deposit_current and interpolate_field.
+    out, if given, is such a tuple of int64, int64, float and float buffers
+    the size of x that receives the weights; x may be its last buffer, and
+    an i1 of None skips i1, which neither of those two reads.
     """
-    g = np.asarray(x, dtype=float) / grid.dx - 0.5
-    fl = np.floor(g)
+    x = np.asarray(x, dtype=float)
+    if out is None:
+        out = (np.empty(x.shape, np.int64), np.empty(x.shape, np.int64),
+               np.empty(x.shape), np.empty(x.shape))
+    i0, i1, fl, g = out
+    np.divide(x, grid.dx, out=g)
+    g -= 0.5
+    np.floor(g, out=fl)
     g -= fl  # the fraction
-    i0 = _wrap(fl, grid.n0).astype(np.int64)
-    i1 = i0 + 1
-    i1[i1 == grid.n0] = 0
+    np.copyto(i0, _wrap(fl, grid.n0), casting="unsafe")
+    if i1 is not None:
+        np.add(i0, 1, out=i1)
+        i1[i1 == grid.n0] = 0
     return i0, i1, np.subtract(1.0, g, out=fl), g
 
 
-def deposit_weighted(hat, w, grid: PicGrid):
+def deposit_weighted(hat, w, grid: PicGrid, out=None):
     """(1/dx) sum_i S_hat(x_i - x_k) w_i accumulated on the cell centers, from
-    the hat weights of the x_i."""
-    i0, i1, w0, w1 = hat
+    the hat weights of the x_i; out, if given, is a float buffer for the
+    weighted terms. The w1 terms are binned by i0 and rolled one cell up:
+    the same sums, in the same particle order, as when binned by i1."""
+    i0, _, w0, w1 = hat
     w = np.broadcast_to(np.asarray(w, dtype=float), i0.shape)
-    acc = np.bincount(i0, weights=w0 * w, minlength=grid.n0)
-    acc += np.bincount(i1, weights=w1 * w, minlength=grid.n0)
+    acc = np.bincount(i0, weights=np.multiply(w0, w, out=out), minlength=grid.n0)
+    acc += np.roll(np.bincount(i0, weights=np.multiply(w1, w, out=out), minlength=grid.n0), 1)
     return acc / grid.dx
 
 
@@ -128,18 +144,26 @@ def solve_poisson(rho, grid: PicGrid):
     return np.fft.irfft(phi_hat, n=grid.n0), np.fft.irfft(e_hat, n=grid.n0)
 
 
-def interpolate_field(field, hat):
+def interpolate_field(field, hat, out=None):
     """E(x) = sum_k E_k S_hat(x_k - x): linear interpolation between centers,
-    from the hat weights of x."""
-    i0, i1, w0, w1 = hat
+    from the hat weights of x (E at i1 is the field rolled one cell down, at
+    i0). out, if given, is a pair of float buffers: E(x) and scratch."""
+    i0, _, w0, w1 = hat
     field = np.asarray(field, dtype=float)
-    return w0 * field.take(i0) + w1 * field.take(i1)
+    e, work = out if out is not None else (np.empty(i0.shape), np.empty(i0.shape))
+    # every index is in range, so clip gathers unbuffered what raise would copy
+    field.take(i0, out=e, mode="clip")
+    e *= w0
+    np.roll(field, -1).take(i0, out=work, mode="clip")
+    work *= w1
+    e += work
+    return e
 
 
-def deposit_current(hat, vx, grid: PicGrid, charge):
+def deposit_current(hat, vx, grid: PicGrid, charge, out=None):
     """Midpoint current J_k = (q/dx) sum_i S_hat(x_k - x_i) v_{x,i} and its
-    mean, from the hat weights of the x_i."""
-    j = charge * deposit_weighted(hat, vx, grid)
+    mean, from the hat weights of the x_i (out as in deposit_weighted)."""
+    j = charge * deposit_weighted(hat, vx, grid, out=out)
     return j, float(j.mean())
 
 
@@ -153,48 +177,82 @@ def cn_va_step(state: VplState, dt, n_iters, grid: PicGrid, residual_tol=None) -
     changes field and particles by less than the tolerance, and raises
     FixedPointNotConverged if that takes more than _MAX_FIXED_POINT_ITERS
     sweeps; otherwise exactly n_iters sweeps run.
+
+    The particle-sized arrays are allocated once per step: a contiguous vx0,
+    the guesses xg and vg, the hat's i0 and w0 and one scratch buffer. Each
+    sweep works in place, with the operands of fresh arrays in their order:
+    xg holds in turn the midpoint, its fraction w1 and the new positions, vg
+    the midpoint velocities and then the new ones. A tolerance needs the old
+    guesses for the residual, so the midpoint and the new velocities get two
+    more buffers, which trade places with the old guesses.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
     x0 = state.positions
-    vx0 = state.velocities[:, 0]
+    vx0 = state.velocities[:, 0].copy()  # read three times a sweep: contiguous
     e0 = state.field
+    n = x0.size
+    hat = (np.empty(n, np.int64), None, np.empty(n), np.empty(n))
+    work = np.empty(n)
     # Euler predictor; positions stay unwrapped until the end of the step
-    vg = vx0 + interpolate_field(e0, hat_weights(x0, grid)) * dt
-    xg = x0 + vx0 * dt
+    vg = interpolate_field(e0, hat_weights(x0, grid, out=hat), out=(np.empty(n), work))
+    vg *= dt
+    vg += vx0
+    xg = hat[3] if residual_tol is None else np.empty(n)
+    np.multiply(vx0, dt, out=xg)
+    xg += x0
     if not (np.all(np.isfinite(vg)) and np.all(np.isfinite(xg))):
         raise NonFiniteState(f"Euler predictor diverged at t={state.time}")
+    # the midpoint and the new guesses: in place without a tolerance
+    xm = xg if residual_tol is None else hat[3]
+    vn = vg if residual_tol is None else np.empty(n)
     eg = e0.copy()
     iters = 0
     while True:
         iters += 1
-        # one weight pass per sweep, freed before the particle updates so
-        # that no two sets of weights are alive at once
-        hat = hat_weights(_wrap(x0 + 0.5 * (xg - x0), grid.length), grid)
-        j, jmean = deposit_current(hat, 0.5 * (vx0 + vg), grid, state.charge)
+        np.subtract(xg, x0, out=xm)
+        xm *= 0.5
+        xm += x0
+        hat = hat_weights(_wrap(xm, grid.length), grid, out=hat[:3] + (xm,))
+        np.add(vx0, vg, out=vn)
+        vn *= 0.5
+        j, jmean = deposit_current(hat, vn, grid, state.charge, out=work)
         enew = e0 - dt * (j - jmean)
-        vnew = vx0 + interpolate_field(0.5 * (e0 + enew), hat) * dt
-        del hat
-        xnew = x0 + 0.5 * (vx0 + vnew) * dt
+        interpolate_field(0.5 * (e0 + enew), hat, out=(vn, work))
+        vn *= dt
+        vn += vx0
+        np.add(vx0, vn, out=work)
+        work *= 0.5
+        work *= dt
+        np.add(x0, work, out=xm)  # the new positions, over the spent fraction
         # stop a diverging sweep before the next one wraps and casts it to cells
-        if not (np.isfinite(xnew).all() and np.isfinite(enew).all()):
+        if not (np.isfinite(xm).all() and np.isfinite(enew).all()):
             raise NonFiniteState(f"Vlasov-Ampere iteration diverged at t={state.time}")
         if residual_tol is None:
             done = iters >= n_iters
         else:
-            res = max(np.max(np.abs(enew - eg)), np.max(np.abs(vnew - vg)),
-                      np.max(np.abs(xnew - xg)))
+            res = max(np.max(np.abs(enew - eg)), _max_abs_diff(vn, vg, work),
+                      _max_abs_diff(xm, xg, work))
             done = res < residual_tol
             if not done and iters >= _MAX_FIXED_POINT_ITERS:
                 raise FixedPointNotConverged(
                     f"Vlasov-Ampere iteration at t={state.time}: residual {res:.3e} still above "
                     f"residual_tol={residual_tol:g} after {iters} sweeps")
-        vg, xg, eg = vnew, xnew, enew
+        vg, vn = vn, vg
+        xg, xm = xm, xg
+        eg = enew
         if done:
             break
+    # free the sweep's buffers before the velocities are copied
+    del hat, work, vn, xm
     v = state.velocities.copy()
     v[:, 0] = vg
     return VplState(_wrap(xg, grid.length), v, eg, state.charge, state.time + dt)
+
+
+def _max_abs_diff(a, b, work):
+    """max |a - b|, with the difference taken in work."""
+    return np.abs(np.subtract(a, b, out=work), out=work).max()
 
 
 def _cell_pairs(cell, n_cells, gen):
@@ -205,21 +263,22 @@ def _cell_pairs(cell, n_cells, gen):
     order, and taken two at a time. The leftover of a cell with an odd count
     of at least 3 is paired, with probability 1/2, with a uniformly chosen
     mate that is already paired: (li, lj).
+
+    The groups follow from the cell counts alone: the occupied cells start,
+    in order, at the exclusive cumsum of their sizes, and pair k of the
+    whole sort has its head at the start of its cell plus 2 (k - p), where p
+    counts the pairs of the cells before it. The stable sort is unique, so
+    the pairs do not depend on the dtype of cell; int16 indices make numpy
+    sort them by radix.
     """
-    n = cell.size
-    order = gen.permutation(n)
-    key = cell[order]
-    # the stable sort is unique; on int16 keys numpy runs it as a radix sort
-    if n_cells <= np.iinfo(np.int16).max:
-        key = key.astype(np.int16)
-    perm = np.argsort(key, kind="stable")
-    order = order[perm]
-    csort = key[perm]
-    same = csort[1:] == csort[:-1]
-    starts = np.flatnonzero(np.r_[True, ~same])
-    sizes = np.diff(np.r_[starts, n])
-    offset = np.arange(n - 1) - np.repeat(starts, sizes)[:-1]
-    first = np.flatnonzero(same & (offset % 2 == 0))
+    order = gen.permutation(cell.size)
+    order = order[np.argsort(cell[order], kind="stable")]
+    counts = np.bincount(cell, minlength=n_cells)
+    sizes = counts[counts > 0]
+    starts = np.cumsum(sizes) - sizes
+    half = sizes // 2
+    first = (np.repeat(starts - 2 * (np.cumsum(half) - half), half)
+             + 2 * np.arange(half.sum()))
     odd = (sizes % 2 == 1) & (sizes >= 3)
     l_starts, l_sizes = starts[odd], sizes[odd]
     coins = gen.random(l_starts.size) < 0.5
@@ -239,9 +298,12 @@ def cell_collisions(state: VplState, dt, kernel: KernelParams, grid: PicGrid,
     """
     if kernel.lam == 0:
         return state
-    cell = _wrap(np.floor(state.positions / grid.dx), grid.n0).astype(np.int64)
+    cell = np.divide(state.positions, grid.dx)
+    cell = _wrap(np.floor(cell, out=cell), grid.n0).astype(
+        np.int16 if grid.n0 <= np.iinfo(np.int16).max else np.int64)
     i, j, li, lj = _cell_pairs(cell, grid.n0,
                                RngStream(seed, step=step, domain=DOMAIN_CELLS).generator())
+    del cell
     v = state.velocities.copy()
     sbm_pair_update(v, i, j, kernel, dt,
                     RngStream(seed, step=step, stream=1, domain=DOMAIN_CELLS))

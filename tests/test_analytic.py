@@ -13,6 +13,8 @@ from landau.streams import RngStream
 from oracles import (bimaxwellian_density, gauss_legendre_cell_masses,
                      landau_damping_density, radial_moment)
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_bkw_scale_values():
     assert bkw_scale(2, 0.0) == pytest.approx(0.5, abs=1e-15)

@@ -13,6 +13,8 @@ from landau.errors import ConfigError, FormatError
 
 from oracles import save_grid_binary
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def write_config(path, **kw):
     path.write_text(json.dumps(kw))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from landau.kernels import KernelParams
 from landau.streams import RngStream
 from landau.vpl import (PicGrid, VplConfig, VplState, _cell_pairs, _wrap, cell_collisions,
                         cn_va_step, deposit_charge, deposit_current, deposit_weighted,
-                        hat_weights, initial_state, interpolate_field, simulate_vpl,
-                        solve_poisson, vpl_diagnostics)
+                        hat_weights, initial_state, interpolate_field, iterate_vpl,
+                        simulate_vpl, solve_poisson, vpl_diagnostics)
 from oracles import reference_cell_pairs, reference_cn_va_step, reference_hat_weights
 
 # an overflow or an invalid value in a step is a bug, not a warning to read past
@@ -249,16 +251,34 @@ def test_cell_collisions_lambda0_identity():
     assert out is state
 
 
+def _clustered_cells(n0, gen):
+    """Shuffled cell indices whose counts cycle through 0, 1, 2, 3 and 7,
+    with the first and the last cell empty and singletons, pairs and triples
+    next to empty cells."""
+    sizes = np.resize([0, 1, 3, 0, 2, 7, 1, 0, 3, 3, 2], n0)
+    sizes[-1] = 0
+    return gen.permutation(np.repeat(np.arange(n0), sizes))
+
+
 @pytest.mark.parametrize("n0", [16, 128, 40_000])
 def test_cell_pairs_match_reference_bitwise(n0):
     # 40 000 cells exceed int16, so that case sorts the int64 indices
     gen = RngStream(15).generator()
-    cell = gen.integers(0, n0, 100_000)
-    got = _cell_pairs(cell, n0, RngStream(16).generator())
-    want = reference_cell_pairs(cell, RngStream(16).generator())
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a, b)
-    assert got[2].size > 0
+    uniform = gen.integers(0, n0, 100_000)
+    clustered = _clustered_cells(n0, gen)
+    # N = 3: a pair and a singleton, then a triple whose leftover may collide
+    cases = ((uniform, True), (clustered, True), (np.array([n0 - 1, 0, n0 - 1]), False),
+             (np.array([1, 1, 1]), None))
+    dtypes = (np.int64, np.int16) if n0 <= np.iinfo(np.int16).max else (np.int64,)
+    for cell, leftovers in cases:
+        for dtype in dtypes:
+            got = _cell_pairs(cell.astype(dtype), n0, RngStream(16).generator())
+            want = reference_cell_pairs(cell, RngStream(16).generator())
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+            if leftovers is not None:
+                assert (got[2].size > 0) == leftovers
 
 
 def test_cell_collisions_conserve_per_cell():
@@ -349,6 +369,59 @@ def test_simulate_vpl_quiet_start():
     assert drift <= 1e-3
     # unperturbed equilibrium: the field stays at the particle-noise floor
     assert max(r.electric_l2 for r in recs) < 0.2
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("tol", [None, 1e-10])
+def test_simulate_vpl_conserves_energy_and_momentum_to_rounding(lam, tol):
+    # the discrete CN energy identity holds at the fixed point, which five
+    # sweeps at dt = 0.02 reach to rounding; drifts read 3e-16 to 4e-16
+    # (energy) and at most 1.6e-15 (q sum v_y), so a broken identity shows
+    # far below the 1e-3 of a run-level bound
+    cfg = VplConfig(n_particles=20_000, dt=0.02, t_end=2.0, alpha=0.1,
+                    kernel=KernelParams(lam, -2.0, 2), n_cells=128, n_iters=5,
+                    residual_tol=tol, seed=7)
+    recs, _ = simulate_vpl(cfg)
+    e0, p0 = recs[0].total_energy, recs[0].momentum[1]
+    assert max(abs(r.total_energy - e0) for r in recs) <= 1e-13 * abs(e0)
+    assert max(abs(r.momentum[1] - p0) for r in recs) <= 1e-13
+
+
+def test_yielded_states_are_never_written_again():
+    cfg = VplConfig(n_particles=2000, dt=0.02, t_end=0.16, alpha=0.1, kernel=COULOMB,
+                    n_cells=32, seed=17)
+    kept = []
+    for step, state in iterate_vpl(cfg):
+        if step < 3:
+            kept.append((state, state.positions.copy(), state.velocities.copy(),
+                         state.field.copy()))
+    assert step == 8
+    for state, x, v, e in kept:
+        np.testing.assert_array_equal(state.positions, x)
+        np.testing.assert_array_equal(state.velocities, v)
+        np.testing.assert_array_equal(state.field, e)
+
+
+def _traced_peak_mb(fn):
+    fn()  # first call: lazy imports and caches are not the step's memory
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_step_memory_peaks():
+    # numpy reports its buffers to tracemalloc; at N = 1e5 one particle array
+    # is 0.8 MB, and fewer live at once keeps the peak RSS of a run down
+    cfg = VplConfig(n_particles=100_000, dt=0.02, t_end=0.02, alpha=0.1,
+                    kernel=KernelParams(1.0, -2.0, 2), n_cells=128, seed=7)
+    grid = PicGrid(cfg.length, cfg.n_cells)
+    state = list(iterate_vpl(cfg))[-1][1]
+    assert _traced_peak_mb(lambda: cn_va_step(state, cfg.dt, 5, grid)) <= 6.5
+    assert _traced_peak_mb(lambda: cell_collisions(state, cfg.dt, cfg.kernel, grid,
+                                                   seed=7, step=2)) <= 9.0
 
 
 def test_simulate_vpl_determinism():
