@@ -3,8 +3,8 @@
 __version__ = "0.1.0"
 
 from .collision import (EM, SBM, Checkpoint, DiagnosticsPlan, ParticleEnsemble,
-                        SchemeConfig, em_collision_step, random_pairing,
-                        sbm_collision_step, sbm_pair_update, simulate_homogeneous)
+                        SchemeConfig, collision_step, em_pair_update, random_pairing,
+                        sbm_pair_update, simulate_homogeneous)
 from .diagnostics import (DensityGrid, DiagnosticsRecord, entropy, mollified_density,
                           moments, relative_l2_error)
 from .kernels import KernelParams, Z_FLOOR, kernel_A, kernel_K, kernel_sigma, projection, time_scale_k

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .analytic import BKW_LAMBDA, bkw_density, bkw_t_min, sample_bkw, sample_bimaxwellian
 from .collision import (EM, SBM, DiagnosticsPlan, ParticleEnsemble, SchemeConfig,
-                        random_pairing, sbm_collision_step, simulate_homogeneous)
+                        collision_step, random_pairing, simulate_homogeneous)
 from .diagnostics import (DensityGrid, load_grid_binary, load_grid_csv,
                           mollified_density, save_grid_csv,
                           DEFAULT_GRID_CELLS, DEFAULT_GRID_EXTENT)
@@ -278,12 +278,12 @@ def _run_bench(cfg: ExperimentConfig, outdir):
     scheme = SchemeConfig(cfg.dt, SBM, cfg.kernel(), seed=cfg.seed)
     times = []
     for n in cfg.n_list:
-        ens = _initial_ensemble(cfg, n, cfg.seed)
+        v = _initial_ensemble(cfg, n, cfg.seed).velocities
         best = math.inf
         for step in range(1, cfg.bench_warmup + cfg.bench_steps + 1):
             t0 = time.perf_counter()
-            pairing = random_pairing(ens.n, RngStream(cfg.seed, step=step, domain=DOMAIN_PAIRING))
-            ens = sbm_collision_step(ens, pairing, scheme, step)
+            i, j = random_pairing(n, RngStream(cfg.seed, step=step, domain=DOMAIN_PAIRING))
+            collision_step(v, i, j, scheme, step)
             dt_step = time.perf_counter() - t0
             if step > cfg.bench_warmup:
                 best = min(best, dt_step)

@@ -5,7 +5,8 @@ performs an exact spherical-Brownian-motion collision (the relative velocity
 direction diffuses on the sphere while its magnitude and the pair sum are
 frozen) or an Euler-Maruyama step of the same pair SDE. The SBM step
 conserves momentum and kinetic energy pathwise; the EM step conserves only
-momentum and is kept as the comparison baseline.
+momentum and is kept as the comparison baseline. A run copies the initial
+velocities once, and every window updates that one array in place.
 """
 
 import math
@@ -15,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, DensityGrid, mollified_density, moments, entropy, relative_l2_error
-from .errors import InvalidCheckpoint, InvalidSamplerForDim, OddParticleCount
+from .errors import InvalidCheckpoint, InvalidSamplerForDim, NonFiniteState, OddParticleCount
 from .kernels import KernelParams, Z_FLOOR, kernel_K, kernel_sigma, time_scale_k
 from .sphere import SamplerKind, default_sampler, sample_sbm_batch
 from .streams import RngStream, DOMAIN_PAIRING, DOMAIN_COLLISION
@@ -105,6 +106,7 @@ def sbm_pair_update(v, i, j, kernel: KernelParams, dt, rng: RngStream):
     vj = np.take(v, j, axis=0)
     z = vi - vj
     s = np.add(vi, vj, out=vi)
+    del vj
     r = np.sqrt(np.einsum("ij,ij->i", z, z))
     good = r >= Z_FLOOR
     if not good.all():
@@ -118,42 +120,38 @@ def sbm_pair_update(v, i, j, kernel: KernelParams, dt, rng: RngStream):
     _put_rows(v, j, (s - zp) / 2.0)
 
 
-def sbm_collision_step(ens: ParticleEnsemble, pairing, cfg: SchemeConfig,
-                       step: int) -> ParticleEnsemble:
-    """One SBM collision window of the pairs ``pairing`` = (i, j)."""
-    v = ens.velocities.copy()
-    sbm_pair_update(v, *pairing, cfg.kernel, cfg.dt,
-                    RngStream(cfg.seed, step=step, domain=DOMAIN_COLLISION))
-    return ParticleEnsemble(v)
+def em_pair_update(v, i, j, kernel: KernelParams, dt, rng: RngStream, noise=None):
+    """Euler-Maruyama window of the pairs (i[k], j[k]) of ``v``, in place.
 
-
-def em_collision_step(ens: ParticleEnsemble, pairing, cfg: SchemeConfig,
-                      step: int, noise=None) -> ParticleEnsemble:
-    """One Euler-Maruyama window: Dv = K(z) dt + sigma(z) dW, dW ~ N(0, dt I).
-
-    ``pairing`` is the index-array pair (i, j); ``noise`` injects the dW
-    array (pair-ordered, shape (n_pairs, d)).
+    Dv = K(z) dt + sigma(z) dW with dW ~ N(0, dt I) is added to v_i and taken
+    from v_j, so momentum is conserved per pair. Pairs with |z| below the
+    degeneracy floor keep their velocities. ``noise`` injects the dW array
+    (pair-ordered, shape (n_pairs, d)). A non-finite Dv raises
+    NonFiniteState before ``v`` is written.
     """
-    v = ens.velocities.copy()
-    i, j = pairing
     z = v[i] - v[j]
-    good = np.linalg.norm(z, axis=1) >= Z_FLOOR
-    if not np.any(good):
-        return ParticleEnsemble(v)
-    if noise is None:
-        gen = RngStream(cfg.seed, step=step, domain=DOMAIN_COLLISION).generator()
-        dw = gen.standard_normal((z.shape[0], ens.dim)) * math.sqrt(cfg.dt)
-    else:
-        dw = np.asarray(noise, dtype=float)
-    zg = z[good]
-    dv = kernel_K(zg, cfg.kernel) * cfg.dt
-    dv += np.einsum("nab,nb->na", kernel_sigma(zg, cfg.kernel), dw[good])
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises below
+        good = np.linalg.norm(z, axis=1) >= Z_FLOOR
+        if not np.any(good):
+            return
+        if noise is None:
+            dw = rng.generator().standard_normal(z.shape) * math.sqrt(dt)
+        else:
+            dw = np.asarray(noise, dtype=float)
+        zg = z[good]
+        dv = kernel_K(zg, kernel) * dt
+        dv += np.einsum("nab,nb->na", kernel_sigma(zg, kernel), dw[good])
+    if not np.isfinite(dv).all():
+        raise NonFiniteState(f"Euler-Maruyama increment is not finite (dt={dt:g})")
     v[i[good]] += dv
     v[j[good]] -= dv
-    return ParticleEnsemble(v)
 
 
-_STEPPERS: dict[str, Callable] = {SBM: sbm_collision_step, EM: em_collision_step}
+def collision_step(v, i, j, cfg: SchemeConfig, step: int):
+    """Collision window ``step`` of the pairs (i, j) of ``v``, in place, by
+    the scheme of ``cfg`` with the window's collision stream."""
+    update = sbm_pair_update if cfg.scheme == SBM else em_pair_update
+    update(v, i, j, cfg.kernel, cfg.dt, RngStream(cfg.seed, step=step, domain=DOMAIN_COLLISION))
 
 
 @dataclass
@@ -202,8 +200,10 @@ def simulate_homogeneous(cfg: SchemeConfig, init: ParticleEnsemble, t_end, check
                          store_snapshots=False) -> list[Checkpoint]:
     """Run the collisional particle system to t_end, re-pairing each window.
 
-    ``checkpoints`` are times (multiples of dt) at which diagnostics are
-    recorded; full velocity snapshots are kept only when requested.
+    The velocities of ``init`` are copied once, and each window updates the
+    copy in place; ``init`` is never written. ``checkpoints`` are times
+    (multiples of dt) at which diagnostics are recorded; velocity snapshots
+    are copied and kept only when requested.
     """
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
@@ -214,15 +214,14 @@ def simulate_homogeneous(cfg: SchemeConfig, init: ParticleEnsemble, t_end, check
     marks = {step_count(t, cfg.dt): t for t in checkpoints}
     if not all(0 <= k <= n_steps for k in marks):
         raise InvalidCheckpoint(f"checkpoints {list(checkpoints)} reach outside [0, {t_end}]")
-    stepper = _STEPPERS[cfg.scheme]
     out = []
-    ens = ParticleEnsemble(init.velocities.copy())
-    if 0 in marks:
-        out.append(Checkpoint(marks[0], ens if store_snapshots else None, _record(ens, marks[0], plan)))
-    for step in range(1, n_steps + 1):
-        pairing = random_pairing(ens.n, RngStream(cfg.seed, step=step, domain=DOMAIN_PAIRING))
-        ens = stepper(ens, pairing, cfg, step)
+    v = init.velocities.copy()
+    for step in range(n_steps + 1):
+        if step:
+            i, j = random_pairing(len(v), RngStream(cfg.seed, step=step, domain=DOMAIN_PAIRING))
+            collision_step(v, i, j, cfg, step)
         if step in marks:
             t = marks[step]
-            out.append(Checkpoint(t, ens if store_snapshots else None, _record(ens, t, plan)))
+            record = _record(v, t, plan)  # before the copy: it would sit beside the KDE's buffers
+            out.append(Checkpoint(t, ParticleEnsemble(v.copy()) if store_snapshots else None, record))
     return out

@@ -86,37 +86,33 @@ def _wrap(x, period):
 
 
 def hat_weights(x, grid: PicGrid, out=None):
-    """CIC weights (i0, i1, w0, w1) of positions x for the unit hat centered
-    on cell centers.
+    """CIC weights (i0, w0, w1) of positions x for the unit hat centered on
+    cell centers: x lies between the centers of cell i0 (wrapped
+    periodically) and of the next cell, which get the weights w0 and w1.
 
-    Cell indices wrap periodically. The sweep of cn_va_step computes them
-    once and hands the same tuple to deposit_current and interpolate_field.
-    out, if given, is such a tuple of int64, int64, float and float buffers
-    the size of x that receives the weights; x may be its last buffer, and
-    an i1 of None skips i1, which neither of those two reads.
+    The sweep of cn_va_step computes them once and hands the same tuple to
+    deposit_current and interpolate_field. out, if given, is such a tuple of
+    int64, float and float buffers the size of x that receives the weights;
+    x may be its last buffer.
     """
     x = np.asarray(x, dtype=float)
     if out is None:
-        out = (np.empty(x.shape, np.int64), np.empty(x.shape, np.int64),
-               np.empty(x.shape), np.empty(x.shape))
-    i0, i1, fl, g = out
+        out = (np.empty(x.shape, np.int64), np.empty(x.shape), np.empty(x.shape))
+    i0, fl, g = out
     np.divide(x, grid.dx, out=g)
     g -= 0.5
     np.floor(g, out=fl)
     g -= fl  # the fraction
     np.copyto(i0, _wrap(fl, grid.n0), casting="unsafe")
-    if i1 is not None:
-        np.add(i0, 1, out=i1)
-        i1[i1 == grid.n0] = 0
-    return i0, i1, np.subtract(1.0, g, out=fl), g
+    return i0, np.subtract(1.0, g, out=fl), g
 
 
 def deposit_weighted(hat, w, grid: PicGrid, out=None):
     """(1/dx) sum_i S_hat(x_i - x_k) w_i accumulated on the cell centers, from
     the hat weights of the x_i; out, if given, is a float buffer for the
-    weighted terms. The w1 terms are binned by i0 and rolled one cell up:
-    the same sums, in the same particle order, as when binned by i1."""
-    i0, _, w0, w1 = hat
+    weighted terms. The w1 terms are binned by i0 and rolled one cell up: the
+    same sums, in the same particle order, as binned by the next cell."""
+    i0, w0, w1 = hat
     w = np.broadcast_to(np.asarray(w, dtype=float), i0.shape)
     acc = np.bincount(i0, weights=np.multiply(w0, w, out=out), minlength=grid.n0)
     acc += np.roll(np.bincount(i0, weights=np.multiply(w1, w, out=out), minlength=grid.n0), 1)
@@ -146,9 +142,9 @@ def solve_poisson(rho, grid: PicGrid):
 
 def interpolate_field(field, hat, out=None):
     """E(x) = sum_k E_k S_hat(x_k - x): linear interpolation between centers,
-    from the hat weights of x (E at i1 is the field rolled one cell down, at
+    from the hat weights of x (the next cell's E is the field rolled down, at
     i0). out, if given, is a pair of float buffers: E(x) and scratch."""
-    i0, _, w0, w1 = hat
+    i0, w0, w1 = hat
     field = np.asarray(field, dtype=float)
     e, work = out if out is not None else (np.empty(i0.shape), np.empty(i0.shape))
     # every index is in range, so clip gathers unbuffered what raise would copy
@@ -192,19 +188,19 @@ def cn_va_step(state: VplState, dt, n_iters, grid: PicGrid, residual_tol=None) -
     vx0 = state.velocities[:, 0].copy()  # read three times a sweep: contiguous
     e0 = state.field
     n = x0.size
-    hat = (np.empty(n, np.int64), None, np.empty(n), np.empty(n))
+    hat = (np.empty(n, np.int64), np.empty(n), np.empty(n))
     work = np.empty(n)
     # Euler predictor; positions stay unwrapped until the end of the step
     vg = interpolate_field(e0, hat_weights(x0, grid, out=hat), out=(np.empty(n), work))
     vg *= dt
     vg += vx0
-    xg = hat[3] if residual_tol is None else np.empty(n)
+    xg = hat[2] if residual_tol is None else np.empty(n)
     np.multiply(vx0, dt, out=xg)
     xg += x0
     if not (np.all(np.isfinite(vg)) and np.all(np.isfinite(xg))):
         raise NonFiniteState(f"Euler predictor diverged at t={state.time}")
     # the midpoint and the new guesses: in place without a tolerance
-    xm = xg if residual_tol is None else hat[3]
+    xm = xg if residual_tol is None else hat[2]
     vn = vg if residual_tol is None else np.empty(n)
     eg = e0.copy()
     iters = 0
@@ -213,7 +209,7 @@ def cn_va_step(state: VplState, dt, n_iters, grid: PicGrid, residual_tol=None) -
         np.subtract(xg, x0, out=xm)
         xm *= 0.5
         xm += x0
-        hat = hat_weights(_wrap(xm, grid.length), grid, out=hat[:3] + (xm,))
+        hat = hat_weights(_wrap(xm, grid.length), grid, out=hat[:2] + (xm,))
         np.add(vx0, vg, out=vn)
         vn *= 0.5
         j, jmean = deposit_current(hat, vn, grid, state.charge, out=work)
@@ -366,11 +362,8 @@ def initial_state(config: VplConfig, grid: PicGrid) -> VplState:
 
 def iterate_vpl(config: VplConfig):
     """Yield (step, state) along the run, starting with the initial state."""
-    return _iterate(config, PicGrid(config.length, config.n_cells),
-                    step_count(config.t_end, config.dt))
-
-
-def _iterate(config: VplConfig, grid: PicGrid, n_steps):
+    grid = PicGrid(config.length, config.n_cells)
+    n_steps = step_count(config.t_end, config.dt)
     state = initial_state(config, grid)
     yield 0, state
     for step in range(1, n_steps + 1):
@@ -387,7 +380,7 @@ def simulate_vpl(config: VplConfig) -> tuple[list[VplDiagnostics], VplState]:
     grid = PicGrid(config.length, config.n_cells)
     n_steps = step_count(config.t_end, config.dt)
     records = []
-    for step, state in _iterate(config, grid, n_steps):
+    for step, state in iterate_vpl(config):
         if step % config.record_every == 0 or step == n_steps:
             records.append(vpl_diagnostics(state, grid))
     return records, state

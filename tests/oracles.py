@@ -15,6 +15,10 @@ from scipy.optimize import fsolve
 from scipy.special import eval_legendre, wofz
 
 from landau.analytic import BIMAX_U1, BIMAX_U2, DAMPING_WAVENUMBER
+from landau.collision import (SBM, Checkpoint, DiagnosticsPlan, ParticleEnsemble, _record,
+                              random_pairing, sbm_pair_update, step_count)
+from landau.kernels import Z_FLOOR, kernel_K, kernel_sigma
+from landau.streams import DOMAIN_COLLISION, DOMAIN_PAIRING, RngStream
 
 
 def heat_kernel_cos_cdf(x, tau, lmax=400, tol=1e-18):
@@ -325,3 +329,46 @@ def save_grid_binary(grid, path):
     with open(path, "wb") as fh:
         fh.write(struct.pack("<IddI", grid.dim, grid.lo, grid.hi, grid.n_grid))
         fh.write(np.ascontiguousarray(grid.values, dtype="<f8").tobytes())
+
+
+def _reference_sbm_step(ens, pairing, cfg, step):
+    v = ens.velocities.copy()
+    sbm_pair_update(v, *pairing, cfg.kernel, cfg.dt,
+                    RngStream(cfg.seed, step=step, domain=DOMAIN_COLLISION))
+    return ParticleEnsemble(v)
+
+
+def _reference_em_step(ens, pairing, cfg, step):
+    v = ens.velocities.copy()
+    i, j = pairing
+    z = v[i] - v[j]
+    good = np.linalg.norm(z, axis=1) >= Z_FLOOR
+    if not np.any(good):
+        return ParticleEnsemble(v)
+    gen = RngStream(cfg.seed, step=step, domain=DOMAIN_COLLISION).generator()
+    dw = gen.standard_normal((z.shape[0], ens.dim)) * math.sqrt(cfg.dt)
+    zg = z[good]
+    dv = kernel_K(zg, cfg.kernel) * cfg.dt
+    dv += np.einsum("nab,nb->na", kernel_sigma(zg, cfg.kernel), dw[good])
+    v[i[good]] += dv
+    v[j[good]] -= dv
+    return ParticleEnsemble(v)
+
+
+def reference_simulate_homogeneous(cfg, init, t_end, checkpoints, plan=None):
+    """Homogeneous run in which every window copies the velocities into a new
+    ParticleEnsemble; returns checkpoints that all keep their snapshot."""
+    plan = plan or DiagnosticsPlan()
+    n_steps = step_count(t_end, cfg.dt)
+    marks = {step_count(t, cfg.dt): t for t in checkpoints}
+    stepper = _reference_sbm_step if cfg.scheme == SBM else _reference_em_step
+    out = []
+    ens = ParticleEnsemble(init.velocities.copy())
+    if 0 in marks:
+        out.append(Checkpoint(marks[0], ens, _record(ens, marks[0], plan)))
+    for step in range(1, n_steps + 1):
+        pairing = random_pairing(ens.n, RngStream(cfg.seed, step=step, domain=DOMAIN_PAIRING))
+        ens = stepper(ens, pairing, cfg, step)
+        if step in marks:
+            out.append(Checkpoint(marks[step], ens, _record(ens, marks[step], plan)))
+    return out

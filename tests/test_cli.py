@@ -234,6 +234,16 @@ def test_vpl_run_rejects_t_end_off_the_dt_grid(tmp_path, capsys):
     assert not (tmp_path / "vpl" / "timeseries.csv").exists()
 
 
+def test_em_blow_up_is_one_error_line(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", kind="bkw2d", scheme="em", n_particles=200,
+                       dt=1e200, t_end=3e200, checkpoint_every=3e200, grid_cells=16,
+                       outdir=str(tmp_path / "em"))
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "not finite" in err[0]
+    assert not (tmp_path / "em" / "manifest.json").exists()
+
+
 def test_import_loads_no_scipy():
     # the runtime is numpy and the standard library; scipy serves the tests only
     src = pathlib.Path(__file__).resolve().parent.parent / "src"

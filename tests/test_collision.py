@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from landau.analytic import sample_bkw
-from landau.collision import (EM, SBM, ParticleEnsemble, SchemeConfig,
-                              em_collision_step, random_pairing, sbm_collision_step,
-                              sbm_pair_update, simulate_homogeneous)
-from landau.errors import InvalidCheckpoint, OddParticleCount
+from landau.collision import (EM, SBM, ParticleEnsemble, SchemeConfig, collision_step,
+                              em_pair_update, random_pairing, sbm_pair_update,
+                              simulate_homogeneous)
+from landau.errors import InvalidCheckpoint, NonFiniteState, OddParticleCount
 from landau.kernels import KernelParams, kernel_K, projection
 from landau.streams import RngStream
+
+from oracles import reference_simulate_homogeneous
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -22,10 +24,16 @@ def bkw_ensemble(dim, n, seed=0):
     return ParticleEnsemble(sample_bkw(dim, t0, n, RngStream(seed)))
 
 
-def pair_sums(ens, pairing):
+def pair_sums(v, pairing):
     i, j = pairing
-    v = ens.velocities
     return v[i] + v[j], np.sum(v[i] ** 2 + v[j] ** 2, axis=1)
+
+
+def stepped(v, pairing, cfg, step=1):
+    """A copy of the velocities v after collision window ``step`` of the pairs."""
+    v = v.copy()
+    collision_step(v, *pairing, cfg, step)
+    return v
 
 
 def test_pairing_n2():
@@ -70,27 +78,27 @@ def test_pairing_uniform_over_matchings_n4():
 
 
 def test_sbm_step_zero_rate_is_identity():
-    ens = ParticleEnsemble(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    v = np.array([[1.0, 0.0], [-1.0, 0.0]])
     cfg = SchemeConfig(0.1, SBM, KernelParams(0.0, 0.0, 2), seed=1)
-    out = sbm_collision_step(ens, (np.array([0]), np.array([1])), cfg, step=1)
-    np.testing.assert_array_equal(out.velocities, ens.velocities)
+    out = stepped(v, (np.array([0]), np.array([1])), cfg)
+    np.testing.assert_array_equal(out, v)
 
 
 def test_sbm_step_degenerate_pair_unchanged():
-    ens = ParticleEnsemble(np.array([[1.0, 0.0], [1.0, 0.0], [0.4, 0.2], [-0.1, 0.3]]))
+    v = np.array([[1.0, 0.0], [1.0, 0.0], [0.4, 0.2], [-0.1, 0.3]])
     cfg = SchemeConfig(0.1, SBM, COULOMB_2D, seed=2)
-    out = sbm_collision_step(ens, (np.array([0, 2]), np.array([1, 3])), cfg, step=1)
-    np.testing.assert_array_equal(out.velocities[:2], ens.velocities[:2])
-    assert not np.array_equal(out.velocities[2:], ens.velocities[2:])
+    out = stepped(v, (np.array([0, 2]), np.array([1, 3])), cfg)
+    np.testing.assert_array_equal(out[:2], v[:2])
+    assert not np.array_equal(out[2:], v[2:])
 
 
 @pytest.mark.parametrize("kernel,dim", [(MAXWELL_2D, 2), (COULOMB_2D, 2), (MAXWELL_3D, 3)])
 def test_sbm_per_pair_conservation(kernel, dim):
-    ens = bkw_ensemble(dim, 1000, seed=4)
+    v = bkw_ensemble(dim, 1000, seed=4).velocities
     pairing = random_pairing(1000, RngStream(5))
     cfg = SchemeConfig(0.1, SBM, kernel, seed=6)
-    out = sbm_collision_step(ens, pairing, cfg, step=1)
-    s0, e0 = pair_sums(ens, pairing)
+    out = stepped(v, pairing, cfg)
+    s0, e0 = pair_sums(v, pairing)
     s1, e1 = pair_sums(out, pairing)
     np.testing.assert_allclose(s1, s0, rtol=0, atol=1e-12 * np.max(np.abs(s0)))
     np.testing.assert_allclose(e1, e0, rtol=1e-12)
@@ -110,37 +118,38 @@ def test_sbm_pair_update_same_on_any_memory_layout(kernel, dim):
 
 
 def test_em_momentum_and_zero_noise_drift():
-    ens = bkw_ensemble(2, 50 * 2, seed=7)
-    pairing = random_pairing(ens.n, RngStream(8))
+    v = bkw_ensemble(2, 50 * 2, seed=7).velocities
+    pairing = random_pairing(len(v), RngStream(8))
     cfg = SchemeConfig(0.1, EM, MAXWELL_2D, seed=9)
     i, j = pairing
-    z = ens.velocities[i] - ens.velocities[j]
+    z = v[i] - v[j]
 
-    out = em_collision_step(ens, pairing, cfg, step=1)
-    s0, _ = pair_sums(ens, pairing)
+    out = stepped(v, pairing, cfg)
+    s0, _ = pair_sums(v, pairing)
     s1, _ = pair_sums(out, pairing)
     np.testing.assert_allclose(s1, s0, rtol=0, atol=1e-12 * np.max(np.abs(s0)))
 
-    out0 = em_collision_step(ens, pairing, cfg, step=1, noise=np.zeros_like(z))
-    dv = out0.velocities[i] - ens.velocities[i]
+    out0 = v.copy()
+    em_pair_update(out0, i, j, MAXWELL_2D, cfg.dt, None, noise=np.zeros_like(z))
+    dv = out0[i] - v[i]
     np.testing.assert_allclose(dv, kernel_K(z, MAXWELL_2D) * cfg.dt, atol=1e-14)
-    np.testing.assert_allclose(out0.velocities[j] - ens.velocities[j], -dv, atol=1e-15)
+    np.testing.assert_allclose(out0[j] - v[j], -dv, atol=1e-15)
 
 
 @pytest.mark.parametrize("kernel,dim", [(MAXWELL_2D, 2), (MAXWELL_3D, 3), (COULOMB_2D, 2)])
 def test_em_energy_identity_per_realized_noise(kernel, dim):
     # Delta(|v_i|^2 + |v_j|^2) = 2 lam^2 (d-1)^2 |z|^(2g+2) dt^2
     #                          + 2 lam |z|^(g+2) (|Pi(z) xi|^2 - (d-1)) dt
-    ens = bkw_ensemble(dim, 400, seed=10)
-    pairing = random_pairing(ens.n, RngStream(11))
+    v = bkw_ensemble(dim, 400, seed=10).velocities
+    pairing = random_pairing(len(v), RngStream(11))
     dt = 0.05
-    cfg = SchemeConfig(dt, EM, kernel, seed=12)
     i, j = pairing
-    z = ens.velocities[i] - ens.velocities[j]
+    z = v[i] - v[j]
     rng = np.random.default_rng(13)
     dw = rng.standard_normal(z.shape) * np.sqrt(dt)
-    out = em_collision_step(ens, pairing, cfg, step=1, noise=dw)
-    _, e0 = pair_sums(ens, pairing)
+    out = v.copy()
+    em_pair_update(out, i, j, kernel, dt, None, noise=dw)
+    _, e0 = pair_sums(v, pairing)
     _, e1 = pair_sums(out, pairing)
     r = np.linalg.norm(z, axis=1)
     xi = dw / np.sqrt(dt)
@@ -162,14 +171,39 @@ def test_exchangeability_under_relabeling_n4():
                                     [0.9, -0.7, 0.1], [0.1, 0.4, -1.3]])):
         v = np.array(v)
         cfg = SchemeConfig(0.2, SBM, kernel, seed=14)
-        out = sbm_collision_step(ParticleEnsemble(v), (i, j), cfg, 1)
-        assert not np.any(np.all(out.velocities == v, axis=1))
+        out = stepped(v, (i, j), cfg)
+        assert not np.any(np.all(out == v, axis=1))
 
         v2 = np.empty_like(v)
         v2[perm] = v
-        out2 = sbm_collision_step(ParticleEnsemble(v2), (perm[i], perm[j]), cfg, 1)
+        out2 = stepped(v2, (perm[i], perm[j]), cfg)
 
-        np.testing.assert_array_equal(out2.velocities[perm], out.velocities)
+        np.testing.assert_array_equal(out2[perm], out)
+
+
+@pytest.mark.parametrize("scheme,kernel", [(SBM, MAXWELL_2D), (SBM, COULOMB_3D), (EM, MAXWELL_2D)])
+def test_simulate_matches_reference_bitwise(scheme, kernel):
+    # one array updated in place gives the snapshots of a fresh ensemble per window
+    ens = bkw_ensemble(kernel.dim, 2000, seed=23)
+    v0 = ens.velocities.copy()
+    cfg = SchemeConfig(0.1, scheme, kernel, seed=24)
+    got = simulate_homogeneous(cfg, ens, 2.0, [0.0, 1.0, 2.0], store_snapshots=True)
+    want = reference_simulate_homogeneous(cfg, ens, 2.0, [0.0, 1.0, 2.0])
+    assert [c.time for c in got] == [c.time for c in want] == [0.0, 1.0, 2.0]
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.ensemble.velocities, b.ensemble.velocities)
+        assert a.record.kinetic_energy == b.record.kinetic_energy
+    assert not np.array_equal(got[-1].ensemble.velocities, v0)
+    np.testing.assert_array_equal(ens.velocities, v0)
+
+
+def test_em_blow_up_raises_non_finite_state():
+    ens = bkw_ensemble(2, 200, seed=25)
+    v0 = ens.velocities.copy()
+    cfg = SchemeConfig(1e200, EM, MAXWELL_2D, seed=26)
+    with pytest.raises(NonFiniteState, match="Euler-Maruyama"):
+        simulate_homogeneous(cfg, ens, 3e200, [3e200])
+    np.testing.assert_array_equal(ens.velocities, v0)
 
 
 def test_simulate_determinism_and_zero_t_end():
