@@ -17,7 +17,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, DensityGrid, mollified_density, moments, entropy, relative_l2_error
 from .errors import InvalidCheckpoint, InvalidSamplerForDim, NonFiniteState, OddParticleCount
-from .kernels import KernelParams, Z_FLOOR, kernel_K, kernel_sigma, time_scale_k
+from .kernels import KernelParams, Z_FLOOR, _sq_norm, kernel_K, kernel_sigma, time_scale_k
 from .sphere import SamplerKind, default_sampler, sample_sbm_batch
 from .streams import RngStream, DOMAIN_PAIRING, DOMAIN_COLLISION
 
@@ -76,8 +76,9 @@ def random_pairing(n, rng: RngStream):
     """Uniformly random perfect matching as index arrays (i, j): a shuffle taken two at a time."""
     if n < 2 or n % 2 != 0:
         raise OddParticleCount(f"need an even number of particles >= 2, got {n}")
-    perm = rng.generator().permutation(n)
-    return perm[0::2], perm[1::2]
+    # contiguous halves: np.take and np.put copy a strided index before use
+    i, j = rng.generator().permutation(n).reshape(-1, 2).T.copy()
+    return i, j
 
 
 def _put_rows(v, idx, rows):
@@ -101,23 +102,34 @@ def sbm_pair_update(v, i, j, kernel: KernelParams, dt, rng: RngStream):
     """
     if kernel.lam == 0:
         return
-    # np.take gathers whole rows several times faster than v[i] at large n
-    vi = np.take(v, i, axis=0)
-    vj = np.take(v, j, axis=0)
-    z = vi - vj
-    s = np.add(vi, vj, out=vi)
-    del vj
-    r = np.sqrt(np.einsum("ij,ij->i", z, z))
+    # np.take gathers whole rows several times faster than v[i] at large n;
+    # the gather of v_j then holds the sampler's output. Every product with
+    # a per-pair scalar runs one column at a time: an (m, 1) broadcast runs
+    # numpy's inner loop over only d elements per row.
+    s = np.take(v, i, axis=0)
+    zp = np.take(v, j, axis=0)
+    z = s - zp
+    s += zp
+    # |z|^2 by columns is bitwise the einsum in 2D; in 3D the einsum adds (a + c) + b
+    r = _sq_norm(z)[1] if v.shape[1] == 2 else np.einsum("ij,ij->i", z, z)
+    np.sqrt(r, out=r)
     good = r >= Z_FLOOR
     if not good.all():
         keep = np.flatnonzero(good)
-        i, j, z, s, r = i[keep], j[keep], z[keep], s[keep], r[keep]
-    tau = time_scale_k(z, kernel) * dt
-    zp = sample_sbm_batch(np.divide(z, r[:, None], out=z), tau,
-                          default_sampler(v.shape[1]), rng)
-    zp *= r[:, None]
-    _put_rows(v, i, (s + zp) / 2.0)
-    _put_rows(v, j, (s - zp) / 2.0)
+        i, j, z, s, r, zp = i[keep], j[keep], z[keep], s[keep], r[keep], zp[keep]
+    tau = time_scale_k(z, kernel)
+    tau *= dt
+    for col in z.T:
+        col /= r
+    sample_sbm_batch(z, tau, default_sampler(v.shape[1]), rng, out=zp)
+    for col in zp.T:
+        col *= r
+    half = np.add(s, zp, out=z)
+    half /= 2.0
+    _put_rows(v, i, half)
+    half = np.subtract(s, zp, out=s)
+    half /= 2.0
+    _put_rows(v, j, half)
 
 
 def em_pair_update(v, i, j, kernel: KernelParams, dt, rng: RngStream, noise=None):

@@ -35,7 +35,11 @@ def _sq_norm(z):
     z = np.asarray(z, dtype=float)
     if z.shape[-1] not in (2, 3):
         raise ValueError(f"expected velocity vectors of length 2 or 3, got {z.shape}")
-    return z, np.sum(z * z, axis=-1)
+    # a sum of columns, (a + b) + c: np.sum(z * z, axis=-1)'s order, without an (..., d) square
+    r2 = z[..., 0] * z[..., 0]
+    for a in range(1, z.shape[-1]):
+        r2 += z[..., a] * z[..., a]
+    return z, r2
 
 
 def _check_floor(r2, what):

@@ -88,7 +88,14 @@ def _check_kind(kind, dim):
         raise InvalidSamplerForDim(f"{kind} does not sample S^{dim - 1}")
 
 
-def _so3_lift(y0, t, gen):
+def _sinc(x):
+    """np.sinc(x) = sin(pi x) / (pi x), bitwise, computed in the buffer of x."""
+    y = np.multiply(x, np.pi, out=x)
+    y[y == 0] = np.finfo(float).eps
+    return np.divide(np.sin(y), y, out=y)
+
+
+def _so3_lift(y0, t, gen, out=None):
     """Spherical Brownian motion on S^2 from y0 for times t, exactly.
 
     Rotates y0 by omega, a draw of the SO(3) heat kernel at time t in
@@ -97,19 +104,22 @@ def _so3_lift(y0, t, gen):
     probability exp(-t/8). The two Laplacians share the eigenvalues
     l(l+1), so E[P_l(y0 . y)] = exp(-l(l+1) t / 2). The law drops only the
     negative-weight shell 2 pi < psi < 4 pi, of mass below 1e-50 for
-    t < _MIXTURE_MIN_TAU.
+    t < _MIXTURE_MIN_TAU. The rotated rows go to ``out`` when given.
     """
-    sq = np.sqrt(t)[:, None]
-    omega = gen.standard_normal((t.size, 3)) * sq
+    omega = gen.standard_normal((t.size, 3))
+    sq = np.sqrt(t)
+    for col in omega.T:
+        col *= sq
+    del sq
     psi = np.sqrt(np.einsum("ij,ij->i", omega, omega))
-    half = np.sinc(psi / (2.0 * np.pi))
+    half = _sinc(psi / (2.0 * np.pi))
     todo = np.flatnonzero(gen.random(t.size) >= half)
     for _ in range(_LIFT_MAX_ROUNDS - 1):
         if todo.size == 0:
             break
-        w = gen.standard_normal((todo.size, 3)) * sq[todo]
+        w = gen.standard_normal((todo.size, 3)) * np.sqrt(t[todo])[:, None]
         p = np.sqrt(np.einsum("ij,ij->i", w, w))
-        hp = np.sinc(p / (2.0 * np.pi))
+        hp = _sinc(p / (2.0 * np.pi))
         keep = gen.random(todo.size) < hp
         rows = todo[keep]
         omega[rows], psi[rows], half[rows] = w[keep], p[keep], hp[keep]
@@ -117,22 +127,35 @@ def _so3_lift(y0, t, gen):
     if todo.size:
         raise FixedPointNotConverged(
             f"SO(3) lift: {todo.size} rows still rejected after {_LIFT_MAX_ROUNDS} rounds")
-    return _rodrigues(omega, psi, half, y0)
+    return _rodrigues(omega, psi, half, y0, out)
 
 
-def _rodrigues(omega, psi, half, y):
-    """Rotate the rows of y by the rotation vectors omega of lengths psi, then
-    renormalize: cos psi y + sinc(psi) omega x y + half^2 / 2 (omega . y) omega,
-    half = sinc(psi/2), sinc(x) = sin(x) / x from np.sinc, so psi = 0 needs no
-    division; the cross product is np.cross's, written out by columns."""
-    (o0, o1, o2), (y0, y1, y2) = omega.T, y.T
-    s = np.sinc(psi / np.pi)
-    out = np.cos(psi)[:, None] * y
-    out[:, 0] += s * (o1 * y2 - o2 * y1)
-    out[:, 1] += s * (o2 * y0 - o0 * y2)
-    out[:, 2] += s * (o0 * y1 - o1 * y0)
-    out += (0.5 * half * half * np.einsum("ij,ij->i", omega, y))[:, None] * omega
-    out /= np.linalg.norm(out, axis=1)[:, None]
+def _rodrigues(omega, psi, half, y, out=None):
+    """Rotate the rows of y into ``out`` by the rotation vectors omega of
+    lengths psi, then renormalize: cos psi y + sinc(psi) omega x y
+    + half^2 / 2 (omega . y) omega, half = sinc(psi/2), sinc(x) = sin(x) / x,
+    so psi = 0 needs no division. One column at a time, with np.cross's
+    products and np.linalg.norm's sum order; psi and half are overwritten."""
+    out = np.empty_like(omega) if out is None else out
+    (o0, o1, o2), (y0, y1, y2), (r0, r1, r2) = omega.T, y.T, out.T
+    c = np.cos(psi)
+    for r, yc in zip(out.T, y.T):
+        np.multiply(c, yc, out=r)
+    s = _sinc(np.divide(psi, np.pi, out=psi))
+    r0 += s * (o1 * y2 - o2 * y1)
+    r1 += s * (o2 * y0 - o0 * y2)
+    r2 += s * (o0 * y1 - o1 * y0)
+    w = np.multiply(half, 0.5, out=s)
+    w *= half
+    w *= np.einsum("ij,ij->i", omega, y)
+    for r, oc in zip(out.T, omega.T):
+        r += np.multiply(w, oc, out=half)
+    norm = np.multiply(r0, r0, out=c)
+    norm += np.multiply(r1, r1, out=half)
+    norm += np.multiply(r2, r2, out=half)
+    np.sqrt(norm, out=norm)
+    for r in out.T:
+        r /= norm
     return out
 
 
@@ -165,11 +188,11 @@ def _death_process_draws(t, gen):
     return out
 
 
-def _sample_s2(y0, t, gen):
+def _sample_s2(y0, t, gen, res):
+    """End points of SBM on S^2 from the rows of y0 for times t, into res."""
     small = t < _MIXTURE_MIN_TAU
     if small.all():
-        return _so3_lift(y0, t, gen)
-    res = np.empty_like(y0)
+        return _so3_lift(y0, t, gen, res)
     big = np.flatnonzero(~small)
     tb = t[big]
     mix = tb < _uniform_time(3)
@@ -219,12 +242,14 @@ def rotate_from_pole(start, local):
     return unit(out)
 
 
-def sample_sbm_batch(starts, taus, kind, rng: RngStream):
+def sample_sbm_batch(starts, taus, kind, rng: RngStream, out=None):
     """Sample SBM increments for a batch of start points and times.
 
     ``kind`` must be ``default_sampler(dim)``. Every tau must be >= 0: rows
     with tau = 0 keep their start point and tau = inf samples the uniform
-    law. Returns a new array aligned with ``starts``.
+    law. Returns the end points aligned with ``starts``, in ``out`` when
+    given (an (n, dim) float array that does not overlap ``starts``, which
+    is never written).
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     n, dim = starts.shape
@@ -232,14 +257,17 @@ def sample_sbm_batch(starts, taus, kind, rng: RngStream):
     if not np.all(taus >= 0):
         raise ValueError("tau must be >= 0 and not NaN")
     _check_kind(kind, dim)
+    if out is None:
+        out = np.empty((n, dim))
     active = taus > 0
-    # with every tau > 0 (the usual case) the batch is sampled without copies
+    # with every tau > 0 (the usual case) the batch is sampled into out without copies
     idx = None if active.all() else np.flatnonzero(active)
     y0, t = (starts, taus) if idx is None else (starts[idx], taus[idx])
+    res = out if idx is None else np.empty_like(y0)
     gen = rng.generator()
 
     if dim == 3:
-        res = _sample_s2(y0, t, gen)
+        _sample_s2(y0, t, gen, res)
     else:
         a = np.sqrt(t) * gen.standard_normal(t.size)
         unif = t >= _uniform_time(2)
@@ -247,11 +275,15 @@ def sample_sbm_batch(starts, taus, kind, rng: RngStream):
             a[unif] = gen.uniform(0.0, 2.0 * np.pi, int(np.count_nonzero(unif)))
         c = np.cos(a)
         sn = np.sin(a, out=a)
-        res = np.empty_like(y0)
-        res[:, 0] = c * y0[:, 0] - sn * y0[:, 1]
-        res[:, 1] = sn * y0[:, 0] + c * y0[:, 1]
-    if idx is None:
-        return res
-    out = starts.copy()
-    out[idx] = res
+        # res = (c x0 - sn x1, sn x0 + c x1), one column at a time, with
+        # r1 and then sn as the scratch for the second product
+        (x0, x1), (r0, r1) = y0.T, res.T
+        np.multiply(sn, x1, out=r1)
+        np.multiply(c, x0, out=r0)
+        r0 -= r1
+        np.multiply(sn, x0, out=r1)
+        r1 += np.multiply(c, x1, out=sn)
+    if idx is not None:
+        out[...] = starts
+        out[idx] = res
     return out

@@ -323,7 +323,7 @@ def vpl_diagnostics(state: VplState, grid: PicGrid) -> VplDiagnostics:
     e2 = float(np.sum(state.field**2) * grid.dx)
     ke = 0.5 * state.charge * float(np.sum(state.velocities**2))
     ee = 0.5 * e2
-    mom = state.charge * np.sum(state.velocities, axis=0)
+    mom = state.charge * np.einsum("ij->j", state.velocities)  # np.sum(axis=0), bitwise
     return VplDiagnostics(time=state.time, electric_l2=math.sqrt(e2),
                           kinetic_energy=ke, electric_energy=ee,
                           total_energy=ke + ee, momentum=mom)

@@ -16,8 +16,9 @@ from scipy.special import eval_legendre, wofz
 
 from landau.analytic import BIMAX_U1, BIMAX_U2, DAMPING_WAVENUMBER
 from landau.collision import (SBM, Checkpoint, DiagnosticsPlan, ParticleEnsemble, _record,
-                              random_pairing, sbm_pair_update, step_count)
+                              random_pairing, step_count)
 from landau.kernels import Z_FLOOR, kernel_K, kernel_sigma
+from landau.sphere import _MIXTURE_MIN_TAU, _death_process_draws, _uniform_time, rotate_from_pole
 from landau.streams import DOMAIN_COLLISION, DOMAIN_PAIRING, RngStream
 
 
@@ -305,6 +306,100 @@ def reference_so3_lift(y0, t, gen, max_rounds=64):
     return out
 
 
+def reference_rodrigues(omega, psi, half, y):
+    """Rodrigues rotation of the rows of y by omega with every per-row scalar
+    broadcast over the columns and the norm taken by np.linalg.norm."""
+    (o0, o1, o2), (y0, y1, y2) = omega.T, y.T
+    s = np.sinc(psi / np.pi)
+    out = np.cos(psi)[:, None] * y
+    out[:, 0] += s * (o1 * y2 - o2 * y1)
+    out[:, 1] += s * (o2 * y0 - o0 * y2)
+    out[:, 2] += s * (o0 * y1 - o1 * y0)
+    out += (0.5 * half * half * np.einsum("ij,ij->i", omega, y))[:, None] * omega
+    out /= np.linalg.norm(out, axis=1)[:, None]
+    return out
+
+
+def _reference_sample_s2(y0, t, gen):
+    small = t < _MIXTURE_MIN_TAU
+    if small.all():
+        return reference_so3_lift(y0, t, gen)
+    res = np.empty_like(y0)
+    big = np.flatnonzero(~small)
+    tb = t[big]
+    mix = tb < _uniform_time(3)
+    m = np.zeros(tb.size, dtype=np.int64)
+    m[mix] = _death_process_draws(tb[mix], gen)
+    x = 1.0 - 2.0 * gen.beta(1.0, 1.0 + m)
+    phi = gen.uniform(0.0, 2.0 * np.pi, tb.size)
+    sin_th = np.sqrt(np.maximum(1.0 - x * x, 0.0))
+    local = np.column_stack([sin_th * np.cos(phi), sin_th * np.sin(phi), x])
+    res[big] = rotate_from_pole(y0[big], local)
+    if small.any():
+        res[small] = reference_so3_lift(y0[small], t[small], gen)
+    return res
+
+
+def reference_sample_sbm_batch(starts, taus, rng):
+    """SBM end points in a fresh array: the circle rotation with both columns
+    formed at once, and on S^2 the band split with the reference lift (the
+    death-process draws and rotate_from_pole are the solver's own)."""
+    starts = np.atleast_2d(np.asarray(starts, dtype=float))
+    n, dim = starts.shape
+    taus = np.broadcast_to(np.asarray(taus, dtype=float), (n,))
+    active = taus > 0
+    y0, t = starts[active], taus[active]
+    gen = rng.generator()
+    if dim == 3:
+        res = _reference_sample_s2(y0, t, gen)
+    else:
+        a = np.sqrt(t) * gen.standard_normal(t.size)
+        unif = t >= _uniform_time(2)
+        if unif.any():
+            a[unif] = gen.uniform(0.0, 2.0 * np.pi, int(np.count_nonzero(unif)))
+        c, sn = np.cos(a), np.sin(a)
+        res = np.empty_like(y0)
+        res[:, 0] = c * y0[:, 0] - sn * y0[:, 1]
+        res[:, 1] = sn * y0[:, 0] + c * y0[:, 1]
+    out = starts.copy()
+    out[active] = res
+    return out
+
+
+def reference_sbm_pair_update(v, i, j, kernel, dt, rng):
+    """SBM pair collisions of (i[k], j[k]) in v, in place, with fresh arrays
+    for z, s, the sampler's end points and both halves, (m, 1) broadcasts
+    for |z| and the time scale 4 lam |z|^gamma from np.sum(z * z, axis=-1)."""
+    if kernel.lam == 0:
+        return
+    vi, vj = v[i], v[j]
+    z = vi - vj
+    s = vi + vj
+    r = np.sqrt(np.einsum("ij,ij->i", z, z))
+    good = r >= Z_FLOOR
+    i, j, z, s, r = i[good], j[good], z[good], s[good], r[good]
+    if kernel.gamma == 0:
+        k = np.full(r.shape, 4.0 * kernel.lam)
+    else:
+        k = 4.0 * kernel.lam * np.power(np.sum(z * z, axis=-1), kernel.gamma / 2.0)
+    zp = reference_sample_sbm_batch(z / r[:, None], k * dt, rng)
+    zp *= r[:, None]
+    v[i] = (s + zp) / 2.0
+    v[j] = (s - zp) / 2.0
+
+
+def reference_save_grid_csv(grid, path):
+    """The CSV grid writer that formats one row at a time."""
+    mesh = grid.center_mesh().reshape(-1, grid.dim)
+    vals = grid.values.reshape(-1)
+    cols = [f"v{a}" for a in range(grid.dim)]
+    with open(path, "w") as fh:
+        fh.write(f"# dim={grid.dim} lo={grid.lo!r} hi={grid.hi!r} n_grid={grid.n_grid}\n")
+        fh.write(",".join(cols + ["value"]) + "\n")
+        for row, val in zip(mesh, vals):
+            fh.write(",".join(f"{x:.17g}" for x in row) + f",{val:.17g}\n")
+
+
 def bimaxwellian_density(v):
     """Anisotropic 2D initial condition: (0.4, 1.6)/(4 pi) Gaussian mixture."""
     v = np.asarray(v, dtype=float)
@@ -333,8 +428,8 @@ def save_grid_binary(grid, path):
 
 def _reference_sbm_step(ens, pairing, cfg, step):
     v = ens.velocities.copy()
-    sbm_pair_update(v, *pairing, cfg.kernel, cfg.dt,
-                    RngStream(cfg.seed, step=step, domain=DOMAIN_COLLISION))
+    reference_sbm_pair_update(v, *pairing, cfg.kernel, cfg.dt,
+                              RngStream(cfg.seed, step=step, domain=DOMAIN_COLLISION))
     return ParticleEnsemble(v)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,11 @@ from landau.collision import (EM, SBM, ParticleEnsemble, SchemeConfig, collision
                               em_pair_update, random_pairing, sbm_pair_update,
                               simulate_homogeneous)
 from landau.errors import InvalidCheckpoint, NonFiniteState, OddParticleCount
-from landau.kernels import KernelParams, kernel_K, projection
-from landau.streams import RngStream
+from landau.kernels import KernelParams, Z_FLOOR, kernel_K, projection, time_scale_k
+from landau.sphere import _MIXTURE_MIN_TAU, _uniform_time
+from landau.streams import DOMAIN_PAIRING, RngStream
 
-from oracles import reference_simulate_homogeneous
+from oracles import reference_sbm_pair_update, reference_simulate_homogeneous
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -53,6 +56,11 @@ def test_pairing_rejects_odd_and_small():
 def test_pairing_involution_no_fixed_points(n):
     i, j = random_pairing(n, RngStream(3, step=n))
     assert i.shape == j.shape == (n // 2,)
+    # contiguous copies of the shuffle's alternate entries
+    assert i.flags.c_contiguous and j.flags.c_contiguous
+    perm = RngStream(3, step=n).generator().permutation(n)
+    np.testing.assert_array_equal(i, perm[0::2])
+    np.testing.assert_array_equal(j, perm[1::2])
     # the two halves are disjoint and together cover 0..n-1
     np.testing.assert_array_equal(np.sort(np.concatenate([i, j])), np.arange(n))
     # so the partner map they define is a fixed-point-free involution
@@ -115,6 +123,58 @@ def test_sbm_pair_update_same_on_any_memory_layout(kernel, dim):
     assert not np.array_equal(out["c"], v)
     np.testing.assert_array_equal(out["f"], out["c"])
     np.testing.assert_array_equal(out["strided"], out["c"])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("gamma", [0.0, -2.0, -3.0])
+def test_sbm_pair_update_matches_reference_bitwise(dim, gamma):
+    # BKW pairs, plus pairs at |z| = 0, below the floor and at small |z|
+    # (large tau when gamma < 0); three dt put gamma = 0 in every band
+    kernel = KernelParams(1.0 / 8.0, gamma, dim)
+    v0 = bkw_ensemble(dim, 4000, seed=20).velocities
+    i, j = random_pairing(4000, RngStream(21))
+    g = np.random.default_rng(22)
+    v0[j[:5]] = v0[i[:5]]
+    v0[j[5:10]] = v0[i[5:10]] + 1e-15
+    v0[j[10:60]] = v0[i[10:60]] + 10.0 ** g.uniform(-3.0, -0.5, (50, 1)) * g.standard_normal((50, dim))
+    z = v0[i] - v0[j]
+    r = np.linalg.norm(z, axis=1)
+    assert np.any(r == 0) and np.any((r > 0) & (r < Z_FLOOR))
+    taus = []
+    for dt in (0.1, 2.0, 500.0):
+        want = v0.copy()
+        reference_sbm_pair_update(want, i, j, kernel, dt, RngStream(23))
+        assert not np.array_equal(want, v0)
+        np.testing.assert_array_equal(want[i[:10]], v0[i[:10]])
+        for w in (v0.copy(), np.asfortranarray(v0), v0.repeat(2, axis=0)[::2]):
+            sbm_pair_update(w, i, j, kernel, dt, RngStream(23))
+            np.testing.assert_array_equal(w, want)
+        taus.append(time_scale_k(z[r >= Z_FLOOR], kernel) * dt)
+    taus = np.concatenate(taus)
+    assert np.any(taus < _MIXTURE_MIN_TAU)
+    assert np.any((taus >= _MIXTURE_MIN_TAU) & (taus < _uniform_time(dim)))
+    assert np.any(taus >= _uniform_time(dim))
+
+
+# tracemalloc peaks of one collision_step at N = 1e5 before the column-wise
+# kernel; numpy reports its buffers to tracemalloc
+STEP_PEAK_MB = {(2, 0.0): 4.95, (3, 0.0): 9.35, (3, -3.0): 12.10}
+
+
+@pytest.mark.parametrize("dim,gamma", list(STEP_PEAK_MB))
+def test_collision_step_memory_peak(dim, gamma):
+    v = bkw_ensemble(dim, 100_000, seed=1).velocities
+    cfg = SchemeConfig(0.1, SBM, KernelParams(1.0 / 8.0 if dim == 2 else 1.0 / 12.0, gamma, dim),
+                       seed=3)
+    i, j = random_pairing(len(v), RngStream(3, step=1, domain=DOMAIN_PAIRING))
+    collision_step(v, i, j, cfg, 1)  # first call: lazy imports and caches
+    tracemalloc.start()
+    try:
+        collision_step(v, i, j, cfg, 2)
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak <= STEP_PEAK_MB[dim, gamma]
 
 
 def test_em_momentum_and_zero_noise_drift():

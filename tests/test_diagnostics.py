@@ -11,7 +11,8 @@ from landau.diagnostics import (DensityGrid, entropy, load_grid_binary, load_gri
 from landau.errors import EmptyEnsemble, FormatError, GridMismatch
 from landau.streams import RngStream
 
-from oracles import direct_mollified_density, reference_mollified_density, save_grid_binary
+from oracles import (direct_mollified_density, reference_mollified_density, reference_save_grid_csv,
+                     save_grid_binary)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -240,6 +241,15 @@ def test_grid_roundtrip_binary(tmp_path):
     np.testing.assert_array_equal(back.values, grid.values)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [1001, 20_003, 100_001])
+def test_momentum_adds_the_rows_in_order(dim, n):
+    # bitwise np.sum(v, axis=0) of a C-ordered array; n is not a multiple of 8
+    for seed in range(4):
+        v = np.random.default_rng(seed).standard_normal((n, dim)) * 3.0 + 0.5
+        np.testing.assert_array_equal(moments(v).momentum, np.sum(v, axis=0))
+
+
 def test_grid_roundtrip_csv(tmp_path):
     gen = RngStream(8).generator()
     grid = DensityGrid(2, -3.0, 3.0, 8, gen.random((8, 8)))
@@ -248,6 +258,19 @@ def test_grid_roundtrip_csv(tmp_path):
     back = load_grid_csv(p)
     assert back.congruent(grid)
     np.testing.assert_array_equal(back.values, grid.values)
+
+
+@pytest.mark.parametrize("dim,n_grid", [(2, 160), (3, 6)])
+def test_csv_writer_matches_reference_bytes(tmp_path, dim, n_grid):
+    # the 160^2 rows span two of the writer's blocks
+    g = np.random.default_rng(9)
+    shape = (n_grid,) * dim
+    vals = g.standard_normal(shape) * 10.0 ** g.integers(-300, 300, shape)
+    vals.flat[:4] = [0.0, -0.0, 5e-324, -np.finfo(float).max]
+    grid = DensityGrid(dim, -8.0, 8.0 / 3.0, n_grid, vals)
+    save_grid_csv(grid, tmp_path / "got.csv")
+    reference_save_grid_csv(grid, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_truncated_binary_raises(tmp_path):

@@ -14,8 +14,8 @@ from landau.sphere import (SamplerKind, _death_process_probs, _rodrigues, _so3_l
                            default_sampler, rotate_from_pole, sample_sbm_batch, unit)
 from landau.streams import RngStream
 
-from oracles import (death_process_probs, heat_kernel_cos_cdf, reference_so3_lift,
-                     so3_lift_legendre_moment)
+from oracles import (death_process_probs, heat_kernel_cos_cdf, reference_rodrigues,
+                     reference_sample_sbm_batch, reference_so3_lift, so3_lift_legendre_moment)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -281,6 +281,36 @@ def test_lift_matches_reference_bitwise(taus):
     assert np.any(first.random(taus.size) >= np.sinc(np.linalg.norm(w, axis=1) / (2.0 * np.pi)))
     got = _so3_lift(starts, taus, np.random.default_rng(58))
     np.testing.assert_array_equal(got, reference_so3_lift(starts, taus, np.random.default_rng(58)))
+
+
+def test_rodrigues_and_sinc_match_reference_bitwise():
+    g = np.random.default_rng(62)
+    omega = g.standard_normal((1000, 3)) * np.geomspace(1e-9, 4.0 * np.pi, 1000)[:, None]
+    omega[:3] = 0.0
+    y = unit(g.standard_normal((1000, 3)))
+    psi = np.sqrt(np.einsum("ij,ij->i", omega, omega))
+    half = np.sinc(psi / (2.0 * np.pi))
+    want = reference_rodrigues(omega, psi, half, y)
+    np.testing.assert_array_equal(_rodrigues(omega, psi.copy(), half.copy(), y), want)
+    x = np.concatenate([[0.0, -0.0, 5e-324, 1e-300], np.linspace(-3.0, 3.0, 601)])
+    np.testing.assert_array_equal(sphere._sinc(x.copy()), np.sinc(x))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("zero_taus", [False, True], ids=["all-active", "some-zero"])
+def test_sample_into_out_never_writes_starts(dim, zero_taus):
+    # lift (or small-angle), mixture and uniform bands in one batch
+    taus = np.concatenate([np.geomspace(1e-4, 0.149, 100), np.geomspace(0.15, 45.0, 100),
+                           np.full(50, 100.0)])
+    if zero_taus:
+        taus[::7] = 0.0
+    starts = unit(np.random.default_rng(60).standard_normal((taus.size, dim)))
+    keep = starts.copy()
+    out = np.full_like(starts, np.nan)
+    got = sample_sbm_batch(starts, taus, default_sampler(dim), RngStream(61), out=out)
+    assert got is out
+    np.testing.assert_array_equal(starts, keep)
+    np.testing.assert_array_equal(out, reference_sample_sbm_batch(keep, taus, RngStream(61)))
 
 
 def test_lift_raises_at_its_round_cap(monkeypatch):
