@@ -26,8 +26,7 @@ from . import __version__
 from .analytic import BKW_LAMBDA, bkw_density, bkw_t_min, sample_bkw, sample_bimaxwellian
 from .collision import (EM, SBM, DiagnosticsPlan, ParticleEnsemble, SchemeConfig,
                         collision_step, random_pairing, simulate_homogeneous)
-from .diagnostics import (DensityGrid, load_grid_binary, load_grid_csv,
-                          mollified_density, save_grid_csv,
+from .diagnostics import (DensityGrid, load_grid_csv, save_grid_csv,
                           DEFAULT_GRID_CELLS, DEFAULT_GRID_EXTENT)
 from .errors import ConfigError, FormatError, LandauError
 from .kernels import KernelParams
@@ -73,11 +72,17 @@ class ExperimentConfig(SimpleNamespace):
             raise ConfigError("n_list: the log-log fit needs two distinct particle counts")
         if (values.get("reference_path") is None) != (values.get("reference_time") is None):
             raise ConfigError("reference_time: give it together with reference_path")
-        if "checkpoint_every" in values and cfg.checkpoint_times()[-1] != round(cfg.t_end, 12):
-            raise ConfigError("t_end: must be a multiple of checkpoint_every")
-        if "dump_density_at" in values and \
-                not set(cfg.dump_density_at) <= set(cfg.checkpoint_times()):
-            raise ConfigError("dump_density_at: every dump time must be a checkpoint time")
+        if "checkpoint_every" in values:
+            times = cfg.checkpoint_times()
+            if times[-1] != round(cfg.t_end, 12):
+                raise ConfigError("t_end: must be a multiple of checkpoint_every")
+            # a time between checkpoints would be skipped without a word; no
+            # reference (None) passes as t = 0
+            for name, asked in (("dump_density_at", cfg.dump_density_at),
+                                ("reference_time", [values.get("reference_time") or 0.0])):
+                if not set(asked) <= set(times):
+                    raise ConfigError(f"{name}: every time must be a checkpoint time "
+                                      "(a multiple of checkpoint_every up to t_end)")
         return cfg
 
     @classmethod
@@ -161,8 +166,8 @@ def _write_csv(path, header, rows):
 
 
 def load_reference_density(path) -> DensityGrid:
-    """Load and validate an externally produced reference density grid."""
-    grid = load_grid_csv(path) if str(path).endswith(".csv") else load_grid_binary(path)
+    """Load and validate an externally produced reference density grid (CSV)."""
+    grid = load_grid_csv(path)
     if np.any(grid.values < 0):
         raise FormatError(f"{path}: negative density values")
     return grid
@@ -191,13 +196,12 @@ def _reference_fn(cfg: ExperimentConfig, grid: DensityGrid):
 
 def _run_homogeneous(cfg: ExperimentConfig, outdir):
     grid = DensityGrid(cfg.dim, -cfg.grid_extent, cfg.grid_extent, cfg.grid_cells)
-    plan = DiagnosticsPlan(grid=grid, eps=cfg.eps, reference=_reference_fn(cfg, grid))
+    plan = DiagnosticsPlan(grid=grid, eps=cfg.eps, reference=_reference_fn(cfg, grid),
+                           keep_density_at=frozenset(cfg.dump_density_at))
     scheme = SchemeConfig(cfg.dt, cfg.scheme, cfg.kernel(), seed=cfg.seed)
     init = _initial_ensemble(cfg, cfg.n_particles, cfg.seed)
-    dump_at = set(cfg.dump_density_at)
     t_start = time.perf_counter()
-    results = simulate_homogeneous(scheme, init, cfg.t_end, cfg.checkpoint_times(), plan,
-                                   store_snapshots=bool(dump_at))
+    results = simulate_homogeneous(scheme, init, cfg.t_end, cfg.checkpoint_times(), plan)
     elapsed = time.perf_counter() - t_start
 
     mom_cols = [f"momentum_{ax}" for ax in "xyz"[: cfg.dim]]
@@ -207,10 +211,9 @@ def _run_homogeneous(cfg: ExperimentConfig, outdir):
     _write_csv(diag_path, ["time", *mom_cols, "kinetic_energy", "entropy", "rel_l2_error"], rows)
     outputs = [diag_path]
     for c in results:
-        if c.time in dump_at and c.ensemble is not None:
-            dens = mollified_density(c.ensemble, cfg.eps, grid)
+        if c.record.density is not None:
             p = os.path.join(outdir, f"density_t{c.time:g}.csv")
-            save_grid_csv(dens, p)
+            save_grid_csv(c.record.density, p)
             outputs.append(p)
     summary = {
         "final_time": results[-1].time,

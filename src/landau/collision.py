@@ -168,11 +168,13 @@ def collision_step(v, i, j, cfg: SchemeConfig, step: int):
 
 @dataclass
 class DiagnosticsPlan:
-    """What to evaluate at each checkpoint of a homogeneous run."""
+    """What to evaluate at each checkpoint of a homogeneous run. The density
+    grids of the checkpoints at ``keep_density_at`` stay on their records."""
 
     grid: Optional[DensityGrid] = None
     eps: float = 0.01
     reference: Optional[Callable[[float], np.ndarray]] = None  # t -> values on grid
+    keep_density_at: frozenset = frozenset()
 
 
 @dataclass
@@ -192,8 +194,7 @@ def step_count(t, dt):
 
 def _record(ens, t, plan: DiagnosticsPlan):
     mom = moments(ens)
-    ent = None
-    rel = None
+    dens = ent = rel = None
     if plan.grid is not None:
         dens = mollified_density(ens, plan.eps, plan.grid)
         ent = entropy(dens)
@@ -204,7 +205,8 @@ def _record(ens, t, plan: DiagnosticsPlan):
             rel = relative_l2_error(ref, dens)
     return DiagnosticsRecord(time=t, momentum=mom.momentum,
                              kinetic_energy=mom.kinetic_energy,
-                             entropy=ent, rel_l2_error=rel)
+                             entropy=ent, rel_l2_error=rel,
+                             density=dens if t in plan.keep_density_at else None)
 
 
 def simulate_homogeneous(cfg: SchemeConfig, init: ParticleEnsemble, t_end, checkpoints,

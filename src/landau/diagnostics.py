@@ -6,7 +6,6 @@ mollifier variance `eps` is a post-processing parameter only; 0.01 is the
 default used by all shipped experiments.
 """
 
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -186,7 +185,8 @@ class DiagnosticsRecord:
     """Per-checkpoint summary of a homogeneous run.
 
     entropy and rel_l2_error are None when the run has no density grid or no
-    reference applies at that checkpoint.
+    reference applies at that checkpoint; density holds the grid only at the
+    times the plan keeps.
     """
 
     time: float
@@ -194,38 +194,20 @@ class DiagnosticsRecord:
     kinetic_energy: float
     entropy: Optional[float] = None
     rel_l2_error: Optional[float] = None
+    density: Optional[DensityGrid] = None
 
 
 # --- DensityGrid serialization -------------------------------------------
 
-_BIN_HEADER = struct.Struct("<IddI")
-
-
-def load_grid_binary(path) -> DensityGrid:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _BIN_HEADER.size:
-        raise FormatError(f"{path}: truncated header at byte {len(raw)}")
-    dim, lo, hi, ng = _BIN_HEADER.unpack_from(raw)
-    if dim not in (2, 3) or ng < 1 or not hi > lo:
-        raise FormatError(f"{path}: invalid header (dim={dim}, lo={lo}, hi={hi}, n={ng})")
-    need = _BIN_HEADER.size + 8 * ng**dim
-    if len(raw) != need:
-        raise FormatError(f"{path}: expected {need} bytes, got {len(raw)} (truncated at byte {len(raw)})")
-    vals = np.frombuffer(raw, dtype="<f8", offset=_BIN_HEADER.size).reshape((ng,) * dim)
-    if not np.all(np.isfinite(vals)):
-        raise FormatError(f"{path}: non-finite density values")
-    return DensityGrid(dim, lo, hi, ng, vals.copy())
-
-
-# Rows per formatted string of save_grid_csv: a block's string and its
-# Python floats take a few MB.
+# Rows per formatted string of save_grid_csv: a block's coordinates, string
+# and Python floats take a few MB, and no array of the whole grid's
+# coordinates is built.
 _CSV_BLOCK = 1 << 14
 
 
 def save_grid_csv(grid: DensityGrid, path):
-    """Center coordinates and value per row, with a geometry header comment."""
-    mesh = grid.center_mesh().reshape(-1, grid.dim)
+    """Center coordinates and value per row, row-major, with a geometry header comment."""
+    centers = grid.centers()
     vals = grid.values.reshape(-1)
     cols = [f"v{a}" for a in range(grid.dim)]
     with open(path, "w") as fh:
@@ -233,12 +215,15 @@ def save_grid_csv(grid: DensityGrid, path):
         fh.write(",".join(cols + ["value"]) + "\n")
         line = ",".join(["%.17g"] * (grid.dim + 1)) + "\n"
         for lo in range(0, len(vals), _CSV_BLOCK):
-            block = np.column_stack([mesh[lo:lo + _CSV_BLOCK], vals[lo:lo + _CSV_BLOCK]])
+            rows = np.arange(lo, min(lo + _CSV_BLOCK, len(vals)))
+            cells = np.unravel_index(rows, grid.values.shape)
+            block = np.column_stack([centers[k] for k in cells] + [vals[rows]])
             fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def load_grid_csv(path) -> DensityGrid:
-    with open(path) as fh:
+    # bytes that are not text fail the line checks below, with their line number
+    with open(path, errors="replace") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith("# dim="):
         raise FormatError(f"{path}: line 1: missing grid geometry header")

@@ -7,7 +7,6 @@ or stepper code paths it is used to check.
 
 import itertools
 import math
-import struct
 
 import numpy as np
 from scipy import integrate
@@ -416,14 +415,6 @@ def landau_damping_density(x, v, alpha):
     v = np.asarray(v, dtype=float)
     r2 = np.sum(v * v, axis=-1)
     return (1.0 + alpha * np.cos(DAMPING_WAVENUMBER * x)) / (2.0 * np.pi) * np.exp(-r2 / 2.0)
-
-
-def save_grid_binary(grid, path):
-    """Binary density grid: header (dim, lo, hi, n_grid) as little-endian
-    uint32, two float64 and uint32, then the values as row-major float64 LE."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<IddI", grid.dim, grid.lo, grid.hi, grid.n_grid))
-        fh.write(np.ascontiguousarray(grid.values, dtype="<f8").tobytes())
 
 
 def _reference_sbm_step(ens, pairing, cfg, step):

@@ -1,17 +1,19 @@
 import json
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from landau.cli import ExperimentConfig, load_reference_density, main, run
-from landau.diagnostics import DensityGrid, save_grid_csv
+import landau.cli
+import landau.collision
+from landau.cli import ExperimentConfig, _initial_ensemble, load_reference_density, main, run
+from landau.collision import SchemeConfig, simulate_homogeneous
+from landau.diagnostics import DensityGrid, load_grid_csv, mollified_density, save_grid_csv
 from landau.errors import ConfigError, FormatError
-
-from oracles import save_grid_binary
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -158,57 +160,93 @@ def test_rerun_is_bitwise_identical(tmp_path):
            (tmp_path / "b" / "diagnostics.csv").read_bytes()
 
 
-def test_density_dump(tmp_path):
+def test_density_dump(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return mollified_density(*args, **kw)
+
+    # a second KDE pass in the CLI would be counted too
+    monkeypatch.setattr(landau.collision, "mollified_density", counted)
+    monkeypatch.setattr(landau.cli, "mollified_density", counted, raising=False)
     cfg = small_bkw2d(tmp_path / "out", dump_density_at=[1.0])
-    run(cfg)
-    from landau.diagnostics import load_grid_csv
+    assert run(cfg).outputs == ["diagnostics.csv", "density_t1.csv"]
+    assert len(calls) == len(cfg.checkpoint_times())
     grid = load_grid_csv(tmp_path / "out" / "density_t1.csv")
     assert grid.n_grid == 64
     assert np.sum(grid.values) * grid.h**2 == pytest.approx(1.0, abs=0.05)
+    # the dump is the KDE of the final velocities, byte for byte
+    monkeypatch.undo()
+    scheme = SchemeConfig(cfg.dt, cfg.scheme, cfg.kernel(), seed=cfg.seed)
+    res = simulate_homogeneous(scheme, _initial_ensemble(cfg, cfg.n_particles, cfg.seed),
+                               cfg.t_end, cfg.checkpoint_times(), store_snapshots=True)
+    want = DensityGrid(2, -cfg.grid_extent, cfg.grid_extent, cfg.grid_cells)
+    save_grid_csv(mollified_density(res[-1].ensemble, cfg.eps, want), tmp_path / "want.csv")
+    assert (tmp_path / "out" / "density_t1.csv").read_bytes() == \
+           (tmp_path / "want.csv").read_bytes()
 
 
 def test_reference_density_loading(tmp_path):
     grid = DensityGrid(2, -8.0, 8.0, 64, np.random.default_rng(0).random((64, 64)))
-    b = tmp_path / "ref.bin"
     c = tmp_path / "ref.csv"
-    save_grid_binary(grid, b)
     save_grid_csv(grid, c)
-    for p in (b, c):
-        back = load_reference_density(p)
-        np.testing.assert_array_equal(back.values, grid.values)
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b.read_bytes()[:100])
+    back = load_reference_density(c)
+    np.testing.assert_array_equal(back.values, grid.values)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(c.read_bytes()[:1000])
     with pytest.raises(FormatError):
         load_reference_density(bad)
     neg = DensityGrid(2, -8.0, 8.0, 4, -np.ones((4, 4)))
-    nb = tmp_path / "neg.bin"
-    save_grid_binary(neg, nb)
+    nc = tmp_path / "neg.csv"
+    save_grid_csv(neg, nc)
     with pytest.raises(FormatError, match="negative"):
-        load_reference_density(nb)
+        load_reference_density(nc)
+    # grids are CSV only: a binary header (dim, lo, hi, n_grid) and float64 values
+    raw = tmp_path / "ref.bin"
+    raw.write_bytes(struct.pack("<IddI", 2, -8.0, 8.0, 4) + np.ones(16).tobytes())
+    with pytest.raises(FormatError, match="line 1"):
+        load_reference_density(raw)
 
 
-def test_coulomb_reference_comparison(tmp_path):
+def coulomb_config(tmp_path, **extra):
+    cfg = dict(kind="coulomb2d", n_particles=1000, dt=0.1, t_end=0.5, checkpoint_every=0.5,
+               grid_cells=64, reference_path=str(tmp_path / "ref.csv"), reference_time=0.5,
+               outdir=str(tmp_path / "out"))
+    cfg.update(extra)
+    return cfg
+
+
+def test_coulomb_reference_comparison(tmp_path, capsys):
     # reference grid mismatching the experiment grid is a config error
-    ref = DensityGrid(2, -8.0, 8.0, 32, np.ones((32, 32)))
-    rp = tmp_path / "ref.bin"
-    save_grid_binary(ref, rp)
-    cfg = ExperimentConfig.from_dict(dict(
-        kind="coulomb2d", n_particles=1000, dt=0.1, t_end=0.5, checkpoint_every=0.5,
-        grid_cells=64, reference_path=str(rp), reference_time=0.5,
-        outdir=str(tmp_path / "out")))
+    save_grid_csv(DensityGrid(2, -8.0, 8.0, 32, np.ones((32, 32))), tmp_path / "ref.csv")
     with pytest.raises(ConfigError, match="reference_path"):
-        run(cfg)
+        run(ExperimentConfig.from_dict(coulomb_config(tmp_path)))
+    # a binary grid fails the CSV header check: one error line, exit 1
+    raw = tmp_path / "ref.bin"
+    raw.write_bytes(struct.pack("<IddI", 2, -8.0, 8.0, 64) + np.ones(64 * 64).tobytes())
+    path = write_config(tmp_path / "c.json", **coulomb_config(tmp_path, reference_path=str(raw)))
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "line 1" in err[0]
     # matching grid: the rel-L2 column is populated at the reference time only
-    ref2 = DensityGrid(2, -8.0, 8.0, 64, np.ones((64, 64)) / 256.0)
-    save_grid_binary(ref2, rp)
-    cfg2 = ExperimentConfig.from_dict(dict(
-        kind="coulomb2d", n_particles=1000, dt=0.1, t_end=0.5, checkpoint_every=0.5,
-        grid_cells=64, reference_path=str(rp), reference_time=0.5,
-        outdir=str(tmp_path / "out2")))
-    run(cfg2)
+    save_grid_csv(DensityGrid(2, -8.0, 8.0, 64, np.ones((64, 64)) / 256.0), tmp_path / "ref.csv")
+    run(ExperimentConfig.from_dict(coulomb_config(tmp_path, outdir=str(tmp_path / "out2"))))
     _, rows = read_csv(tmp_path / "out2" / "diagnostics.csv")
     assert rows[0][5] == ""
     assert float(rows[-1][5]) > 0
+
+
+@pytest.mark.parametrize("reference_time", [0.3, 7.0])
+def test_reference_time_must_be_a_checkpoint_time(tmp_path, capsys, reference_time):
+    # off the checkpoints 0 and 0.5 the reference would never be compared
+    save_grid_csv(DensityGrid(2, -8.0, 8.0, 64, np.ones((64, 64)) / 256.0), tmp_path / "ref.csv")
+    cfg = coulomb_config(tmp_path, reference_time=reference_time)
+    with pytest.raises(ConfigError, match="reference_time"):
+        ExperimentConfig.from_dict(cfg)
+    assert main(["run", write_config(tmp_path / "c.json", **cfg)]) == 1
+    assert "reference_time" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "diagnostics.csv").exists()
 
 
 def test_vpl_run(tmp_path):

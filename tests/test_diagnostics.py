@@ -6,13 +6,12 @@ import pytest
 
 from landau import diagnostics
 from landau.analytic import bkw_mollified_density, sample_bkw
-from landau.diagnostics import (DensityGrid, entropy, load_grid_binary, load_grid_csv,
-                                moments, mollified_density, relative_l2_error, save_grid_csv)
+from landau.diagnostics import (DensityGrid, entropy, load_grid_csv, moments, mollified_density,
+                                relative_l2_error, save_grid_csv)
 from landau.errors import EmptyEnsemble, FormatError, GridMismatch
 from landau.streams import RngStream
 
-from oracles import (direct_mollified_density, reference_mollified_density, reference_save_grid_csv,
-                     save_grid_binary)
+from oracles import direct_mollified_density, reference_mollified_density, reference_save_grid_csv
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -231,16 +230,6 @@ def test_moments_examples():
     np.testing.assert_array_equal(moments(anti).momentum, np.zeros(3))
 
 
-def test_grid_roundtrip_binary(tmp_path):
-    gen = RngStream(7).generator()
-    grid = DensityGrid(2, -3.0, 3.0, 16, gen.random((16, 16)))
-    p = tmp_path / "grid.bin"
-    save_grid_binary(grid, p)
-    back = load_grid_binary(p)
-    assert back.congruent(grid)
-    np.testing.assert_array_equal(back.values, grid.values)
-
-
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("n", [1001, 20_003, 100_001])
 def test_momentum_adds_the_rows_in_order(dim, n):
@@ -271,16 +260,6 @@ def test_csv_writer_matches_reference_bytes(tmp_path, dim, n_grid):
     save_grid_csv(grid, tmp_path / "got.csv")
     reference_save_grid_csv(grid, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-
-
-def test_truncated_binary_raises(tmp_path):
-    grid = DensityGrid(2, -3.0, 3.0, 8, np.ones((8, 8)))
-    p = tmp_path / "grid.bin"
-    save_grid_binary(grid, p)
-    raw = p.read_bytes()
-    p.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(FormatError, match="byte"):
-        load_grid_binary(p)
 
 
 def test_malformed_csv_raises_with_line(tmp_path):
