@@ -48,13 +48,17 @@ def _bkw_coeffs(dim, k):
     return c0, c2
 
 
-def bkw_density(dim, t, v):
-    """BKW density at time t, evaluated at velocities v of shape (..., dim)."""
+def _bkw_radial(dim, t, r2):
+    """BKW density at time t as a function of r2 = |v|^2."""
     k = float(bkw_scale(dim, t))
-    v = np.asarray(v, dtype=float)
-    r2 = np.sum(v * v, axis=-1)
     c0, c2 = _bkw_coeffs(dim, k)
     return (c0 + c2 * r2) * np.exp(-r2 / (2.0 * k)) / (2.0 * np.pi * k) ** (dim / 2.0)
+
+
+def bkw_density(dim, t, v):
+    """BKW density at time t, evaluated at velocities v of shape (..., dim)."""
+    v = np.asarray(v, dtype=float)
+    return _bkw_radial(dim, t, np.sum(v * v, axis=-1))
 
 
 def bkw_mollified_density(dim, t, eps, v):

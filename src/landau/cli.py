@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .analytic import BKW_LAMBDA, bkw_density, bkw_t_min, sample_bkw, sample_bimaxwellian
+from .analytic import BKW_LAMBDA, _bkw_radial, bkw_t_min, sample_bkw, sample_bimaxwellian
 from .collision import (EM, SBM, DiagnosticsPlan, ParticleEnsemble, SchemeConfig,
                         collision_step, random_pairing, simulate_homogeneous)
 from .diagnostics import (DensityGrid, load_grid_csv, save_grid_csv,
@@ -182,9 +182,14 @@ def _initial_ensemble(cfg: ExperimentConfig, n, seed) -> ParticleEnsemble:
 
 def _reference_fn(cfg: ExperimentConfig, grid: DensityGrid):
     if cfg.kind != "coulomb2d":  # the BKW kinds compare with the closed form
-        mesh = grid.center_mesh()
+        # |v|^2 at the cell centers, summed over the axes in order as
+        # np.sum(v * v, axis=-1) sums them on the center mesh
+        sq = grid.centers() ** 2
+        r2 = sq[:, None] + sq
+        if cfg.dim == 3:
+            r2 = r2[..., None] + sq
         t0 = bkw_t_min(cfg.dim)
-        return lambda t: bkw_density(cfg.dim, t0 + t, mesh)
+        return lambda t: _bkw_radial(cfg.dim, t0 + t, r2)
     if cfg.reference_path is None:
         return None
     ref = load_reference_density(cfg.reference_path)

@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import EmptyEnsemble, FormatError, GridMismatch
 
-# KDE tails are truncated at this many mollifier standard deviations; the
-# dropped mass is < 1e-8 of each kernel.
+# KDE tails are truncated at this many mollifier standard deviations per axis;
+# the mass dropped outside the box is < 1e-8 of each kernel (about 6e-9 in 3D).
 TRUNCATION_SIGMAS = 6.0
 
 # Stencil entries (particles x cells) summed per bincount in mollified_density;
@@ -75,16 +75,19 @@ def mollified_density(ens, eps, grid: DensityGrid) -> DensityGrid:
     """Gaussian-mollified empirical density on the grid centers.
 
     values[l] = (1/N) sum_i psi_eps(c_l - v_i), psi_eps the centered Gaussian
-    with covariance eps*I, over the (2w+1)^d cells around each particle's own
-    cell, w = ceil(TRUNCATION_SIGMAS * sqrt(eps) / h) + 1. For each block of
-    _STENCIL_BLOCK stencil entries, the per-axis weights and cell indices,
-    (m, B) for the m = 2w+1 offsets and the block's B particles, are combined
-    by outer products offsets-major, (m, B) -> (m^2, B) -> ..., so that every
-    broadcast runs over the whole block; the last product is written into two
-    buffers reused by every block. One weighted bincount sums them into a
-    grid with a one-cell border; the border collects the stencil cells off
-    the grid and is cropped. Particles whose stencil misses the grid still
-    count in N. Non-finite velocities raise ValueError.
+    with covariance eps*I, truncated at R = TRUNCATION_SIGMAS * sqrt(eps) / h
+    cells per axis. With x = (v - lo) / h, a particle's window on each axis is
+    the m = floor(2R) + 1 cells from first = ceil(x - 1/2 - R), the first cell
+    whose center is at least x - R: it holds every cell center within R of
+    the particle, and any extra cell lies less than one cell beyond R. For
+    each block of _STENCIL_BLOCK stencil entries, the per-axis weights and
+    cell indices, (m, B) for the m window cells and the block's B particles,
+    are combined by outer products offsets-major, (m, B) -> (m^2, B) -> ...,
+    so that every broadcast runs over the whole block; the last product is
+    written into two buffers reused by every block. One weighted bincount
+    sums them into a grid with a one-cell border; the border collects the
+    window cells off the grid and is cropped. Particles whose window misses
+    the grid still count in N. Non-finite velocities raise ValueError.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -98,8 +101,8 @@ def mollified_density(ens, eps, grid: DensityGrid) -> DensityGrid:
     if bad:
         raise ValueError(f"mollified_density: {bad} of {n} particles have non-finite velocities")
     ng, h, lo = grid.n_grid, grid.h, grid.lo
-    w = int(np.ceil(TRUNCATION_SIGMAS * np.sqrt(eps) / h)) + 1
-    offs = np.arange(-w, w + 1)
+    r = TRUNCATION_SIGMAS * np.sqrt(eps) / h
+    offs = np.arange(int(2.0 * r) + 1)
     size = ng + 2
     strides = size ** np.arange(d - 1, -1, -1)
     acc = np.zeros(size**d)
@@ -111,12 +114,13 @@ def mollified_density(ens, eps, grid: DensityGrid) -> DensityGrid:
     for s in range(0, n, block):
         vb = v[s:s + block]
         with np.errstate(over="ignore"):
-            xb = (vb - lo) / h
-        # the stencil of cell floor(x) meets the grid iff -w <= x < ng + w
-        reach = np.all((xb >= -w) & (xb < ng + w), axis=1)
-        xb, vb = xb[reach].T, vb[reach].T
+            first = np.ceil((vb - lo) / h - 0.5 - r)
+        # the window first .. first + m - 1 meets the grid iff it starts at or
+        # before cell ng - 1 and ends at or after cell 0
+        reach = np.all((first <= ng - 1) & (first >= 1 - offs.size), axis=1)
+        first, vb = first[reach].T, vb[reach].T
         nb = vb.shape[1]
-        cell = np.floor(xb).astype(np.intp)[:, None, :] + offs[:, None]
+        cell = first.astype(np.intp)[:, None, :] + offs[:, None]
         wa = -((lo + (cell + 0.5) * h - vb[:, None, :]) ** 2) / (2.0 * eps)
         np.exp(wa, out=wa)
         ia = np.clip(cell, -1, ng, out=cell)

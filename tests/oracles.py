@@ -90,17 +90,19 @@ def direct_mollified_density(v, eps, lo, hi, n_grid, sigmas=6.0):
     """Gaussian KDE on the cell centres of [lo, hi]^d by a plain double loop.
 
     Each particle adds exp(-|c - v|^2 / 2 eps) / (2 pi eps)^(d/2) / N to every
-    in-grid cell c whose index differs from the particle's own cell
-    floor((v - lo) / h) by at most w = ceil(sigmas sqrt(eps) / h) + 1 per axis.
+    in-grid cell c whose index lies, on each axis, among the m = floor(2R) + 1
+    cells from first = ceil(x - 1/2 - R), with x = (v - lo) / h and
+    R = sigmas sqrt(eps) / h.
     """
     v = np.atleast_2d(np.asarray(v, dtype=float))
     n, d = v.shape
     h = (hi - lo) / n_grid
-    w = math.ceil(sigmas * math.sqrt(eps) / h) + 1
+    r = sigmas * math.sqrt(eps) / h
+    m = math.floor(2.0 * r) + 1
     out = np.zeros((n_grid,) * d)
     for p in v:
-        own = [math.floor((p[a] - lo) / h) for a in range(d)]
-        ranges = [range(max(c - w, 0), min(c + w, n_grid - 1) + 1) for c in own]
+        firsts = [math.ceil((p[a] - lo) / h - 0.5 - r) for a in range(d)]
+        ranges = [range(max(c, 0), min(c + m - 1, n_grid - 1) + 1) for c in firsts]
         for cell in itertools.product(*ranges):
             r2 = sum((lo + (c + 0.5) * h - p[a]) ** 2 for a, c in enumerate(cell))
             out[cell] += math.exp(-r2 / (2.0 * eps))
@@ -251,25 +253,26 @@ def reference_cell_pairs(cell, gen):
 
 
 def reference_mollified_density(v, eps, lo, hi, n_grid, block=1 << 19, sigmas=6.0):
-    """Blocked separable Gaussian KDE with the stencil built particle-major,
+    """Blocked separable Gaussian KDE over the windows of
+    direct_mollified_density, with the stencil built particle-major,
     (B, m) -> (B, m^2) -> ..., one weighted bincount per block of ``block``
     stencil entries into a grid with a one-cell clipped border.
     Returns the (n_grid,)^d array of values."""
     v = np.atleast_2d(np.asarray(v, dtype=float))
     n, d = v.shape
     h = (hi - lo) / n_grid
-    w = int(np.ceil(sigmas * np.sqrt(eps) / h)) + 1
-    offs = np.arange(-w, w + 1)
+    r = sigmas * np.sqrt(eps) / h
+    offs = np.arange(int(2.0 * r) + 1)
     size = n_grid + 2
     strides = size ** np.arange(d - 1, -1, -1)
     acc = np.zeros(size**d)
     step = max(1, block // offs.size**d)
     for s in range(0, n, step):
         vb = v[s:s + step]
-        xb = (vb - lo) / h
-        reach = np.all((xb >= -w) & (xb < n_grid + w), axis=1)
-        xb, vb = xb[reach], vb[reach]
-        cell = np.floor(xb).astype(np.intp)[:, :, None] + offs
+        first = np.ceil((vb - lo) / h - 0.5 - r)
+        reach = np.all((first <= n_grid - 1) & (first + offs.size - 1 >= 0), axis=1)
+        first, vb = first[reach], vb[reach]
+        cell = first.astype(np.intp)[:, :, None] + offs
         flat, wgt = np.zeros((len(vb), 1), np.intp), np.ones((len(vb), 1))
         for a in range(d):
             wa = np.exp(-((lo + (cell[:, a] + 0.5) * h - vb[:, a, None]) ** 2) / (2.0 * eps))

@@ -10,7 +10,9 @@ import pytest
 
 import landau.cli
 import landau.collision
-from landau.cli import ExperimentConfig, _initial_ensemble, load_reference_density, main, run
+from landau.analytic import bkw_density, bkw_t_min
+from landau.cli import (ExperimentConfig, _initial_ensemble, _reference_fn, load_reference_density,
+                        main, run)
 from landau.collision import SchemeConfig, simulate_homogeneous
 from landau.diagnostics import DensityGrid, load_grid_csv, mollified_density, save_grid_csv
 from landau.errors import ConfigError, FormatError
@@ -207,6 +209,19 @@ def test_reference_density_loading(tmp_path):
     raw.write_bytes(struct.pack("<IddI", 2, -8.0, 8.0, 4) + np.ones(16).tobytes())
     with pytest.raises(FormatError, match="line 1"):
         load_reference_density(raw)
+
+
+@pytest.mark.parametrize("kind, grid_cells", [("bkw2d", 128), ("bkw2d", 24), ("bkw3d", 64),
+                                               ("bkw3d", 12)])
+def test_bkw_reference_is_the_closed_form_on_the_mesh(kind, grid_cells):
+    # the reference holds |v|^2 on the grid instead of the center mesh and
+    # reads bitwise the same as the closed form evaluated on the mesh
+    cfg = config_of(kind, grid_cells=grid_cells)
+    grid = DensityGrid(cfg.dim, -cfg.grid_extent, cfg.grid_extent, cfg.grid_cells)
+    reference = _reference_fn(cfg, grid)
+    t0 = bkw_t_min(cfg.dim)
+    for t in (0.0, 0.5, 7.3):
+        np.testing.assert_array_equal(reference(t), bkw_density(cfg.dim, t0 + t, grid.center_mesh()))
 
 
 def coulomb_config(tmp_path, **extra):

@@ -82,16 +82,20 @@ def test_kde_translation_equivariance(dim, n_grid):
 
 
 def _edge_case_ensemble(grid, eps, n_total, rng):
-    """Velocities on cell edges, straddling each face, off the grid, and inside."""
+    """Velocities on cell edges, straddling each face's reach, off the grid, and inside."""
     d, lo, hi, h, ng = grid.dim, grid.lo, grid.hi, grid.h, grid.n_grid
-    reach = int(np.ceil(diagnostics.TRUNCATION_SIGMAS * np.sqrt(eps) / h)) + 1
-    parts = [lo + h * rng.integers(-reach - 2, ng + reach + 3, (40, d))]
+    r = diagnostics.TRUNCATION_SIGMAS * np.sqrt(eps) / h
+    m = int(2.0 * r) + 1
+    parts = [lo + h * rng.integers(-m - 2, ng + m + 3, (40, d))]
+    # a particle s cells beyond the face has a window meeting the grid iff
+    # s < m - R - 1/2 (low face) or s <= R - 1/2 (high face)
     for a in range(d):
-        for face, sign in ((lo, -1.0), (hi, 1.0)):
-            p = rng.uniform(lo, hi, (6, d))
-            p[:, a] = face + sign * h * np.array([0.0, 0.3, 1.0, reach - 0.5, reach, reach + 1.5])
+        for face, sign, edge in ((lo, -1.0, m - r - 0.5), (hi, 1.0, r - 0.5)):
+            p = rng.uniform(lo, hi, (7, d))
+            p[:, a] = face + sign * h * np.array([0.0, 0.3, 1.0, edge - 0.25, edge, edge + 0.25,
+                                                  edge + 1.5])
             parts.append(p)
-    off = h * (reach + 3)
+    off = h * (m + 3)
     parts.append(np.array([[lo - off] * d, [hi + off] * d, [0.0] * (d - 1) + [hi + off]]))
     used = sum(len(p) for p in parts)
     parts.append(rng.uniform(lo - 0.5, hi + 0.5, (n_total - used, d)))
@@ -101,17 +105,17 @@ def _edge_case_ensemble(grid, eps, n_total, rng):
 @pytest.mark.parametrize("dim, n_grid", [(2, 24), (3, 12)])
 def test_kde_matches_direct_sum(dim, n_grid, monkeypatch):
     # Exact truncation and edge semantics, within rounding of the double loop.
-    # At eps = 0.01 the stencil's outer layer weighs < 1e-12 of a peak; at the
-    # wider eps (h < sqrt(eps) / 2) it weighs about 1e-9, so a stencil or a
-    # reach test one cell short shows.
+    # A window's first cell lies within 6 sigma of its particle, at a weight of
+    # at least exp(-18) ~ 1.5e-8 of a peak on that axis, so a window or a reach
+    # test one cell short shows; the wider eps has h < sqrt(eps) / 2.
     grid = DensityGrid(dim, -2.0, 2.0, n_grid)
     for eps in (0.01, 0.16 if dim == 2 else 0.5):
         v = _edge_case_ensemble(grid, eps, 211, np.random.default_rng(10 + dim))
         single = np.full((1, dim), grid.lo - 0.3 * grid.h)
         cases = [(ens, direct_mollified_density(ens, eps, -2.0, 2.0, n_grid)) for ens in (v, single)]
         # the default block holds all 211 particles; blocks of 1000 stencil
-        # entries hold 8 (2D) or 2 (3D) particles at eps = 0.01, leaving a
-        # partial block, and 1 particle at the wider eps
+        # entries hold 15 particles at eps = 0.01 (windows of 8 cells in 2D,
+        # 4 in 3D), leaving a partial block, and 1 particle at the wider eps
         for stencil_block in (diagnostics._STENCIL_BLOCK, 1000):
             monkeypatch.setattr(diagnostics, "_STENCIL_BLOCK", stencil_block)
             for ens, ref in cases:
@@ -120,10 +124,38 @@ def test_kde_matches_direct_sum(dim, n_grid, monkeypatch):
                 np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * ref.max())
 
 
+@pytest.mark.parametrize("dim, n_grid", [(2, 24), (3, 12)])
+def test_kde_keeps_its_truncation_promise(dim, n_grid):
+    # against the untruncated Gaussian sum over every cell, whatever the window
+    # rule: what the truncation drops is below exp(-sigmas^2 / 2) of the peak
+    grid = DensityGrid(dim, -2.0, 2.0, n_grid)
+    bound = np.exp(-diagnostics.TRUNCATION_SIGMAS**2 / 2.0)
+    for eps in (0.01, 0.16 if dim == 2 else 0.5):
+        v = _edge_case_ensemble(grid, eps, 211, np.random.default_rng(10 + dim))
+        wa = np.exp(-(grid.centers() - v[:, :, None]) ** 2 / (2.0 * eps))
+        full = np.einsum("ni,nj->ij" if dim == 2 else "ni,nj,nk->ijk", *wa.transpose(1, 0, 2))
+        full /= (2.0 * np.pi * eps) ** (dim / 2.0) * len(v)
+        got = mollified_density(v, eps, grid).values
+        np.testing.assert_allclose(got, full, rtol=0, atol=bound * full.max())
+
+
+@pytest.mark.parametrize("dim, n_grid, cells", [(3, 64, 125), (2, 128, 100)])
+def test_kde_window_spans_the_truncation_radius(dim, n_grid, cells):
+    # one particle away from the faces and off every cell-center symmetry:
+    # floor(2R) + 1 cells per axis at R = 6 sqrt(0.01) / h, 2.4 cells at 64^3
+    # and 4.8 at 128^2, and every cell center within R on each axis among them
+    grid = DensityGrid(dim, -8.0, 8.0, n_grid)
+    v = np.array([[0.3217, -1.1093, 0.4571][:dim]])
+    got = mollified_density(v, 0.01, grid).values
+    assert np.count_nonzero(got) == cells
+    near = [np.abs(grid.centers() - x) <= diagnostics.TRUNCATION_SIGMAS * 0.1 for x in v[0]]
+    assert np.all(got[np.ix_(*near)] > 0)
+
+
 @pytest.mark.parametrize("dim, n_grid, n", [(3, 64, 50_000), (2, 128, 100_000)])
 def test_kde_matches_particle_major_reference(dim, n_grid, n, monkeypatch):
     # the offsets-major stencil sums the same entries in another order; blocks
-    # of 1000 entries (1 particle in 3D, 12 in 2D) run on the first 2000
+    # of 1000 entries (8 particles in 3D, 10 in 2D) run on the first 2000
     # particles, since each block adds a full-grid bincount
     v = RngStream(12).generator().standard_normal((n, dim))
     grid = DensityGrid(dim, -8.0, 8.0, n_grid)
