@@ -18,7 +18,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, DensityGrid, mollified_density, moments, entropy, relative_l2_error
 from .errors import InvalidCheckpoint, InvalidSamplerForDim, NonFiniteState, OddParticleCount
 from .kernels import KernelParams, Z_FLOOR, _sq_norm, kernel_K, kernel_sigma, time_scale_k
-from .sphere import SamplerKind, default_sampler, sample_sbm_batch
+from .sphere import SamplerKind, _put_rows, default_sampler, sample_sbm_batch
 from .streams import RngStream, DOMAIN_PAIRING, DOMAIN_COLLISION
 
 SBM = "sbm"
@@ -79,16 +79,6 @@ def random_pairing(n, rng: RngStream):
     # contiguous halves: np.take and np.put copy a strided index before use
     i, j = rng.generator().permutation(n).reshape(-1, 2).T.copy()
     return i, j
-
-
-def _put_rows(v, idx, rows):
-    """v[idx] = rows, through a view with one item per row when v is
-    C-contiguous: several times faster than row fancy indexing at large n."""
-    if not v.flags.c_contiguous:
-        v[idx] = rows
-        return
-    row = np.dtype((np.void, v.itemsize * v.shape[1]))
-    np.put(v.view(row).ravel(), idx, np.ascontiguousarray(rows, v.dtype).view(row).ravel())
 
 
 def sbm_pair_update(v, i, j, kernel: KernelParams, dt, rng: RngStream):

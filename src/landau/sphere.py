@@ -164,10 +164,16 @@ def _death_process_probs(ts):
     mutation rate theta = 2, one row per time t in ``ts`` (each t >= 0.15).
 
     This is the mixture index of the Wright-Fisher transition law that
-    governs the S^2 polar angle; the alternating series over k is summed
-    as one product with the fixed coefficient matrix.
+    governs the S^2 polar angle. The alternating series over k is summed as
+    one BLAS product of the table exp(-k(k+1) t / 2) with the fixed
+    coefficient matrix. The table is exponentiated only where the argument
+    is above -746: below it exp is exactly 0, and numpy's exp is about 20
+    times slower on lanes that underflow, which are half the table.
     """
-    q = np.einsum("tk,mk->tm", np.exp(np.multiply.outer(ts, -_DEATH_RATES)), _DEATH_SERIES)
+    arg = np.multiply.outer(ts, -_DEATH_RATES)
+    e = np.zeros_like(arg)
+    np.exp(arg, out=e, where=arg > -746.0)
+    q = e @ _DEATH_SERIES.T
     np.maximum(q, 0.0, out=q)
     total = q.sum(axis=1)
     worst = np.max(np.abs(total - 1.0))
@@ -189,12 +195,17 @@ def _death_process_draws(t, gen):
 
 
 def _sample_s2(y0, t, gen, res):
-    """End points of SBM on S^2 from the rows of y0 for times t, into res."""
+    """End points of SBM on S^2 from the rows of y0 for times t, into res.
+
+    The bands are split by index arrays: the mixture and uniform rows are
+    gathered and drawn first, then the lift rows, and each band's rows are
+    written into res once.
+    """
     small = t < _MIXTURE_MIN_TAU
     if small.all():
         return _so3_lift(y0, t, gen, res)
     big = np.flatnonzero(~small)
-    tb = t[big]
+    tb = np.take(t, big)
     mix = tb < _uniform_time(3)
     # started at the pole the Beta mixture collapses to Beta(1, 1+M); the
     # uniform law is M = 0
@@ -204,10 +215,21 @@ def _sample_s2(y0, t, gen, res):
     phi = gen.uniform(0.0, 2.0 * np.pi, tb.size)
     sin_th = np.sqrt(np.maximum(1.0 - x * x, 0.0))
     local = np.column_stack([sin_th * np.cos(phi), sin_th * np.sin(phi), x])
-    res[big] = rotate_from_pole(y0[big], local)
-    if small.any():
-        res[small] = _so3_lift(y0[small], t[small], gen)
+    _put_rows(res, big, rotate_from_pole(np.take(y0, big, axis=0), local))
+    if big.size < t.size:
+        lift = np.flatnonzero(small)
+        _put_rows(res, lift, _so3_lift(np.take(y0, lift, axis=0), np.take(t, lift), gen))
     return res
+
+
+def _put_rows(v, idx, rows):
+    """v[idx] = rows, through a view with one item per row when v is
+    C-contiguous: several times faster than row fancy indexing at large n."""
+    if not v.flags.c_contiguous:
+        v[idx] = rows
+        return
+    row = np.dtype((np.void, v.itemsize * v.shape[1]))
+    np.put(v.view(row).ravel(), idx, np.ascontiguousarray(rows, v.dtype).view(row).ravel())
 
 
 def rotate_from_pole(start, local):

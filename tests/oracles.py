@@ -17,7 +17,9 @@ from landau.analytic import BIMAX_U1, BIMAX_U2, DAMPING_WAVENUMBER
 from landau.collision import (SBM, Checkpoint, DiagnosticsPlan, ParticleEnsemble, _record,
                               random_pairing, step_count)
 from landau.kernels import Z_FLOOR, kernel_K, kernel_sigma
-from landau.sphere import _MIXTURE_MIN_TAU, _death_process_draws, _uniform_time, rotate_from_pole
+from landau.errors import SeriesTruncated
+from landau.sphere import (_DEATH_RATES, _DEATH_SERIES, _MIXTURE_MIN_TAU, _death_process_draws,
+                           _uniform_time, rotate_from_pole)
 from landau.streams import DOMAIN_COLLISION, DOMAIN_PAIRING, RngStream
 
 
@@ -84,6 +86,31 @@ def death_process_probs(t, m_max=64):
                 break
         out.append(total)
     return np.array(out)
+
+
+def einsum_death_process_probs(ts):
+    """The death-process rows of the sampler with the series summed by one
+    np.einsum over the full exponential table, as before the BLAS product."""
+    q = np.einsum("tk,mk->tm", np.exp(np.multiply.outer(ts, -_DEATH_RATES)), _DEATH_SERIES)
+    np.maximum(q, 0.0, out=q)
+    total = q.sum(axis=1)
+    worst = np.max(np.abs(total - 1.0))
+    if worst > 1e-9:
+        raise SeriesTruncated(f"death-process series: retained mass is off by {worst:.3g}")
+    return q / total[:, None]
+
+
+def reference_death_process_draws(t, gen, block=2048):
+    """Inverse-CDF draws of A_t from the einsum rows, in blocks of ``block``
+    times with the sampler's order of draws."""
+    u = gen.random(t.size)
+    out = np.empty(t.size, dtype=np.int64)
+    for lo in range(0, t.size, block):
+        blk = slice(lo, lo + block)
+        ts, inv = np.unique(t[blk], return_inverse=True)
+        cdf = np.cumsum(einsum_death_process_probs(ts), axis=1)
+        out[blk] = np.count_nonzero(cdf[inv, :-1] <= u[blk, None], axis=1)
+    return out
 
 
 def direct_mollified_density(v, eps, lo, hi, n_grid, sigmas=6.0):

@@ -10,11 +10,12 @@ from landau import sphere
 from landau.collision import SBM, SchemeConfig
 from landau.errors import FixedPointNotConverged, InvalidSamplerForDim, SeriesTruncated
 from landau.kernels import KernelParams
-from landau.sphere import (SamplerKind, _death_process_probs, _rodrigues, _so3_lift,
-                           default_sampler, rotate_from_pole, sample_sbm_batch, unit)
+from landau.sphere import (SamplerKind, _death_process_draws, _death_process_probs, _rodrigues,
+                           _so3_lift, default_sampler, rotate_from_pole, sample_sbm_batch, unit)
 from landau.streams import RngStream
 
-from oracles import (death_process_probs, heat_kernel_cos_cdf, reference_rodrigues,
+from oracles import (death_process_probs, einsum_death_process_probs, heat_kernel_cos_cdf,
+                     reference_death_process_draws, reference_rodrigues,
                      reference_sample_sbm_batch, reference_so3_lift, so3_lift_legendre_moment)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -196,7 +197,8 @@ def test_death_process_series():
     q = _death_process_probs(ts)
     np.testing.assert_allclose(q.sum(axis=1), 1.0, atol=1e-14)
     # at t = 0.15 the terms reach 1.6e3 with exponents near 300, so each
-    # series carries rounding of about 1e-11 (the raw sums are off by 1.5e-11)
+    # series carries rounding of about 1e-11: there the oracle's raw sum is
+    # off by 1.5e-11, the product's by 2.0e-13, and the rows differ by 6.3e-12
     for t, row in zip(ts, q):
         np.testing.assert_allclose(row, death_process_probs(t), rtol=0, atol=1e-10)
     # E[(1 - cos)/2] = E[1 / (2 + M)] for cos = 1 - 2 Beta(1, 1 + M)
@@ -204,6 +206,19 @@ def test_death_process_series():
     np.testing.assert_allclose(1.0 - 2.0 * mean_x, np.exp(-ts), rtol=1e-11, atol=1e-14)
     with pytest.raises(SeriesTruncated):
         _death_process_probs(np.array([0.01]))
+
+
+def test_death_process_draws_match_the_einsum_series():
+    # 1e5 times log-uniform over the mixture band: the BLAS product draws
+    # the same M as the einsum path from the same generator, and its rows
+    # differ by about 2e-12
+    t = np.exp(np.random.default_rng(70).uniform(np.log(0.15), np.log(46.0), 100_000))
+    got = _death_process_draws(t, np.random.default_rng(71))
+    np.testing.assert_array_equal(got, reference_death_process_draws(t, np.random.default_rng(71)))
+    for lo in range(0, t.size, 2048):
+        ts = t[lo:lo + 2048]
+        np.testing.assert_allclose(_death_process_probs(ts), einsum_death_process_probs(ts),
+                                   rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("tau", [1e-4, 1e-3, 1.0 / 30.0, 0.15])
@@ -311,6 +326,27 @@ def test_sample_into_out_never_writes_starts(dim, zero_taus):
     assert got is out
     np.testing.assert_array_equal(starts, keep)
     np.testing.assert_array_equal(out, reference_sample_sbm_batch(keep, taus, RngStream(61)))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("zero_taus", [False, True], ids=["all-active", "some-zero"])
+def test_sample_into_out_matches_reference_at_pair_batch_size(order, zero_taus):
+    # a 2e4-row batch shaped like a gamma = -3 collision window: mostly
+    # lift rows, about 2% mixture and 1% uniform rows, shuffled, written
+    # into a C- or Fortran-ordered out
+    rng = np.random.default_rng(63)
+    taus = rng.permutation(np.concatenate([np.geomspace(1e-5, 0.1499, 19_400),
+                                           np.geomspace(0.15, 45.9, 400),
+                                           np.geomspace(46.0, 1e4, 200)]))
+    if zero_taus:
+        taus[::50] = 0.0
+    starts = unit(rng.standard_normal((taus.size, 3)))
+    keep = starts.copy()
+    out = np.full(starts.shape, np.nan, order=order)
+    got = sample_sbm_batch(starts, taus, S3, RngStream(64), out=out)
+    assert got is out
+    np.testing.assert_array_equal(starts, keep)
+    np.testing.assert_array_equal(out, reference_sample_sbm_batch(keep, taus, RngStream(64)))
 
 
 def test_lift_raises_at_its_round_cap(monkeypatch):
