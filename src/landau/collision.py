@@ -81,6 +81,11 @@ def random_pairing(n, rng: RngStream):
     return i, j
 
 
+# Pairs per block of sbm_pair_update: its (block, d) temporaries, under 1 MB
+# each, are the same few sizes whatever the batch size.
+_PAIR_BLOCK = 1 << 15
+
+
 def sbm_pair_update(v, i, j, kernel: KernelParams, dt, rng: RngStream):
     """Exact SBM collision of the pairs (i[k], j[k]) of ``v``, in place.
 
@@ -89,9 +94,22 @@ def sbm_pair_update(v, i, j, kernel: KernelParams, dt, rng: RngStream):
     kinetic energy are conserved per pair to rounding. Pairs with |z| below
     the degeneracy floor keep their velocities bitwise; a zero collision
     strength leaves ``v`` untouched. The pairs must be disjoint.
+
+    The pairs are updated in blocks of _PAIR_BLOCK, in order, all sampled
+    from the one generator of ``rng``. A batch of at most _PAIR_BLOCK pairs,
+    or a 2D batch with no pair in the uniform band, draws as one unblocked
+    batch would.
     """
     if kernel.lam == 0:
         return
+    gen = rng.generator()
+    for lo in range(0, len(i), _PAIR_BLOCK):
+        _sbm_pair_block(v, i[lo:lo + _PAIR_BLOCK], j[lo:lo + _PAIR_BLOCK], kernel, dt, gen)
+
+
+def _sbm_pair_block(v, i, j, kernel, dt, gen):
+    """One block of sbm_pair_update, drawing from the Generator ``gen``; its
+    arrays are freed on return, before the next block allocates its own."""
     # np.take gathers whole rows several times faster than v[i] at large n;
     # the gather of v_j then holds the sampler's output. Every product with
     # a per-pair scalar runs one column at a time: an (m, 1) broadcast runs
@@ -111,7 +129,7 @@ def sbm_pair_update(v, i, j, kernel: KernelParams, dt, rng: RngStream):
     tau *= dt
     for col in z.T:
         col /= r
-    sample_sbm_batch(z, tau, default_sampler(v.shape[1]), rng, out=zp)
+    sample_sbm_batch(z, tau, default_sampler(v.shape[1]), gen, out=zp)
     for col in zp.T:
         col *= r
     half = np.add(s, zp, out=z)

@@ -17,9 +17,11 @@ from .errors import EmptyEnsemble, FormatError, GridMismatch
 # the mass dropped outside the box is < 1e-8 of each kernel (about 6e-9 in 3D).
 TRUNCATION_SIGMAS = 6.0
 
-# Stencil entries (particles x cells) summed per bincount in mollified_density;
-# it bounds the block temporaries at a few MB whatever N and the grid are.
-_STENCIL_BLOCK = 1 << 19
+# Bytes of all per-block arrays of mollified_density together: the block's
+# stencil entries, partial products and window cells. It bounds the KDE's
+# temporaries whatever N and the grid are; each block also costs a fixed
+# ~30 us of numpy calls, 100 blocks for N = 1e5 at 128^2.
+_KDE_BLOCK_BYTES = 1 << 21
 
 DEFAULT_GRID_EXTENT = 8.0
 DEFAULT_GRID_CELLS = {2: 128, 3: 64}
@@ -79,15 +81,17 @@ def mollified_density(ens, eps, grid: DensityGrid) -> DensityGrid:
     cells per axis. With x = (v - lo) / h, a particle's window on each axis is
     the m = floor(2R) + 1 cells from first = ceil(x - 1/2 - R), the first cell
     whose center is at least x - R: it holds every cell center within R of
-    the particle, and any extra cell lies less than one cell beyond R. For
-    each block of _STENCIL_BLOCK stencil entries, the per-axis weights and
-    cell indices, (m, B) for the m window cells and the block's B particles,
-    are combined by outer products offsets-major, (m, B) -> (m^2, B) -> ...,
-    so that every broadcast runs over the whole block; the last product is
-    written into two buffers reused by every block. One weighted bincount
-    sums them into a grid with a one-cell border; the border collects the
-    window cells off the grid and is cropped. Particles whose window misses
-    the grid still count in N. Non-finite velocities raise ValueError.
+    the particle, and any extra cell lies less than one cell beyond R. The
+    particles go in blocks of B, sized so that the block's arrays (an index
+    and a weight for each of its m^d stencil entries, m^(d-1) partial
+    products and d*m window cells per particle) take _KDE_BLOCK_BYTES. The
+    per-axis weights and cell indices, (m, B), are combined by outer
+    products offsets-major, (m, B) -> (m^2, B) -> ..., so that every
+    broadcast runs over the whole block; the last product is written into
+    two buffers reused by every block. np.add.at adds them into a grid with
+    a one-cell border, which collects the window cells off the grid and is
+    cropped. Particles whose window misses the grid still count in N.
+    Non-finite velocities raise ValueError.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -103,22 +107,25 @@ def mollified_density(ens, eps, grid: DensityGrid) -> DensityGrid:
     ng, h, lo = grid.n_grid, grid.h, grid.lo
     r = TRUNCATION_SIGMAS * np.sqrt(eps) / h
     offs = np.arange(int(2.0 * r) + 1)
+    m = offs.size
     size = ng + 2
     strides = size ** np.arange(d - 1, -1, -1)
     acc = np.zeros(size**d)
-    block = max(1, _STENCIL_BLOCK // offs.size**d)
-    # each block's stencil goes into these buffers: fresh multi-MB arrays per
-    # block are page-faulted in anew whenever the allocator has released them
-    flat = np.empty(min(n, block) * offs.size**d, np.intp)
+    block = max(1, _KDE_BLOCK_BYTES // (16 * (m**d + m ** (d - 1) + d * m)))
+    # each block's stencil goes into these buffers, not into fresh arrays
+    flat = np.empty(min(n, block) * m**d, np.intp)
     wgt = np.empty(flat.size)
     for s in range(0, n, block):
         vb = v[s:s + block]
         with np.errstate(over="ignore"):
             first = np.ceil((vb - lo) / h - 0.5 - r)
         # the window first .. first + m - 1 meets the grid iff it starts at or
-        # before cell ng - 1 and ends at or after cell 0
-        reach = np.all((first <= ng - 1) & (first >= 1 - offs.size), axis=1)
-        first, vb = first[reach].T, vb[reach].T
+        # before cell ng - 1 and ends at or after cell 0; the row test and
+        # its copies run only for a block in which some window may miss
+        if first.min() < 1 - m or first.max() > ng - 1:
+            reach = np.all((first <= ng - 1) & (first >= 1 - m), axis=1)
+            first, vb = first[reach], vb[reach]
+        first, vb = first.T, vb.T
         nb = vb.shape[1]
         cell = first.astype(np.intp)[:, None, :] + offs[:, None]
         wa = -((lo + (cell + 0.5) * h - vb[:, None, :]) ** 2) / (2.0 * eps)
@@ -128,13 +135,14 @@ def mollified_density(ens, eps, grid: DensityGrid) -> DensityGrid:
         ia *= strides[:, None, None]
         fa, wt = ia[0], wa[0]
         for a in range(1, d - 1):
-            fa = (fa[:, None, :] + ia[a]).reshape(offs.size ** (a + 1), nb)
+            fa = (fa[:, None, :] + ia[a]).reshape(m ** (a + 1), nb)
             wt = (wt[:, None, :] * wa[a]).reshape(fa.shape)
-        k = fa.size * offs.size
-        np.add(fa[:, None, :], ia[-1], out=flat[:k].reshape(len(fa), offs.size, nb))
-        np.multiply(wt[:, None, :], wa[-1], out=wgt[:k].reshape(len(fa), offs.size, nb))
+        k = fa.size * m
+        np.add(fa[:, None, :], ia[-1], out=flat[:k].reshape(len(fa), m, nb))
+        np.multiply(wt[:, None, :], wa[-1], out=wgt[:k].reshape(len(fa), m, nb))
         del cell, ia, wa, fa, wt  # before the next block builds its own
-        acc += np.bincount(flat[:k], weights=wgt[:k], minlength=acc.size)
+        # not a bincount: that would add a grid-sized array per block
+        np.add.at(acc, flat[:k], wgt[:k])
     inner = acc.reshape((size,) * d)[(slice(1, -1),) * d]
     norm = (2.0 * np.pi * eps) ** (-d / 2.0) / n
     return DensityGrid(grid.dim, grid.lo, grid.hi, ng, inner * norm)

@@ -26,7 +26,6 @@ import math
 import numpy as np
 
 from .errors import FixedPointNotConverged, InvalidSamplerForDim, SeriesTruncated
-from .streams import RngStream
 
 # Beyond this time the heat kernel on S^{d-1} is uniform to ~1e-20 in total
 # variation (first spectral gap d-1), so sampling the uniform law is exact
@@ -264,12 +263,13 @@ def rotate_from_pole(start, local):
     return unit(out)
 
 
-def sample_sbm_batch(starts, taus, kind, rng: RngStream, out=None):
+def sample_sbm_batch(starts, taus, kind, rng, out=None):
     """Sample SBM increments for a batch of start points and times.
 
-    ``kind`` must be ``default_sampler(dim)``. Every tau must be >= 0: rows
-    with tau = 0 keep their start point and tau = inf samples the uniform
-    law. Returns the end points aligned with ``starts``, in ``out`` when
+    ``kind`` must be ``default_sampler(dim)``. ``rng`` is an RngStream, or a
+    numpy Generator that is drawn from where it stands. Every tau must be
+    >= 0: rows with tau = 0 keep their start point and tau = inf samples the
+    uniform law. Returns the end points aligned with ``starts``, in ``out`` when
     given (an (n, dim) float array that does not overlap ``starts``, which
     is never written).
     """
@@ -286,7 +286,7 @@ def sample_sbm_batch(starts, taus, kind, rng: RngStream, out=None):
     idx = None if active.all() else np.flatnonzero(active)
     y0, t = (starts, taus) if idx is None else (starts[idx], taus[idx])
     res = out if idx is None else np.empty_like(y0)
-    gen = rng.generator()
+    gen = rng if isinstance(rng, np.random.Generator) else rng.generator()
 
     if dim == 3:
         _sample_s2(y0, t, gen, res)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from landau import collision
 from landau.analytic import sample_bkw
 from landau.collision import (EM, SBM, ParticleEnsemble, SchemeConfig, collision_step,
                               em_pair_update, random_pairing, sbm_pair_update,
@@ -156,14 +157,61 @@ def test_sbm_pair_update_matches_reference_bitwise(dim, gamma):
     assert np.any(taus >= _uniform_time(dim))
 
 
-# tracemalloc peaks of one collision_step at N = 1e5 before the column-wise
-# kernel; numpy reports its buffers to tracemalloc
-STEP_PEAK_MB = {(2, 0.0): 4.95, (3, 0.0): 9.35, (3, -3.0): 12.10}
+class _SharedGenerator:
+    """An RngStream stand-in that hands out one generator on every call, as
+    the blocks of one sbm_pair_update call share one."""
+
+    def __init__(self, rng):
+        self.gen = rng.generator()
+
+    def generator(self):
+        return self.gen
 
 
-@pytest.mark.parametrize("dim,gamma", list(STEP_PEAK_MB))
-def test_collision_step_memory_peak(dim, gamma):
-    v = bkw_ensemble(dim, 100_000, seed=1).velocities
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("gamma", [0.0, -3.0])
+def test_blocked_pair_update_matches_reference_bitwise(dim, gamma, monkeypatch):
+    # blocks of 700 pairs: 3000 pairs make four full blocks and one of 200,
+    # and an empty batch (a PIC step with no leftover pair) makes none. The
+    # blocks draw one after another from one generator, in every band.
+    block = 700
+    monkeypatch.setattr(collision, "_PAIR_BLOCK", block)
+    kernel = KernelParams(1.0 / 8.0, gamma, dim)
+    v0 = bkw_ensemble(dim, 6000, seed=30).velocities
+    i, j = random_pairing(6000, RngStream(31))
+    v0[j[:5]] = v0[i[:5]]
+    z = v0[i] - v0[j]
+    r = np.linalg.norm(z, axis=1)
+    empty = np.empty(0, dtype=np.intp)
+    unblocked = 0
+    for dt in (0.1, 2.0, 500.0):
+        want = v0.copy()
+        shared = _SharedGenerator(RngStream(32))
+        for lo in range(0, len(i), block):
+            reference_sbm_pair_update(want, i[lo:lo + block], j[lo:lo + block], kernel, dt, shared)
+        got = v0.copy()
+        sbm_pair_update(got, i, j, kernel, dt, RngStream(32))
+        np.testing.assert_array_equal(got, want)
+        sbm_pair_update(got, empty, empty, kernel, dt, RngStream(33))
+        np.testing.assert_array_equal(got, want)
+        taus = time_scale_k(z[r >= Z_FLOOR], kernel) * dt
+        if dim == 2 and np.all(taus < _uniform_time(2)):
+            # the draws of a 2D batch with no uniform-band pair do not interleave
+            whole = v0.copy()
+            reference_sbm_pair_update(whole, i, j, kernel, dt, RngStream(32))
+            np.testing.assert_array_equal(got, whole)
+            unblocked += 1
+    assert unblocked == (2 if (dim, gamma) == (2, 0.0) else 0)
+
+
+# tracemalloc peaks of one collision_step at N = 1e5 with blocks of
+# _PAIR_BLOCK pairs are 2.72, 5.09 and 7.41 MB; numpy reports its buffers to
+# tracemalloc
+STEP_PEAK_MB = {(2, 0.0): 2.80, (3, 0.0): 5.20, (3, -3.0): 7.55}
+
+
+def _step_peak_mb(dim, gamma, n):
+    v = bkw_ensemble(dim, n, seed=1).velocities
     cfg = SchemeConfig(0.1, SBM, KernelParams(1.0 / 8.0 if dim == 2 else 1.0 / 12.0, gamma, dim),
                        seed=3)
     i, j = random_pairing(len(v), RngStream(3, step=1, domain=DOMAIN_PAIRING))
@@ -171,10 +219,21 @@ def test_collision_step_memory_peak(dim, gamma):
     tracemalloc.start()
     try:
         collision_step(v, i, j, cfg, 2)
-        peak = tracemalloc.get_traced_memory()[1] / 1e6
+        return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
-    assert peak <= STEP_PEAK_MB[dim, gamma]
+
+
+@pytest.mark.parametrize("dim,gamma", list(STEP_PEAK_MB))
+def test_collision_step_memory_peak(dim, gamma):
+    assert _step_peak_mb(dim, gamma, 100_000) <= STEP_PEAK_MB[dim, gamma]
+
+
+def test_collision_step_peak_does_not_grow_with_n():
+    # 5e4 and 2e5 pairs both span several blocks, so the step's temporaries
+    # are those of one full block either way
+    for dim, gamma in STEP_PEAK_MB:
+        assert _step_peak_mb(dim, gamma, 400_000) <= 1.1 * _step_peak_mb(dim, gamma, 100_000)
 
 
 def test_em_momentum_and_zero_noise_drift():

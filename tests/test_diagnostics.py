@@ -113,11 +113,12 @@ def test_kde_matches_direct_sum(dim, n_grid, monkeypatch):
         v = _edge_case_ensemble(grid, eps, 211, np.random.default_rng(10 + dim))
         single = np.full((1, dim), grid.lo - 0.3 * grid.h)
         cases = [(ens, direct_mollified_density(ens, eps, -2.0, 2.0, n_grid)) for ens in (v, single)]
-        # the default block holds all 211 particles; blocks of 1000 stencil
-        # entries hold 15 particles at eps = 0.01 (windows of 8 cells in 2D,
-        # 4 in 3D), leaving a partial block, and 1 particle at the wider eps
-        for stencil_block in (diagnostics._STENCIL_BLOCK, 1000):
-            monkeypatch.setattr(diagnostics, "_STENCIL_BLOCK", stencil_block)
+        # the default budget holds all 211 particles at eps = 0.01; blocks of
+        # 21000 bytes hold 14 particles at eps = 0.01 (windows of 8 cells in
+        # 2D, 4 in 3D: 1408 and 1472 bytes per particle), leaving a partial
+        # block, and 1 particle at the wider eps
+        for block_bytes in (diagnostics._KDE_BLOCK_BYTES, 21000):
+            monkeypatch.setattr(diagnostics, "_KDE_BLOCK_BYTES", block_bytes)
             for ens, ref in cases:
                 got = mollified_density(ens, eps, grid).values
                 assert ref.max() > 0
@@ -154,16 +155,25 @@ def test_kde_window_spans_the_truncation_radius(dim, n_grid, cells):
 
 @pytest.mark.parametrize("dim, n_grid, n", [(3, 64, 50_000), (2, 128, 100_000)])
 def test_kde_matches_particle_major_reference(dim, n_grid, n, monkeypatch):
-    # the offsets-major stencil sums the same entries in another order; blocks
-    # of 1000 entries (8 particles in 3D, 10 in 2D) run on the first 2000
-    # particles, since each block adds a full-grid bincount
+    # the offsets-major stencil sums the same entries in another order, block
+    # by block with np.add.at. Blocks of 21000 bytes (7 particles in 3D, 10
+    # in 2D) run on the first 2000 particles against reference blocks of 1000
+    # entries (8 and 10 particles), since each reference block adds a
+    # full-grid bincount
     v = RngStream(12).generator().standard_normal((n, dim))
     grid = DensityGrid(dim, -8.0, 8.0, n_grid)
-    for stencil_block, ens in ((diagnostics._STENCIL_BLOCK, v), (1000, v[:2000])):
-        monkeypatch.setattr(diagnostics, "_STENCIL_BLOCK", stencil_block)
-        ref = reference_mollified_density(ens, 0.01, -8.0, 8.0, n_grid, block=stencil_block)
+    for block_bytes, block, ens in ((diagnostics._KDE_BLOCK_BYTES, 1 << 19, v),
+                                    (21000, 1000, v[:2000])):
+        monkeypatch.setattr(diagnostics, "_KDE_BLOCK_BYTES", block_bytes)
+        ref = reference_mollified_density(ens, 0.01, -8.0, 8.0, n_grid, block=block)
         got = mollified_density(ens, 0.01, grid).values
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * ref.max())
+
+
+# tracemalloc peaks of the KDE with blocks of _KDE_BLOCK_BYTES are 6.08 MB at
+# 64^3 (4.4 MB of it the grid with its border and the result) and 2.32 MB at
+# 128^2
+KDE_PEAK_MB = {3: 6.2, 2: 2.4}
 
 
 @pytest.mark.parametrize("dim, n_grid, n", [(3, 64, 50_000), (2, 128, 100_000)])
@@ -176,7 +186,7 @@ def test_kde_memory_is_bounded(dim, n_grid, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24e6
+    assert peak <= KDE_PEAK_MB[dim] * 1e6
 
 
 def test_kde_rejects_non_finite_velocities():

@@ -431,7 +431,7 @@ def test_step_memory_peaks():
     state = list(iterate_vpl(cfg))[-1][1]
     assert _traced_peak_mb(lambda: cn_va_step(state, cfg.dt, 5, grid)) <= 6.5
     assert _traced_peak_mb(lambda: cell_collisions(state, cfg.dt, cfg.kernel, grid,
-                                                   seed=7, step=2)) <= 7.0
+                                                   seed=7, step=2)) <= 5.25
 
 
 def test_simulate_vpl_determinism():
