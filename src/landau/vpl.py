@@ -65,16 +65,26 @@ class VplState:
             raise NonFiniteState("non-finite entries in VplState")
 
 
-def _wrap(x, period):
+def _bounds(x):
+    """(min, max) of x. NonFiniteState if x holds a nan, an infinity or a
+    magnitude of 2^53 or more, which keeps no fraction of a cell or period."""
+    lo, hi = x.min(initial=np.inf), x.max(initial=-np.inf)
+    if not (-2.0**53 < lo and hi < 2.0**53):  # a nan fails both
+        raise NonFiniteState(f"values from {lo} to {hi} beyond +-2^53")
+    return lo, hi
+
+
+def _wrap(x, period, bounds=None):
     """x % period, in place and bitwise equal to numpy's remainder.
 
     On [-period, 2 period) one shift by the period gives exactly what %
     gives: fmod is exact, x - period is exact there (Sterbenz), and adding
     0.0 turns -0.0 into the +0.0 that % returns. That costs a tenth of
     np.remainder, which serves the inputs outside that range. A shift that
-    no entry needs is skipped.
+    no entry needs is skipped. bounds, if given, are the _bounds of x, which
+    raise NonFiniteState for a nan, an infinity or |x| >= 2^53.
     """
-    lo, hi = x.min(initial=np.inf), x.max(initial=-np.inf)
+    lo, hi = _bounds(x) if bounds is None else bounds
     if lo < -period or hi >= 2 * period:
         return np.remainder(x, period, out=x)
     if hi >= period:
@@ -85,43 +95,34 @@ def _wrap(x, period):
     return x
 
 
-def hat_weights(x, grid: PicGrid, out=None):
-    """CIC weights (i0, w0, w1) of positions x for the unit hat centered on
-    cell centers: x lies between the centers of cell i0 (wrapped
-    periodically) and of the next cell, which get the weights w0 and w1.
+def hat_weights(u, grid: PicGrid, out=None):
+    """CIC weights (i0, g) of points u given in cell units, u = x/dx - 1/2,
+    where the cell centers sit at the integers.
 
-    The sweep of cn_va_step computes them once and hands the same tuple to
-    deposit_current and interpolate_field. out, if given, is such a tuple of
-    int64, float and float buffers the size of x that receives the weights;
-    x may be its last buffer.
+    u lies between the centers of cell i0 = floor(u), wrapped periodically,
+    and of the next cell, which get the weights 1 - g and g = u - floor(u);
+    1 - g is never stored. A u that is not finite, or 2^53 or more away,
+    raises NonFiniteState from the min and max of the floor, before anything
+    is cast to int. out, if given, is (i0, g, scratch): int64, float and
+    float buffers the size of u; u may be the g buffer.
     """
-    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
     if out is None:
-        out = (np.empty(x.shape, np.int64), np.empty(x.shape), np.empty(x.shape))
-    i0, fl, g = out
-    np.divide(x, grid.dx, out=g)
-    g -= 0.5
-    np.floor(g, out=fl)
-    g -= fl  # the fraction
-    np.copyto(i0, _wrap(fl, grid.n0), casting="unsafe")
-    return i0, np.subtract(1.0, g, out=fl), g
-
-
-def deposit_weighted(hat, w, grid: PicGrid, out=None):
-    """(1/dx) sum_i S_hat(x_i - x_k) w_i accumulated on the cell centers, from
-    the hat weights of the x_i; out, if given, is a float buffer for the
-    weighted terms. The w1 terms are binned by i0 and rolled one cell up: the
-    same sums, in the same particle order, as binned by the next cell."""
-    i0, w0, w1 = hat
-    w = np.broadcast_to(np.asarray(w, dtype=float), i0.shape)
-    acc = np.bincount(i0, weights=np.multiply(w0, w, out=out), minlength=grid.n0)
-    acc += np.roll(np.bincount(i0, weights=np.multiply(w1, w, out=out), minlength=grid.n0), 1)
-    return acc / grid.dx
+        out = (np.empty(u.shape, np.int64), np.empty(u.shape), np.empty(u.shape))
+    i0, g, fl = out
+    np.floor(u, out=fl)
+    bounds = _bounds(fl)  # before u - fl could turn an infinity into a nan
+    np.subtract(u, fl, out=g)
+    np.copyto(i0, _wrap(fl, grid.n0, bounds), casting="unsafe")
+    return i0, g
 
 
 def deposit_charge(state: VplState, grid: PicGrid):
-    """Cell-center charge density with the neutralizing background removed."""
-    raw = state.charge * deposit_weighted(hat_weights(state.positions, grid), 1.0, grid)
+    """Cell-center charge density with the neutralizing background removed,
+    deposited as deposit_current deposits unit velocities."""
+    i0, g = hat_weights(state.positions / grid.dx - 0.5, grid)
+    up = np.bincount(i0, weights=g, minlength=grid.n0)
+    raw = (np.bincount(i0, minlength=grid.n0) - up + np.roll(up, 1)) * (state.charge / grid.dx)
     return raw - raw.mean()
 
 
@@ -141,114 +142,106 @@ def solve_poisson(rho, grid: PicGrid):
 
 
 def interpolate_field(field, hat, out=None):
-    """E(x) = sum_k E_k S_hat(x_k - x): linear interpolation between centers,
-    from the hat weights of x (the next cell's E is the field rolled down, at
-    i0). out, if given, is a pair of float buffers: E(x) and scratch."""
-    i0, w0, w1 = hat
+    """E(x) = sum_k E_k S_hat(x_k - x) = E[i0] + g (E[i0 + 1] - E[i0]): linear
+    interpolation between centers, from the hat weights (i0, g) of x. out, if
+    given, is a pair of float buffers, E(x) and scratch; E(x) may be the g of
+    hat, which is read before it is written."""
+    i0, g = hat
     field = np.asarray(field, dtype=float)
     e, work = out if out is not None else (np.empty(i0.shape), np.empty(i0.shape))
     # every index is in range, so clip gathers unbuffered what raise would copy
+    (np.roll(field, -1) - field).take(i0, out=work, mode="clip")
+    work *= g
     field.take(i0, out=e, mode="clip")
-    e *= w0
-    np.roll(field, -1).take(i0, out=work, mode="clip")
-    work *= w1
     e += work
     return e
 
 
 def deposit_current(hat, vx, grid: PicGrid, charge, out=None):
     """Midpoint current J_k = (q/dx) sum_i S_hat(x_k - x_i) v_{x,i} and its
-    mean, from the hat weights of the x_i (out as in deposit_weighted)."""
-    j = charge * deposit_weighted(hat, vx, grid, out=out)
+    mean, from the hat weights (i0, g) of the x_i: cell i0 gets vx - g vx, and
+    the next cell g vx, binned by i0 and rolled one cell up (the same sums, in
+    the same particle order, as binned by the next cell). out, if given, is a
+    float buffer for g vx."""
+    i0, g = hat
+    up = np.bincount(i0, weights=np.multiply(g, vx, out=out), minlength=grid.n0)
+    j = np.bincount(i0, weights=vx, minlength=grid.n0) - up + np.roll(up, 1)
+    j *= charge / grid.dx
     return j, float(j.mean())
 
 
 def cn_va_step(state: VplState, dt, n_iters, grid: PicGrid, residual_tol=None) -> VplState:
     """One Crank-Nicolson Vlasov-Ampere step.
 
-    Fixed-point iteration of the implicit midpoint system: Euler predictor,
-    then each sweep recomputes midpoints, the midpoint current, the field
-    update E' = E - dt (J - J_mean) and the velocity update from the
-    averaged field. With residual_tol set, iteration stops once the sweep
-    changes field and particles by less than the tolerance, and raises
-    FixedPointNotConverged if that takes more than _MAX_FIXED_POINT_ITERS
-    sweeps; otherwise exactly n_iters sweeps run.
+    Fixed-point iteration of the implicit midpoint system on the midpoint
+    velocity vm = (vx0 + vx')/2 alone. The Euler predictor sets vm = vx0 +
+    (dt/2) E(x0). Each sweep places the midpoints at x0 + (dt/2) p, with
+    p = vx0 on the first sweep (the predicted x' = x0 + dt vx0) and p = vm
+    after it, deposits the current of vm there, updates the field
+    E' = E - dt (J - J_mean) and sets vm = vx0 + (dt/2) Ebar at the
+    midpoints, Ebar = (E + E')/2. Then x' = x0 + dt vm and vx' = vx0 + dt Ebar.
+    With residual_tol set, iteration stops once a sweep changes the field, vx'
+    (by 2 |dvm|) and x' (by dt |dvm|; against x0 + dt vx0 on the first sweep)
+    by less than the tolerance, and raises FixedPointNotConverged if that
+    takes more than _MAX_FIXED_POINT_ITERS sweeps; otherwise exactly n_iters
+    sweeps run.
 
-    The particle-sized arrays are allocated once per step: a contiguous vx0,
-    the guesses xg and vg, the hat's i0 and w0 and one scratch buffer. Each
-    sweep works in place, with the operands of fresh arrays in their order:
-    xg holds in turn the midpoint, its fraction w1 and the new positions, vg
-    the midpoint velocities and then the new ones. A tolerance needs the old
-    guesses for the residual, so the midpoint and the new velocities get two
-    more buffers, which trade places with the old guesses.
+    The sweep works in cell units (see hat_weights) from u0 = x0/dx - 1/2.
+    The particle-sized arrays are allocated once per step: vx0 (contiguous),
+    u0, vm, the hat's i0 and g and one scratch buffer, plus a second vm that
+    a tolerance needs for the residual. g holds in turn the midpoint, its
+    fraction and (dt/2) Ebar there.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
-    x0 = state.positions
-    vx0 = state.velocities[:, 0].copy()  # read three times a sweep: contiguous
+    vx0 = state.velocities[:, 0].copy()  # read in every sweep: contiguous
     e0 = state.field
-    n = x0.size
-    hat = (np.empty(n, np.int64), np.empty(n), np.empty(n))
-    work = np.empty(n)
-    # Euler predictor; positions stay unwrapped until the end of the step
-    vg = interpolate_field(e0, hat_weights(x0, grid, out=hat), out=(np.empty(n), work))
-    vg *= dt
-    vg += vx0
-    xg = hat[2] if residual_tol is None else np.empty(n)
-    np.multiply(vx0, dt, out=xg)
-    xg += x0
-    if not (np.all(np.isfinite(vg)) and np.all(np.isfinite(xg))):
-        raise NonFiniteState(f"Euler predictor diverged at t={state.time}")
-    # the midpoint and the new guesses: in place without a tolerance
-    xm = xg if residual_tol is None else hat[2]
-    vn = vg if residual_tol is None else np.empty(n)
-    eg = e0.copy()
+    n = vx0.size
+    u0 = np.divide(state.positions, grid.dx)
+    u0 -= 0.5
+    i0, g, work = np.empty(n, np.int64), np.empty(n), np.empty(n)
+    vm = interpolate_field(0.5 * dt * e0, hat_weights(u0, grid, out=(i0, g, work)),
+                           out=(np.empty(n), work))
+    vm += vx0  # the Euler predictor
+    vnext = vm if residual_tol is None else np.empty(n)  # no tolerance: vm in place
+    eg = e0
     iters = 0
-    while True:
-        iters += 1
-        np.subtract(xg, x0, out=xm)
-        xm *= 0.5
-        xm += x0
-        hat = hat_weights(_wrap(xm, grid.length), grid, out=hat[:2] + (xm,))
-        np.add(vx0, vg, out=vn)
-        vn *= 0.5
-        j, jmean = deposit_current(hat, vn, grid, state.charge, out=work)
-        enew = e0 - dt * (j - jmean)
-        interpolate_field(0.5 * (e0 + enew), hat, out=(vn, work))
-        vn *= dt
-        vn += vx0
-        np.add(vx0, vn, out=work)
-        work *= 0.5
-        work *= dt
-        np.add(x0, work, out=xm)  # the new positions, over the spent fraction
-        # stop a diverging sweep before the next one wraps and casts it to cells
-        if not (np.isfinite(xm).all() and np.isfinite(enew).all()):
-            raise NonFiniteState(f"Vlasov-Ampere iteration diverged at t={state.time}")
-        if residual_tol is None:
-            done = iters >= n_iters
-        else:
-            res = max(np.max(np.abs(enew - eg)), _max_abs_diff(vn, vg, work),
-                      _max_abs_diff(xm, xg, work))
-            done = res < residual_tol
-            if not done and iters >= _MAX_FIXED_POINT_ITERS:
-                raise FixedPointNotConverged(
-                    f"Vlasov-Ampere iteration at t={state.time}: residual {res:.3e} still above "
-                    f"residual_tol={residual_tol:g} after {iters} sweeps")
-        vg, vn = vn, vg
-        xg, xm = xm, xg
-        eg = enew
-        if done:
-            break
-    # free the sweep's buffers before the velocities are copied
-    del hat, work, vn, xm
+    try:
+        while True:
+            iters += 1
+            np.multiply(vx0 if iters == 1 else vm, 0.5 * dt / grid.dx, out=g)
+            g += u0
+            hat = hat_weights(g, grid, out=(i0, g, work))
+            j, jmean = deposit_current(hat, vm, grid, state.charge, out=work)
+            enew = e0 - dt * (j - jmean)
+            if not np.isfinite(enew).all():
+                raise NonFiniteState("non-finite field")
+            eb = interpolate_field(0.25 * dt * (e0 + enew), hat, out=(g, work))
+            np.add(vx0, eb, out=vnext)
+            if residual_tol is None:
+                done = iters >= n_iters
+            else:
+                dv = np.abs(np.subtract(vnext, vm, out=work), out=work).max()
+                dp = np.abs(eb, out=work).max() if iters == 1 else dv  # vm - vx0 = eb
+                res = max(np.max(np.abs(enew - eg)), 2.0 * dv, dt * dp)
+                done = res < residual_tol
+                if not done and iters >= _MAX_FIXED_POINT_ITERS:
+                    raise FixedPointNotConverged(
+                        f"Vlasov-Ampere iteration at t={state.time}: residual {res:.3e} still "
+                        f"above residual_tol={residual_tol:g} after {iters} sweeps")
+            vm, vnext, eg = vnext, vm, enew
+            if done:
+                break
+        del u0, i0, hat, vnext  # free the sweep's buffers before the velocities are copied
+        x = _wrap(np.add(state.positions, np.multiply(vm, dt, out=work), out=work), grid.length)
+    except NonFiniteState as err:
+        raise NonFiniteState(f"Vlasov-Ampere iteration diverged at t={state.time}: {err}") from err
+    eb += eb
+    eb += vx0  # vx' = vx0 + dt Ebar
+    del vm, vx0
     v = state.velocities.copy()
-    v[:, 0] = vg
-    return VplState(_wrap(xg, grid.length), v, eg, state.charge, state.time + dt)
-
-
-def _max_abs_diff(a, b, work):
-    """max |a - b|, with the difference taken in work."""
-    return np.abs(np.subtract(a, b, out=work), out=work).max()
+    v[:, 0] = eb
+    return VplState(x, v, eg, state.charge, state.time + dt)
 
 
 def _cell_pairs(cell, n_cells, gen):
@@ -344,6 +337,11 @@ class VplConfig:
     residual_tol: Optional[float] = None
     seed: int = 0
     record_every: int = 1
+
+    def __post_init__(self):
+        for name in ("n_iters", "record_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
 
 
 def initial_state(config: VplConfig, grid: PicGrid) -> VplState:

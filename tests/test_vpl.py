@@ -8,9 +8,9 @@ from landau.errors import FixedPointNotConverged, InvalidCheckpoint, NonFiniteSt
 from landau.kernels import KernelParams
 from landau.streams import RngStream
 from landau.vpl import (PicGrid, VplConfig, VplState, _cell_pairs, _wrap, cell_collisions,
-                        cn_va_step, deposit_charge, deposit_current, deposit_weighted,
-                        hat_weights, initial_state, interpolate_field, iterate_vpl,
-                        simulate_vpl, solve_poisson, vpl_diagnostics)
+                        cn_va_step, deposit_charge, deposit_current, hat_weights,
+                        initial_state, interpolate_field, iterate_vpl, simulate_vpl,
+                        solve_poisson, vpl_diagnostics)
 from oracles import reference_cell_pairs, reference_cn_va_step, reference_hat_weights
 
 # an overflow or an invalid value in a step is a bug, not a warning to read past
@@ -27,10 +27,20 @@ def make_state(x, v, grid, field=None, q=None):
     return VplState(x, np.asarray(v, dtype=float), f, grid.length / n if q is None else q)
 
 
+def hat_of(x, grid):
+    """The hat weights of positions x: hat_weights takes cell units."""
+    return hat_weights(np.asarray(x, dtype=float) / grid.dx - 0.5, grid)
+
+
+def density(x, grid):
+    """(1/dx) sum_i S_hat(x_i - x_k): the current of unit velocities and unit charge."""
+    return deposit_current(hat_of(x, grid), np.ones(len(x)), grid, 1.0)[0]
+
+
 def test_deposit_single_particle_at_center():
     grid = PicGrid(LENGTH, 16)
     x = np.array([grid.centers()[5]])
-    raw = deposit_weighted(hat_weights(x, grid), 1.0, grid)
+    raw = density(x, grid)
     expect = np.zeros(16)
     expect[5] = 1.0 / grid.dx
     np.testing.assert_allclose(raw, expect, atol=1e-12)
@@ -40,7 +50,7 @@ def test_deposit_single_particle_midway():
     grid = PicGrid(LENGTH, 16)
     c = grid.centers()
     x = np.array([(c[5] + c[6]) / 2.0])
-    raw = deposit_weighted(hat_weights(x, grid), 1.0, grid)
+    raw = density(x, grid)
     assert raw[5] == pytest.approx(0.5 / grid.dx, rel=1e-12)
     assert raw[6] == pytest.approx(0.5 / grid.dx, rel=1e-12)
     assert np.sum(raw != 0) == 2
@@ -51,7 +61,7 @@ def test_deposit_total_charge_and_neutrality():
     gen = RngStream(1).generator()
     n = 10_000
     state = make_state(gen.uniform(0, LENGTH, n), gen.standard_normal((n, 2)), grid)
-    raw = state.charge * deposit_weighted(hat_weights(state.positions, grid), 1.0, grid)
+    raw = state.charge * density(state.positions, grid)
     assert np.sum(raw) * grid.dx == pytest.approx(n * state.charge, rel=1e-12)
     rho = deposit_charge(state, grid)
     assert abs(np.sum(rho)) <= 1e-12 * np.max(np.abs(rho)) * grid.n0
@@ -61,7 +71,7 @@ def test_partition_of_unity_via_constant_field():
     grid = PicGrid(LENGTH, 32)
     gen = RngStream(2).generator()
     x = gen.uniform(0, LENGTH, 10_000)
-    ones = interpolate_field(np.ones(32), hat_weights(x, grid))
+    ones = interpolate_field(np.ones(32), hat_of(x, grid))
     np.testing.assert_allclose(ones, 1.0, atol=1e-12)
 
 
@@ -90,14 +100,14 @@ def test_interpolation_cases():
     grid = PicGrid(LENGTH, 32)
     c = grid.centers()
     field = np.arange(32.0)
-    at = interpolate_field(field, hat_weights(np.array([c[7], (c[7] + c[8]) / 2]), grid))
+    at = interpolate_field(field, hat_of([c[7], (c[7] + c[8]) / 2], grid))
     assert at[0] == pytest.approx(7.0, abs=1e-12)
     assert at[1] == pytest.approx(7.5, abs=1e-12)
     # linear fields are reproduced exactly between centers away from the seam
     a, b = 0.7, -2.0
     lin = a * c + b
     xs = np.linspace(c[1], c[-2], 57)
-    np.testing.assert_allclose(interpolate_field(lin, hat_weights(xs, grid)), a * xs + b,
+    np.testing.assert_allclose(interpolate_field(lin, hat_of(xs, grid)), a * xs + b,
                                atol=1e-12)
 
 
@@ -108,7 +118,7 @@ def test_current_deposit():
     x = gen.uniform(0, LENGTH, n)
     v = gen.standard_normal((n, 2))
     q = LENGTH / n
-    hat = hat_weights(x, grid)
+    hat = hat_of(x, grid)
     j, jmean = deposit_current(hat, v[:, 0], grid, q)
     assert np.sum(j) * grid.dx == pytest.approx(q * np.sum(v[:, 0]), rel=1e-12)
     assert jmean == pytest.approx(np.mean(j), rel=1e-14)
@@ -179,21 +189,77 @@ def _counting(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("n_iters, tol", [(5, None), (1, None), (50, 1e-12)])
-def test_cn_step_matches_reference_bitwise(monkeypatch, n_iters, tol):
+def _assert_matches_reference(state, grid, dt, n_iters, tol, deposits):
+    """One cn_va_step against reference_cn_va_step: the same iteration, so
+    the same sweep count, with only rounding apart (seen: at most 1.8e-15 on
+    _sweep_state, and 2.2e-14 in the field across the seam)."""
+    x, v, e, sweeps = reference_cn_va_step(state, dt, n_iters, grid, residual_tol=tol)
+    deposits.clear()
+    out = cn_va_step(state, dt, n_iters, grid, residual_tol=tol)
+    period = grid.length
+    np.testing.assert_allclose((out.positions - x + period / 2) % period - period / 2, 0.0,
+                               atol=1e-13)
+    np.testing.assert_allclose(out.velocities, v, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(out.field, e, rtol=0, atol=1e-13)
+    assert len(deposits) == sweeps
+    return out, sweeps
+
+
+# (1, None) pins the Euler predictor: a first sweep whose midpoints move by
+# the predicted velocity instead of vx0 puts positions about 1e-7 off
+@pytest.mark.parametrize("n_iters, tol", [(5, None), (1, None), (50, 1e-12), (50, 1e-10)])
+def test_cn_step_matches_reference_to_rounding(monkeypatch, n_iters, tol):
     # chained steps wrap positions across both ends of the domain
     state, grid = _sweep_state()
     deposits = _counting(monkeypatch, "deposit_current")
     for _ in range(3):
-        x, v, e, sweeps = reference_cn_va_step(state, 0.05, n_iters, grid, residual_tol=tol)
-        deposits.clear()
-        out = cn_va_step(state, 0.05, n_iters, grid, residual_tol=tol)
-        np.testing.assert_array_equal(out.positions, x)
-        np.testing.assert_array_equal(out.velocities, v)
-        np.testing.assert_array_equal(out.field, e)
-        assert len(deposits) == sweeps
-        state = out
+        state, sweeps = _assert_matches_reference(state, grid, 0.05, n_iters, tol, deposits)
     assert tol is None or 1 < sweeps < 50
+
+
+@pytest.mark.parametrize("n0", [2, 17, 64])
+def test_cn_step_matches_reference_across_the_seam(monkeypatch, n0):
+    grid = PicGrid(LENGTH, n0)
+    gen = RngStream(18).generator()
+    n, dt = 2000, 0.1
+    x = gen.uniform(0, LENGTH, n)
+    v = gen.standard_normal((n, 2))
+    x[:50] = gen.uniform(0, 0.05, 50)  # midpoints below 0
+    v[:50, 0] = -np.abs(v[:50, 0]) - 0.2
+    x[50:100] = gen.uniform(LENGTH - 0.05, LENGTH, 50)  # and at or above L
+    v[50:100, 0] = np.abs(v[50:100, 0]) + 0.2
+    x[100], v[100, 0] = LENGTH - 0.01, (3.0 * LENGTH + 1.0) / dt  # 1.5 periods to its midpoint
+    # a midpoint cell at or above 2 n0, so the cell wrap takes its np.remainder path
+    assert (x[100] + 0.5 * dt * v[100, 0]) / grid.dx - 0.5 >= 2 * n0
+    field = gen.standard_normal(n0)
+    state = make_state(x, v, grid, field=field - field.mean())
+    deposits = _counting(monkeypatch, "deposit_current")
+    for n_iters, tol in ((5, None), (50, 1e-10)):
+        _assert_matches_reference(state, grid, dt, n_iters, tol, deposits)
+
+
+def test_deposit_and_interpolation_are_adjoint():
+    # sum_k E_k J_k dx = q sum_i vx_i E(x_i): the discrete identity behind the
+    # CN energy balance. Positive E and vx keep both sums free of cancellation,
+    # so a roll the wrong way shows far above rounding
+    grid = PicGrid(LENGTH, 16)
+    gen = RngStream(19).generator()
+    n, q = 10_000, 0.3
+    hat = hat_of(gen.uniform(-LENGTH, 2 * LENGTH, n), grid)
+    field = gen.uniform(0.5, 1.5, grid.n0)
+    vx = gen.uniform(0.5, 1.5, n)
+    j, _ = deposit_current(hat, vx, grid, q)
+    lhs = np.dot(field, j) * grid.dx
+    rhs = q * np.dot(vx, interpolate_field(field, hat))
+    assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
+
+
+@pytest.mark.parametrize("field, value", [("n_iters", 0), ("record_every", 0),
+                                          ("record_every", -1)])
+def test_vpl_config_rejects_counts_below_one(field, value):
+    with pytest.raises(ValueError, match=field):
+        VplConfig(n_particles=200, dt=0.1, t_end=0.2, alpha=0.1, kernel=COULOMB,
+                  **{field: value})
 
 
 def test_cn_step_calls_each_layer_once_per_sweep(monkeypatch):
@@ -230,10 +296,14 @@ def test_hat_weights_match_reference_bitwise():
     c = grid.centers()
     for x in (gen.uniform(0, LENGTH, 10_000), gen.uniform(-2 * LENGTH, 3 * LENGTH, 10_000),
               np.r_[0.0, c, c - 0.5 * grid.dx, LENGTH, np.nextafter(LENGTH, 0.0)]):
-        i0, _, w0, w1 = reference_hat_weights(x, grid)
-        for got, want in zip(hat_weights(x, grid), (i0, w0, w1)):
+        i0, _, _, frac = reference_hat_weights(x, grid)
+        for got, want in zip(hat_weights(x / grid.dx - 0.5, grid), (i0, frac)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+    # from 2^53 on a float keeps no fraction of a cell
+    for bad in (np.inf, -np.inf, np.nan, 2.0**53, -2.0**53 - 2.0):
+        with pytest.raises(NonFiniteState):
+            hat_weights(np.array([0.5, bad, 3.0]), grid)
 
 
 def test_cn_step_raises_when_residual_tol_is_not_met():
