@@ -8,7 +8,7 @@ from .collision import (EM, SBM, Checkpoint, DiagnosticsPlan, ParticleEnsemble,
 from .diagnostics import (DensityGrid, DiagnosticsRecord, entropy, mollified_density,
                           moments, relative_l2_error)
 from .kernels import KernelParams, Z_FLOOR, kernel_A, kernel_K, kernel_sigma, projection, time_scale_k
-from .sphere import SamplerKind, default_sampler, rotate_from_pole, sample_sbm_batch
+from .sphere import SamplerKind, default_sampler, sample_sbm_batch
 from .streams import RngStream
 from .vpl import (PicGrid, VplConfig, VplState, cell_collisions, cn_va_step,
                   deposit_charge, deposit_current, hat_weights, interpolate_field,

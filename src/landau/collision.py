@@ -231,6 +231,8 @@ def simulate_homogeneous(cfg: SchemeConfig, init: ParticleEnsemble, t_end, check
         raise ValueError("t_end must be >= 0")
     if init.n % 2 != 0:
         raise OddParticleCount(f"homogeneous stepper needs even N, got {init.n}")
+    if cfg.kernel.dim != init.dim:
+        raise ValueError(f"a {cfg.kernel.dim}D kernel cannot step {init.dim}D velocities")
     plan = plan or DiagnosticsPlan()
     n_steps = step_count(t_end, cfg.dt)
     marks = {step_count(t, cfg.dt): t for t in checkpoints}

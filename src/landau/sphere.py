@@ -10,10 +10,11 @@ and every method is exact in law:
   the start point by a draw of the SO(3) heat kernel, an isotropic Gaussian
   in exponential coordinates reweighted by sin(psi/2) / (psi/2) through
   rejection (Nikolayev & Savyolova 1997). Up to ``_uniform_time(3)`` the
-  polar-angle cosine is 1 - 2 Beta(1, 1 + M), M from the death-process law
-  of the Wright-Fisher radial diffusion (Jenkins & Spano 2017), with a
-  uniform azimuth, rotated back to the start point; past it the cosine is
-  uniform (M = 0).
+  cosine of the angle to the start point is 1 - 2 Beta(1, 1 + M), M from
+  the death-process law of the Wright-Fisher radial diffusion (Jenkins &
+  Spano 2017); past it the cosine is uniform (M = 0). The end point leaves
+  the start point along a uniform unit tangent, one closed form for both
+  bands with no singular start point.
 
 The 3D sampler renormalizes to unit length and the 2D rotation keeps the
 length of the start point, so downstream energy conservation is exact up to
@@ -69,15 +70,6 @@ class SamplerKind(enum.Enum):
 
 def default_sampler(dim):
     return SamplerKind.EXACT_2D if dim == 2 else SamplerKind.SPHERE_3D
-
-
-def unit(v):
-    """Normalize the last axis to unit length."""
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
-    if np.any(n == 0):
-        raise ValueError("cannot normalize a zero vector")
-    return v / n
 
 
 def _check_kind(kind, dim):
@@ -196,6 +188,11 @@ def _death_process_draws(t, gen):
 def _sample_s2(y0, t, gen, res):
     """End points of SBM on S^2 from the rows of y0 for times t, into res.
 
+    Rows below ``_MIXTURE_MIN_TAU`` take the SO(3) lift. The others end at
+    (1 - 2B) y0 + 2 sqrt(B (1 - B)) e, renormalized, so that y0 . end = 1 - 2B:
+    B ~ Beta(1, 1 + M) by inverse CDF, with M the death-process draw, or
+    M = 0 (the uniform law) past ``_uniform_time(3)``; e is a standard normal
+    vector less its y0 component, normalized: a uniform unit tangent at y0.
     The bands are split by index arrays: the mixture and uniform rows are
     gathered and drawn first, then the lift rows, and each band's rows are
     written into res once.
@@ -204,17 +201,22 @@ def _sample_s2(y0, t, gen, res):
     if small.all():
         return _so3_lift(y0, t, gen, res)
     big = np.flatnonzero(~small)
-    tb = np.take(t, big)
+    tb, y = np.take(t, big), np.take(y0, big, axis=0)
     mix = tb < _uniform_time(3)
-    # started at the pole the Beta mixture collapses to Beta(1, 1+M); the
-    # uniform law is M = 0
     m = np.zeros(tb.size, dtype=np.int64)
     m[mix] = _death_process_draws(tb[mix], gen)
-    x = 1.0 - 2.0 * gen.beta(1.0, 1.0 + m)
-    phi = gen.uniform(0.0, 2.0 * np.pi, tb.size)
-    sin_th = np.sqrt(np.maximum(1.0 - x * x, 0.0))
-    local = np.column_stack([sin_th * np.cos(phi), sin_th * np.sin(phi), x])
-    _put_rows(res, big, rotate_from_pole(np.take(y0, big, axis=0), local))
+    # 1 - (1 - u)^(1/(1+M)); log1p keeps u = 0 free of log(0)
+    b = -np.expm1(np.log1p(-gen.random(tb.size)) / (1 + m))
+    e = gen.standard_normal((tb.size, 3))
+    # the y component is taken out twice: one pass leaves a residue of order
+    # eps |e|, which the normalization magnifies where e is close to +-y
+    for _ in range(2):
+        e -= np.einsum("ij,ij->i", e, y)[:, None] * y
+    e /= np.linalg.norm(e, axis=1)[:, None]
+    e *= (2.0 * np.sqrt(b * (1.0 - b)))[:, None]
+    e += (1.0 - 2.0 * b)[:, None] * y
+    e /= np.linalg.norm(e, axis=1)[:, None]
+    _put_rows(res, big, e)
     if big.size < t.size:
         lift = np.flatnonzero(small)
         _put_rows(res, lift, _so3_lift(np.take(y0, lift, axis=0), np.take(t, lift), gen))
@@ -229,38 +231,6 @@ def _put_rows(v, idx, rows):
         return
     row = np.dtype((np.void, v.itemsize * v.shape[1]))
     np.put(v.view(row).ravel(), idx, np.ascontiguousarray(rows, v.dtype).view(row).ravel())
-
-
-def rotate_from_pole(start, local):
-    """Apply the rotation taking the north pole e_d to `start` to `local`.
-
-    Both arguments are unit vectors (batched over leading axes). The map is
-    an isometry, so polar angles measured from the pole are preserved.
-    """
-    start = np.atleast_2d(np.asarray(start, dtype=float))
-    local = np.atleast_2d(np.asarray(local, dtype=float))
-    start, local = np.broadcast_arrays(start, local)
-    d = start.shape[-1]
-    ps = start[..., -1]
-    px = local[..., -1]
-    w = start.copy()
-    w[..., -1] += 1.0
-    denom = 1.0 + ps
-    ok = denom > 1e-12
-    dsafe = np.where(ok, denom, 1.0)
-    out = (
-        local
-        - (np.sum(w * local, axis=-1) / dsafe)[..., None] * w
-        + 2.0 * px[..., None] * start
-    )
-    if np.any(~ok):
-        # antipodal start: rotate by pi about the first axis
-        flipped = local[~ok].copy()
-        flipped[..., 1:] *= -1.0
-        if d == 2:
-            flipped = -local[~ok]
-        out[~ok] = flipped
-    return unit(out)
 
 
 def sample_sbm_batch(starts, taus, kind, rng, out=None):

@@ -12,7 +12,7 @@ kernel that also serves the homogeneous solver.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -332,22 +332,24 @@ class VplConfig:
     alpha: float
     kernel: KernelParams
     n_cells: int = 128
-    length: float = DAMPING_LENGTH
     n_iters: int = 5
     residual_tol: Optional[float] = None
     seed: int = 0
     record_every: int = 1
 
+    # the damping initial condition lives on [0, 4 pi]
+    length: ClassVar[float] = DAMPING_LENGTH
+
     def __post_init__(self):
         for name in ("n_iters", "record_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.kernel.dim != 2:
+            raise ValueError(f"the PIC velocities are 2D, got a {self.kernel.dim}D kernel")
 
 
 def initial_state(config: VplConfig, grid: PicGrid) -> VplState:
     """Sample the perturbed Maxwellian and solve for the initial field."""
-    if abs(config.length - DAMPING_LENGTH) > 1e-9:
-        raise ValueError("the damping initial condition lives on [0, 4 pi]")
     x, v = sample_landau_damping(config.n_particles, config.alpha,
                                  RngStream(config.seed, domain=DOMAIN_INIT))
     q = config.length / config.n_particles  # total charge Q = |domain|

@@ -19,8 +19,17 @@ from landau.collision import (SBM, Checkpoint, DiagnosticsPlan, ParticleEnsemble
 from landau.kernels import Z_FLOOR, kernel_K, kernel_sigma
 from landau.errors import SeriesTruncated
 from landau.sphere import (_DEATH_RATES, _DEATH_SERIES, _MIXTURE_MIN_TAU, _death_process_draws,
-                           _uniform_time, rotate_from_pole)
+                           _uniform_time)
 from landau.streams import DOMAIN_COLLISION, DOMAIN_PAIRING, RngStream
+
+
+def unit(v):
+    """Normalize the last axis to unit length."""
+    v = np.asarray(v, dtype=float)
+    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    if np.any(n == 0):
+        raise ValueError("cannot normalize a zero vector")
+    return v / n
 
 
 def heat_kernel_cos_cdf(x, tau, lmax=400, tol=1e-18):
@@ -355,15 +364,15 @@ def _reference_sample_s2(y0, t, gen):
         return reference_so3_lift(y0, t, gen)
     res = np.empty_like(y0)
     big = np.flatnonzero(~small)
-    tb = t[big]
+    tb, y = t[big], y0[big]
     mix = tb < _uniform_time(3)
     m = np.zeros(tb.size, dtype=np.int64)
     m[mix] = _death_process_draws(tb[mix], gen)
-    x = 1.0 - 2.0 * gen.beta(1.0, 1.0 + m)
-    phi = gen.uniform(0.0, 2.0 * np.pi, tb.size)
-    sin_th = np.sqrt(np.maximum(1.0 - x * x, 0.0))
-    local = np.column_stack([sin_th * np.cos(phi), sin_th * np.sin(phi), x])
-    res[big] = rotate_from_pole(y0[big], local)
+    b = -np.expm1(np.log1p(-gen.random(tb.size)) / (1 + m))[:, None]
+    e = gen.standard_normal((tb.size, 3))
+    e = e - np.einsum("ij,ij->i", e, y)[:, None] * y
+    e = unit(e - np.einsum("ij,ij->i", e, y)[:, None] * y)
+    res[big] = unit((1.0 - 2.0 * b) * y + 2.0 * np.sqrt(b * (1.0 - b)) * e)
     if small.any():
         res[small] = reference_so3_lift(y0[small], t[small], gen)
     return res
@@ -372,7 +381,7 @@ def _reference_sample_s2(y0, t, gen):
 def reference_sample_sbm_batch(starts, taus, rng):
     """SBM end points in a fresh array: the circle rotation with both columns
     formed at once, and on S^2 the band split with the reference lift (the
-    death-process draws and rotate_from_pole are the solver's own)."""
+    death-process draws are the solver's own)."""
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     n, dim = starts.shape
     taus = np.broadcast_to(np.asarray(taus, dtype=float), (n,))

@@ -20,11 +20,11 @@ from landau.collision import (EM, SBM, DiagnosticsPlan, ParticleEnsemble,
                               simulate_homogeneous)
 from landau.diagnostics import DensityGrid
 from landau.kernels import KernelParams
-from landau.sphere import default_sampler, sample_sbm_batch, unit
+from landau.sphere import default_sampler, sample_sbm_batch
 from landau.streams import RngStream, DOMAIN_PAIRING
 from landau.vpl import PicGrid, VplConfig, simulate_vpl, solve_poisson
 
-from oracles import heat_kernel_cos_cdf, landau_damping_rate
+from oracles import heat_kernel_cos_cdf, landau_damping_rate, unit
 
 MAXWELL_2D = KernelParams(1.0 / 8.0, 0.0, 2)
 COULOMB_2D = KernelParams(1.0 / 8.0, -3.0, 2)

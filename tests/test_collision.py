@@ -351,6 +351,14 @@ def test_simulate_rejects_bad_checkpoints_and_odd_n():
         simulate_homogeneous(cfg, odd, 1.0, [1.0])
 
 
+@pytest.mark.parametrize("kernel,dim", [(MAXWELL_3D, 2), (MAXWELL_2D, 3)])
+def test_simulate_rejects_a_kernel_of_another_dimension(kernel, dim):
+    # a 3D kernel on 2D velocities would run with the 3D drift (1 - d) lam z
+    ens = bkw_ensemble(dim, 200, seed=21)
+    with pytest.raises(ValueError, match="kernel cannot step"):
+        simulate_homogeneous(SchemeConfig(0.1, EM, kernel), ens, 1.0, [1.0])
+
+
 def test_simulate_conserves_momentum_and_energy():
     ens = bkw_ensemble(2, 2000, seed=19)
     cfg = SchemeConfig(0.1, SBM, MAXWELL_2D, seed=20)

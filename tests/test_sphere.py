@@ -11,12 +11,13 @@ from landau.collision import SBM, SchemeConfig
 from landau.errors import FixedPointNotConverged, InvalidSamplerForDim, SeriesTruncated
 from landau.kernels import KernelParams
 from landau.sphere import (SamplerKind, _death_process_draws, _death_process_probs, _rodrigues,
-                           _so3_lift, default_sampler, rotate_from_pole, sample_sbm_batch, unit)
+                           _so3_lift, default_sampler, sample_sbm_batch)
 from landau.streams import RngStream
 
 from oracles import (death_process_probs, einsum_death_process_probs, heat_kernel_cos_cdf,
                      reference_death_process_draws, reference_rodrigues,
-                     reference_sample_sbm_batch, reference_so3_lift, so3_lift_legendre_moment)
+                     reference_sample_sbm_batch, reference_so3_lift, so3_lift_legendre_moment,
+                     unit)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -356,25 +357,29 @@ def test_lift_raises_at_its_round_cap(monkeypatch):
         batch_from(pole(3), 10_000, 0.1, seed=56)
 
 
-def test_rotate_from_pole_identity_and_isometry():
-    rng = np.random.default_rng(21)
-    for dim in (2, 3):
-        x = unit(rng.standard_normal((200, dim)))
-        np.testing.assert_allclose(rotate_from_pole(pole(dim), x), x, atol=1e-12)
-        starts = unit(rng.standard_normal((200, dim)))
-        out = rotate_from_pole(starts, x)
-        np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
-        # the rotation preserves the polar angle of the sample
-        np.testing.assert_allclose(np.sum(out * starts, axis=1), x[:, -1], atol=1e-12)
+@pytest.mark.parametrize("start", [pole(3), -pole(3), np.eye(3)[0], -np.eye(3)[0]],
+                         ids=["+e3", "-e3", "+e1", "-e1"])
+def test_mixture_band_from_poles_and_axes(start):
+    # no start point is singular for the tangent-plane end point
+    tau = 0.5
+    out = batch_from(start, 50_000, tau, seed=34)
+    np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, rtol=0, atol=1e-15)
+    assert kstest(out @ start, lambda x: heat_kernel_cos_cdf(x, tau)).pvalue > 0.01
 
 
-def test_rotate_from_pole_antipodal():
-    for dim in (2, 3):
-        s = -pole(dim)
-        x = unit(np.arange(1.0, dim + 1.0))
-        out = rotate_from_pole(s, x)
-        np.testing.assert_allclose(np.linalg.norm(out, axis=-1), 1.0, atol=1e-12)
-        np.testing.assert_allclose(np.sum(out * s, axis=-1), x[-1], atol=1e-12)
+def test_mixture_band_cosine_is_one_minus_twice_the_beta_draw():
+    # mixture and uniform rows only, so the generator is read in the
+    # sampler's order: the death-process uniforms, then u, then the normals
+    n = 10_000
+    rng = np.random.default_rng(35)
+    taus = np.concatenate([np.geomspace(0.15, 45.9, n - 100), np.full(100, 100.0)])
+    starts = unit(rng.standard_normal((n, 3)))
+    out = sample_sbm_batch(starts, taus, S3, RngStream(36))
+    gen = RngStream(36).generator()
+    m = np.zeros(n, dtype=np.int64)
+    m[:n - 100] = _death_process_draws(taus[:n - 100], gen)
+    b = -np.expm1(np.log1p(-gen.random(n)) / (1 + m))
+    np.testing.assert_allclose(np.sum(out * starts, axis=1), 1.0 - 2.0 * b, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.25])

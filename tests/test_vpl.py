@@ -162,7 +162,8 @@ def test_cn_step_raises_on_nonfinite():
 
 @pytest.mark.parametrize("tol", [None, 1e-10])
 def test_cn_step_raises_on_sweep_divergence(tol):
-    # the Euler predictor stays finite; the first sweep overflows the positions
+    # the Euler predictor stays finite; vpl._bounds rejects the first sweep's
+    # midpoint cells, which reach past its 2^53 bound
     grid = PicGrid(LENGTH, 16)
     state = make_state(np.array([1.0, 2.0]), np.array([[1e300, 0.0], [-1e300, 0.0]]), grid)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteState, match=r"diverged at t=0\.0"):
@@ -260,6 +261,12 @@ def test_vpl_config_rejects_counts_below_one(field, value):
     with pytest.raises(ValueError, match=field):
         VplConfig(n_particles=200, dt=0.1, t_end=0.2, alpha=0.1, kernel=COULOMB,
                   **{field: value})
+
+
+def test_vpl_config_rejects_a_3d_kernel():
+    with pytest.raises(ValueError, match="3D kernel"):
+        VplConfig(n_particles=200, dt=0.1, t_end=0.2, alpha=0.1,
+                  kernel=KernelParams(1.0, -2.0, 3))
 
 
 def test_cn_step_calls_each_layer_once_per_sweep(monkeypatch):
