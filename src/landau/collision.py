@@ -140,24 +140,20 @@ def _sbm_pair_block(v, i, j, kernel, dt, gen):
     _put_rows(v, j, half)
 
 
-def em_pair_update(v, i, j, kernel: KernelParams, dt, rng: RngStream, noise=None):
+def em_pair_update(v, i, j, kernel: KernelParams, dt, rng: RngStream):
     """Euler-Maruyama window of the pairs (i[k], j[k]) of ``v``, in place.
 
-    Dv = K(z) dt + sigma(z) dW with dW ~ N(0, dt I) is added to v_i and taken
-    from v_j, so momentum is conserved per pair. Pairs with |z| below the
-    degeneracy floor keep their velocities. ``noise`` injects the dW array
-    (pair-ordered, shape (n_pairs, d)). A non-finite Dv raises
-    NonFiniteState before ``v`` is written.
+    Dv = K(z) dt + sigma(z) dW, dW one (n_pairs, d) normal draw of ``rng``
+    times sqrt(dt), is added to v_i and taken from v_j, so momentum is
+    conserved per pair. Pairs with |z| below the degeneracy floor keep their
+    velocities. A non-finite Dv raises NonFiniteState before ``v`` is written.
     """
     z = v[i] - v[j]
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises below
         good = np.linalg.norm(z, axis=1) >= Z_FLOOR
         if not np.any(good):
             return
-        if noise is None:
-            dw = rng.generator().standard_normal(z.shape) * math.sqrt(dt)
-        else:
-            dw = np.asarray(noise, dtype=float)
+        dw = rng.generator().standard_normal(z.shape) * math.sqrt(dt)
         zg = z[good]
         dv = kernel_K(zg, kernel) * dt
         dv += np.einsum("nab,nb->na", kernel_sigma(zg, kernel), dw[good])

@@ -6,15 +6,15 @@ and every method is exact in law:
 * ``EXACT_2D``: on the circle the increment is exact, the start point
   rotated by a Brownian angle increment, or by a uniform angle once tau is
   past ``_uniform_time(2)``.
-* ``SPHERE_3D``, by band: below ``_MIXTURE_MIN_TAU`` the SO(3) lift rotates
-  the start point by a draw of the SO(3) heat kernel, an isotropic Gaussian
-  in exponential coordinates reweighted by sin(psi/2) / (psi/2) through
-  rejection (Nikolayev & Savyolova 1997). Up to ``_uniform_time(3)`` the
-  cosine of the angle to the start point is 1 - 2 Beta(1, 1 + M), M from
-  the death-process law of the Wright-Fisher radial diffusion (Jenkins &
-  Spano 2017); past it the cosine is uniform (M = 0). The end point leaves
-  the start point along a uniform unit tangent, one closed form for both
-  bands with no singular start point.
+* ``SPHERE_3D``: every end point is (1 - 2B) y0 + 2 sqrt(B (1 - B)) e, for
+  e a unit tangent at the start point y0, uniform and independent of B, so
+  that the cosine of the angle to y0 is 1 - 2B. From ``_MIXTURE_MIN_TAU``
+  on, B ~ Beta(1, 1 + M), M from the death-process law of the Wright-Fisher
+  radial diffusion (Jenkins & Spano 2017), and M = 0 (the uniform law) past
+  ``_uniform_time(3)``. Below it B comes from the SO(3) lift: omega, a draw
+  of the SO(3) heat kernel (Nikolayev & Savyolova 1997), gives
+  B = sin^2(psi/2) sin^2(angle of omega to y0), psi = |omega|, the B of the
+  rotated point R(omega) y0. No start point is singular.
 
 The 3D sampler renormalizes to unit length and the 2D rotation keeps the
 length of the start point, so downstream energy conservation is exact up to
@@ -27,6 +27,7 @@ import math
 import numpy as np
 
 from .errors import FixedPointNotConverged, InvalidSamplerForDim, SeriesTruncated
+from .kernels import _sq_norm
 
 # Beyond this time the heat kernel on S^{d-1} is uniform to ~1e-20 in total
 # variation (first spectral gap d-1), so sampling the uniform law is exact
@@ -86,68 +87,36 @@ def _sinc(x):
     return np.divide(np.sin(y), y, out=y)
 
 
-def _so3_lift(y0, t, gen, out=None):
-    """Spherical Brownian motion on S^2 from y0 for times t, exactly.
+def _so3_lift(t, gen):
+    """omega, a draw of the SO(3) heat kernel at each time t in exponential
+    coordinates, and half = sinc(psi/2) = sin(psi/2) / (psi/2), psi = |omega|.
 
-    Rotates y0 by omega, a draw of the SO(3) heat kernel at time t in
-    exponential coordinates: a Gaussian of variance t per axis accepted with
-    probability sin(psi/2) / (psi/2), psi = |omega|, so each row is kept with
-    probability exp(-t/8). The two Laplacians share the eigenvalues
-    l(l+1), so E[P_l(y0 . y)] = exp(-l(l+1) t / 2). The law drops only the
-    negative-weight shell 2 pi < psi < 4 pi, of mass below 1e-50 for
-    t < _MIXTURE_MIN_TAU. The rotated rows go to ``out`` when given.
+    omega is a Gaussian of variance t per axis accepted with probability
+    half, so each row is kept with probability exp(-t/8). The two Laplacians
+    share the eigenvalues l(l+1), so R(omega) y0 is SBM on S^2 from y0 at
+    time t. The law drops only the negative-weight shell 2 pi < psi < 4 pi,
+    of mass below 1e-50 for t < _MIXTURE_MIN_TAU.
     """
     omega = gen.standard_normal((t.size, 3))
     sq = np.sqrt(t)
     for col in omega.T:
         col *= sq
     del sq
-    psi = np.sqrt(np.einsum("ij,ij->i", omega, omega))
-    half = _sinc(psi / (2.0 * np.pi))
+    half = _sinc(np.sqrt(np.einsum("ij,ij->i", omega, omega)) / (2.0 * np.pi))
     todo = np.flatnonzero(gen.random(t.size) >= half)
     for _ in range(_LIFT_MAX_ROUNDS - 1):
         if todo.size == 0:
             break
         w = gen.standard_normal((todo.size, 3)) * np.sqrt(t[todo])[:, None]
-        p = np.sqrt(np.einsum("ij,ij->i", w, w))
-        hp = _sinc(p / (2.0 * np.pi))
+        hp = _sinc(np.sqrt(np.einsum("ij,ij->i", w, w)) / (2.0 * np.pi))
         keep = gen.random(todo.size) < hp
         rows = todo[keep]
-        omega[rows], psi[rows], half[rows] = w[keep], p[keep], hp[keep]
+        omega[rows], half[rows] = w[keep], hp[keep]
         todo = todo[~keep]
     if todo.size:
         raise FixedPointNotConverged(
             f"SO(3) lift: {todo.size} rows still rejected after {_LIFT_MAX_ROUNDS} rounds")
-    return _rodrigues(omega, psi, half, y0, out)
-
-
-def _rodrigues(omega, psi, half, y, out=None):
-    """Rotate the rows of y into ``out`` by the rotation vectors omega of
-    lengths psi, then renormalize: cos psi y + sinc(psi) omega x y
-    + half^2 / 2 (omega . y) omega, half = sinc(psi/2), sinc(x) = sin(x) / x,
-    so psi = 0 needs no division. One column at a time, with np.cross's
-    products and np.linalg.norm's sum order; psi and half are overwritten."""
-    out = np.empty_like(omega) if out is None else out
-    (o0, o1, o2), (y0, y1, y2), (r0, r1, r2) = omega.T, y.T, out.T
-    c = np.cos(psi)
-    for r, yc in zip(out.T, y.T):
-        np.multiply(c, yc, out=r)
-    s = _sinc(np.divide(psi, np.pi, out=psi))
-    r0 += s * (o1 * y2 - o2 * y1)
-    r1 += s * (o2 * y0 - o0 * y2)
-    r2 += s * (o0 * y1 - o1 * y0)
-    w = np.multiply(half, 0.5, out=s)
-    w *= half
-    w *= np.einsum("ij,ij->i", omega, y)
-    for r, oc in zip(out.T, omega.T):
-        r += np.multiply(w, oc, out=half)
-    norm = np.multiply(r0, r0, out=c)
-    norm += np.multiply(r1, r1, out=half)
-    norm += np.multiply(r2, r2, out=half)
-    np.sqrt(norm, out=norm)
-    for r in out.T:
-        r /= norm
-    return out
+    return omega, half
 
 
 def _death_process_probs(ts):
@@ -188,38 +157,59 @@ def _death_process_draws(t, gen):
 def _sample_s2(y0, t, gen, res):
     """End points of SBM on S^2 from the rows of y0 for times t, into res.
 
-    Rows below ``_MIXTURE_MIN_TAU`` take the SO(3) lift. The others end at
-    (1 - 2B) y0 + 2 sqrt(B (1 - B)) e, renormalized, so that y0 . end = 1 - 2B:
-    B ~ Beta(1, 1 + M) by inverse CDF, with M the death-process draw, or
-    M = 0 (the uniform law) past ``_uniform_time(3)``; e is a standard normal
-    vector less its y0 component, normalized: a uniform unit tangent at y0.
-    The bands are split by index arrays: the mixture and uniform rows are
-    gathered and drawn first, then the lift rows, and each band's rows are
-    written into res once.
+    Each row draws B and a vector g and ends at (1 - 2B) y0 + 2 sqrt(B (1 - B)) e,
+    renormalized, for e = g less its y0 component, normalized. Mixture and
+    uniform rows draw B ~ Beta(1, 1 + M) by inverse CDF (M = 0 past
+    ``_uniform_time(3)``) and a standard normal g. Lift rows take g = omega
+    and B = sinc^2(psi/2) |e|^2 / 4 for the unnormalized e; the law of omega
+    is invariant under rotations about y0, so the direction of e is uniform
+    and independent of B. Each band writes its g into res, the lift last,
+    and one pass makes every row of res its end point.
     """
     small = t < _MIXTURE_MIN_TAU
-    if small.all():
-        return _so3_lift(y0, t, gen, res)
-    big = np.flatnonzero(~small)
-    tb, y = np.take(t, big), np.take(y0, big, axis=0)
-    mix = tb < _uniform_time(3)
-    m = np.zeros(tb.size, dtype=np.int64)
-    m[mix] = _death_process_draws(tb[mix], gen)
-    # 1 - (1 - u)^(1/(1+M)); log1p keeps u = 0 free of log(0)
-    b = -np.expm1(np.log1p(-gen.random(tb.size)) / (1 + m))
-    e = gen.standard_normal((tb.size, 3))
-    # the y component is taken out twice: one pass leaves a residue of order
-    # eps |e|, which the normalization magnifies where e is close to +-y
+    lift = np.flatnonzero(small)
+    b = np.empty(t.size)
+    if lift.size < t.size:
+        big = np.flatnonzero(~small)
+        tb = np.take(t, big)
+        mix = tb < _uniform_time(3)
+        m = np.zeros(tb.size, dtype=np.int64)
+        m[mix] = _death_process_draws(tb[mix], gen)
+        # 1 - (1 - u)^(1/(1+M)); log1p keeps u = 0 free of log(0)
+        b[big] = -np.expm1(np.log1p(-gen.random(tb.size)) / (1 + m))
+        _put_rows(res, big, gen.standard_normal((tb.size, 3)))
+    if lift.size:
+        omega, half = _so3_lift(np.take(t, lift), gen)
+        _put_rows(res, lift, omega)
+        del omega
+    # one column at a time: an (n, 1) broadcast runs numpy's inner loop over
+    # 3 elements per row. The y0 component is taken out twice, as one pass
+    # leaves a residue of order eps |g| that the normalization magnifies
+    # where g is close to +-y0; the dot adds (0 + 2) + 1, np.einsum's order.
+    (g0, g1, g2), (x0, x1, x2), w = res.T, y0.T, np.empty(t.size)
     for _ in range(2):
-        e -= np.einsum("ij,ij->i", e, y)[:, None] * y
-    e /= np.linalg.norm(e, axis=1)[:, None]
-    e *= (2.0 * np.sqrt(b * (1.0 - b)))[:, None]
-    e += (1.0 - 2.0 * b)[:, None] * y
-    e /= np.linalg.norm(e, axis=1)[:, None]
-    _put_rows(res, big, e)
-    if big.size < t.size:
-        lift = np.flatnonzero(small)
-        _put_rows(res, lift, _so3_lift(np.take(y0, lift, axis=0), np.take(t, lift), gen))
+        d = g0 * x0
+        d += np.multiply(g2, x2, out=w)
+        d += np.multiply(g1, x1, out=w)
+        for g, x in zip(res.T, y0.T):
+            g -= np.multiply(d, x, out=w)
+    norm = _sq_norm(res)[1]
+    if lift.size:
+        half *= 0.5
+        half *= half
+        b[lift] = np.multiply(half, np.take(norm, lift), out=half)
+    # a lift row whose tangent part underflows to 0 has B = 0: its e is unused
+    np.maximum(np.sqrt(norm, out=norm), np.finfo(float).tiny, out=norm)
+    s = np.sqrt(np.multiply(b, np.subtract(1.0, b, out=d), out=d), out=d)
+    s *= 2.0
+    c = np.subtract(1.0, np.multiply(b, 2.0, out=b), out=b)
+    for g, x in zip(res.T, y0.T):
+        g /= norm
+        g *= s
+        g += np.multiply(c, x, out=w)
+    np.sqrt(_sq_norm(res)[1], out=norm)
+    for g in res.T:
+        g /= norm
     return res
 
 

@@ -320,9 +320,9 @@ def reference_mollified_density(v, eps, lo, hi, n_grid, block=1 << 19, sigmas=6.
     return inner * ((2.0 * np.pi * eps) ** (-d / 2.0) / n)
 
 
-def reference_so3_lift(y0, t, gen, max_rounds=64):
-    """SO(3)-lift draw with every round's candidates kept apart and the
-    rotation computed afresh from omega by Rodrigues' formula with np.cross."""
+def reference_so3_draw(t, gen, max_rounds=64):
+    """SO(3)-lift draws omega and sinc(psi/2), psi = |omega|, with every
+    round's candidates kept apart."""
     omega = np.empty((t.size, 3))
     todo = np.arange(t.size)
     sq = np.sqrt(t)[:, None]
@@ -335,13 +335,32 @@ def reference_so3_lift(y0, t, gen, max_rounds=64):
         if todo.size == 0:
             break
     assert todo.size == 0, "reference lift hit its round cap"
-    psi = np.sqrt(np.einsum("ij,ij->i", omega, omega))
-    half = np.sinc(psi / (2.0 * np.pi))
-    out = np.cos(psi)[:, None] * y0
-    out += np.sinc(psi / np.pi)[:, None] * np.cross(omega, y0)
-    out += (0.5 * half * half * np.einsum("ij,ij->i", omega, y0))[:, None] * omega
-    out /= np.linalg.norm(out, axis=1)[:, None]
-    return out
+    return omega, np.sinc(np.sqrt(np.einsum("ij,ij->i", omega, omega)) / (2.0 * np.pi))
+
+
+def reference_tangent(g, y0):
+    """g less its y0 component, taken out twice, in broadcast form."""
+    e = g - np.einsum("ij,ij->i", g, y0)[:, None] * y0
+    return e - np.einsum("ij,ij->i", e, y0)[:, None] * y0
+
+
+def reference_tangent_end(y0, b, e):
+    """(1 - 2B) y0 + 2 sqrt(B (1 - B)) e / |e|, renormalized."""
+    b = b[:, None]
+    return unit((1.0 - 2.0 * b) * y0 + 2.0 * np.sqrt(b * (1.0 - b)) * unit(e))
+
+
+def reference_lift_end(y0, omega, half):
+    """End points of the lift draws omega from y0 by the tangent-plane formula,
+    with B = sinc^2(psi/2) |omega_perp|^2 / 4 = sin^2(psi/2) sin^2(angle of
+    omega to y0), which makes 1 - 2B = y0 . R(omega) y0."""
+    e = reference_tangent(omega, y0)
+    return reference_tangent_end(y0, (0.5 * half) ** 2 * np.sum(e * e, axis=1), e)
+
+
+def reference_so3_lift(y0, t, gen, max_rounds=64):
+    """SO(3)-lift end points: the reference draws, then the tangent-plane formula."""
+    return reference_lift_end(y0, *reference_so3_draw(t, gen, max_rounds))
 
 
 def reference_rodrigues(omega, psi, half, y):
@@ -368,11 +387,8 @@ def _reference_sample_s2(y0, t, gen):
     mix = tb < _uniform_time(3)
     m = np.zeros(tb.size, dtype=np.int64)
     m[mix] = _death_process_draws(tb[mix], gen)
-    b = -np.expm1(np.log1p(-gen.random(tb.size)) / (1 + m))[:, None]
-    e = gen.standard_normal((tb.size, 3))
-    e = e - np.einsum("ij,ij->i", e, y)[:, None] * y
-    e = unit(e - np.einsum("ij,ij->i", e, y)[:, None] * y)
-    res[big] = unit((1.0 - 2.0 * b) * y + 2.0 * np.sqrt(b * (1.0 - b)) * e)
+    b = -np.expm1(np.log1p(-gen.random(tb.size)) / (1 + m))
+    res[big] = reference_tangent_end(y, b, reference_tangent(gen.standard_normal((tb.size, 3)), y))
     if small.any():
         res[small] = reference_so3_lift(y0[small], t[small], gen)
     return res

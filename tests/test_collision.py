@@ -9,7 +9,7 @@ from landau.collision import (EM, SBM, ParticleEnsemble, SchemeConfig, collision
                               em_pair_update, random_pairing, sbm_pair_update,
                               simulate_homogeneous)
 from landau.errors import InvalidCheckpoint, NonFiniteState, OddParticleCount
-from landau.kernels import KernelParams, Z_FLOOR, kernel_K, projection, time_scale_k
+from landau.kernels import KernelParams, Z_FLOOR, kernel_K, kernel_sigma, projection, time_scale_k
 from landau.sphere import _MIXTURE_MIN_TAU, _uniform_time
 from landau.streams import DOMAIN_PAIRING, RngStream
 
@@ -205,9 +205,9 @@ def test_blocked_pair_update_matches_reference_bitwise(dim, gamma, monkeypatch):
 
 
 # tracemalloc peaks of one collision_step at N = 1e5 with blocks of
-# _PAIR_BLOCK pairs are 2.72, 5.09 and 7.41 MB; numpy reports its buffers to
+# _PAIR_BLOCK pairs are 2.72, 5.12 and 5.10 MB; numpy reports its buffers to
 # tracemalloc
-STEP_PEAK_MB = {(2, 0.0): 2.80, (3, 0.0): 5.20, (3, -3.0): 7.55}
+STEP_PEAK_MB = {(2, 0.0): 2.80, (3, 0.0): 5.20, (3, -3.0): 5.24}
 
 
 def _step_peak_mb(dim, gamma, n):
@@ -248,10 +248,15 @@ def test_em_momentum_and_zero_noise_drift():
     s1, _ = pair_sums(out, pairing)
     np.testing.assert_allclose(s1, s0, rtol=0, atol=1e-12 * np.max(np.abs(s0)))
 
+    # less the realized noise sigma dW, dW re-drawn from the stream the
+    # update reads, the increment is the drift K dt
     out0 = v.copy()
-    em_pair_update(out0, i, j, MAXWELL_2D, cfg.dt, None, noise=np.zeros_like(z))
+    rng = RngStream(12)
+    em_pair_update(out0, i, j, MAXWELL_2D, cfg.dt, rng)
+    dw = rng.generator().standard_normal(z.shape) * np.sqrt(cfg.dt)
     dv = out0[i] - v[i]
-    np.testing.assert_allclose(dv, kernel_K(z, MAXWELL_2D) * cfg.dt, atol=1e-14)
+    noise = np.einsum("nab,nb->na", kernel_sigma(z, MAXWELL_2D), dw)
+    np.testing.assert_allclose(dv - noise, kernel_K(z, MAXWELL_2D) * cfg.dt, atol=1e-14)
     np.testing.assert_allclose(out0[j] - v[j], -dv, atol=1e-15)
 
 
@@ -264,10 +269,14 @@ def test_em_energy_identity_per_realized_noise(kernel, dim):
     dt = 0.05
     i, j = pairing
     z = v[i] - v[j]
-    rng = np.random.default_rng(13)
-    dw = rng.standard_normal(z.shape) * np.sqrt(dt)
+    rng = RngStream(13)
     out = v.copy()
-    em_pair_update(out, i, j, kernel, dt, None, noise=dw)
+    em_pair_update(out, i, j, kernel, dt, rng)
+    # the realized dW, re-drawn from the stream the update reads
+    dw = rng.generator().standard_normal(z.shape) * np.sqrt(dt)
+    dv = kernel_K(z, kernel) * dt + np.einsum("nab,nb->na", kernel_sigma(z, kernel), dw)
+    np.testing.assert_allclose(out[i] - v[i], dv, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(out[j] - v[j], -dv, rtol=0, atol=1e-14)
     _, e0 = pair_sums(v, pairing)
     _, e1 = pair_sums(out, pairing)
     r = np.linalg.norm(z, axis=1)

@@ -1,8 +1,8 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 from scipy.special import eval_legendre
 from scipy.stats import chisquare, kstest, ks_2samp
 
@@ -10,14 +10,14 @@ from landau import sphere
 from landau.collision import SBM, SchemeConfig
 from landau.errors import FixedPointNotConverged, InvalidSamplerForDim, SeriesTruncated
 from landau.kernels import KernelParams
-from landau.sphere import (SamplerKind, _death_process_draws, _death_process_probs, _rodrigues,
-                           _so3_lift, default_sampler, sample_sbm_batch)
+from landau.sphere import (SamplerKind, _death_process_draws, _death_process_probs, _so3_lift,
+                           default_sampler, sample_sbm_batch)
 from landau.streams import RngStream
 
 from oracles import (death_process_probs, einsum_death_process_probs, heat_kernel_cos_cdf,
-                     reference_death_process_draws, reference_rodrigues,
-                     reference_sample_sbm_batch, reference_so3_lift, so3_lift_legendre_moment,
-                     unit)
+                     reference_death_process_draws, reference_lift_end, reference_rodrigues,
+                     reference_sample_sbm_batch, reference_so3_draw, reference_so3_lift,
+                     so3_lift_legendre_moment, unit)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -93,8 +93,9 @@ def test_determinism_of_streams():
 
 
 def lift_alone(starts, taus, rng):
-    """The SO(3) lift at every tau, also past its band."""
-    return _so3_lift(starts, taus, rng.generator())
+    """The SO(3) lift's draws at every tau, also past its band, taken to
+    their end points by the tangent-plane formula."""
+    return reference_lift_end(np.ascontiguousarray(starts), *_so3_lift(taus, rng.generator()))
 
 
 def default_path(starts, taus, rng):
@@ -249,19 +250,6 @@ def test_lift_moments_resolve_the_acceptance_weight():
     assert np.all(np.abs(mean / se) <= 3.0), mean / se
 
 
-@pytest.mark.parametrize("psi", [1e-12, 1.0, 6.0])
-def test_rodrigues_matches_matrix_exponential(psi):
-    rng = np.random.default_rng(51)
-    axes = unit(rng.standard_normal((20, 3)))
-    ys = unit(rng.standard_normal((20, 3)))
-    omega = psi * axes
-    norms = np.linalg.norm(omega, axis=1)
-    out = _rodrigues(omega, norms, np.sinc(norms / (2.0 * np.pi)), ys)
-    for w, y, o in zip(omega, ys, out):
-        skew = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
-        np.testing.assert_allclose(o, expm(skew) @ y, rtol=0, atol=1e-14)
-
-
 def test_chapman_kolmogorov_across_the_mixture_edge():
     # two lift steps of 0.1 against one mixture step of 0.2, no formula used
     n = 200_000
@@ -288,28 +276,55 @@ def test_infinite_tau_is_uniform():
     assert kstest(angle, lambda x: (np.asarray(x) + np.pi) / (2.0 * np.pi)).pvalue > 0.01
 
 
+def first_round_rejects(taus, seed):
+    """Whether the lift's first round from this generator seed rejects a row."""
+    first = np.random.default_rng(seed)
+    w = first.standard_normal((taus.size, 3)) * np.sqrt(taus)[:, None]
+    return np.any(first.random(taus.size) >= np.sinc(np.linalg.norm(w, axis=1) / (2.0 * np.pi)))
+
+
 @pytest.mark.parametrize("taus", [np.full(25_000, 1.0 / 30.0), np.geomspace(1e-4, 0.149, 25_000)])
 def test_lift_matches_reference_bitwise(taus):
     starts = unit(np.random.default_rng(57).standard_normal((taus.size, 3)))
     # the first round rejects some rows, so the redraws are compared too
-    first = np.random.default_rng(58)
-    w = first.standard_normal((taus.size, 3)) * np.sqrt(taus)[:, None]
-    assert np.any(first.random(taus.size) >= np.sinc(np.linalg.norm(w, axis=1) / (2.0 * np.pi)))
-    got = _so3_lift(starts, taus, np.random.default_rng(58))
+    assert first_round_rejects(taus, 58)
+    omega, half = _so3_lift(taus, np.random.default_rng(58))
+    want_omega, want_half = reference_so3_draw(taus, np.random.default_rng(58))
+    np.testing.assert_array_equal(omega, want_omega)
+    np.testing.assert_array_equal(half, want_half)
+    got = sample_sbm_batch(starts, taus, S3, np.random.default_rng(58))
     np.testing.assert_array_equal(got, reference_so3_lift(starts, taus, np.random.default_rng(58)))
 
 
-def test_rodrigues_and_sinc_match_reference_bitwise():
-    g = np.random.default_rng(62)
-    omega = g.standard_normal((1000, 3)) * np.geomspace(1e-9, 4.0 * np.pi, 1000)[:, None]
-    omega[:3] = 0.0
-    y = unit(g.standard_normal((1000, 3)))
-    psi = np.sqrt(np.einsum("ij,ij->i", omega, omega))
-    half = np.sinc(psi / (2.0 * np.pi))
-    want = reference_rodrigues(omega, psi, half, y)
-    np.testing.assert_array_equal(_rodrigues(omega, psi.copy(), half.copy(), y), want)
+@pytest.mark.parametrize("taus", [np.full(25_000, 1.0 / 30.0), np.geomspace(1e-6, 0.149, 25_000)],
+                         ids=["1/30", "1e-6..0.149"])
+def test_lift_cosine_matches_rodrigues_draw_for_draw(taus):
+    # y0 . end of a lift row is y0 . R(omega) y0 of the same accepted draw
+    starts = unit(np.random.default_rng(65).standard_normal((taus.size, 3)))
+    assert first_round_rejects(taus, 66)
+    omega, half = reference_so3_draw(taus, np.random.default_rng(66))
+    psi = np.linalg.norm(omega, axis=1)
+    want = np.sum(reference_rodrigues(omega, psi, half, starts) * starts, axis=1)
+    got = sample_sbm_batch(starts, taus, S3, np.random.default_rng(66))
+    np.testing.assert_allclose(np.sum(got * starts, axis=1), want, rtol=0, atol=2e-15)
+
+
+def test_sinc_matches_numpy_bitwise():
     x = np.concatenate([[0.0, -0.0, 5e-324, 1e-300], np.linspace(-3.0, 3.0, 601)])
     np.testing.assert_array_equal(sphere._sinc(x.copy()), np.sinc(x))
+
+
+@pytest.mark.parametrize("tau", [1e-300, 5e-324])
+def test_lift_rows_at_vanishing_times_end_finite_and_unit(tau):
+    # omega ~ 1e-162 at tau = 5e-324: |omega_perp|^2 underflows to 0 on
+    # many rows, which end at their start point (B = 0) with no warning
+    starts = unit(np.random.default_rng(67).standard_normal((10_000, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sample_sbm_batch(starts, tau, S3, RngStream(68))
+    assert np.all(np.isfinite(out))
+    np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(out, starts, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -357,14 +372,25 @@ def test_lift_raises_at_its_round_cap(monkeypatch):
         batch_from(pole(3), 10_000, 0.1, seed=56)
 
 
-@pytest.mark.parametrize("start", [pole(3), -pole(3), np.eye(3)[0], -np.eye(3)[0]],
-                         ids=["+e3", "-e3", "+e1", "-e1"])
-def test_mixture_band_from_poles_and_axes(start):
+POLES_AND_AXES = pytest.mark.parametrize(
+    "start", [pole(3), -pole(3), np.eye(3)[0], -np.eye(3)[0]], ids=["+e3", "-e3", "+e1", "-e1"])
+
+
+def check_band_from(start, tau, seed):
     # no start point is singular for the tangent-plane end point
-    tau = 0.5
-    out = batch_from(start, 50_000, tau, seed=34)
+    out = batch_from(start, 50_000, tau, seed=seed)
     np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, rtol=0, atol=1e-15)
     assert kstest(out @ start, lambda x: heat_kernel_cos_cdf(x, tau)).pvalue > 0.01
+
+
+@POLES_AND_AXES
+def test_mixture_band_from_poles_and_axes(start):
+    check_band_from(start, 0.5, seed=34)
+
+
+@POLES_AND_AXES
+def test_lift_band_from_poles_and_axes(start):
+    check_band_from(start, 0.05, seed=37)
 
 
 def test_mixture_band_cosine_is_one_minus_twice_the_beta_draw():
