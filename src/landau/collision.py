@@ -3,13 +3,13 @@
 Each collision window the particles are paired at random; a pair either
 performs an exact spherical-Brownian-motion collision (the relative velocity
 direction diffuses on the sphere while its magnitude and the pair sum are
-frozen) or an Euler-Maruyama step of the same pair SDE. The SBM step
-conserves momentum and kinetic energy pathwise; the EM step conserves only
-momentum and is kept as the comparison baseline. A run copies the initial
-velocities once, and every window updates that one array in place.
+frozen) or an Euler-Maruyama step of the same sphere SDE, through the same
+pair block. The SBM step conserves momentum and kinetic energy pathwise; the
+EM step conserves only momentum and is kept as the comparison baseline. A
+run copies the initial velocities once, and every window updates that one
+array in place.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, DensityGrid, mollified_density, moments, entropy, relative_l2_error
 from .errors import InvalidCheckpoint, InvalidSamplerForDim, NonFiniteState, OddParticleCount
-from .kernels import KernelParams, Z_FLOOR, _sq_norm, kernel_K, kernel_sigma, time_scale_k
+from .kernels import KernelParams, Z_FLOOR, _sq_norm, time_scale_k
 from .sphere import SamplerKind, _put_rows, default_sampler, sample_sbm_batch
 from .streams import RngStream, DOMAIN_PAIRING, DOMAIN_COLLISION
 
@@ -81,7 +81,7 @@ def random_pairing(n, rng: RngStream):
     return i, j
 
 
-# Pairs per block of sbm_pair_update: its (block, d) temporaries, under 1 MB
+# Pairs per block of a pair update: its (block, d) temporaries, under 1 MB
 # each, are the same few sizes whatever the batch size.
 _PAIR_BLOCK = 1 << 15
 
@@ -100,20 +100,62 @@ def sbm_pair_update(v, i, j, kernel: KernelParams, dt, rng: RngStream):
     or a 2D batch with no pair in the uniform band, draws as one unblocked
     batch would.
     """
+    _pair_update(v, i, j, kernel, dt, rng, _sbm_sphere_step)
+
+
+def em_pair_update(v, i, j, kernel: KernelParams, dt, rng: RngStream):
+    """Euler-Maruyama window of the pairs (i[k], j[k]) of ``v``, in place.
+
+    In the time tau = k(z) t the pair SDE is z = |z| Y, Y the sphere SDE
+    dY = -(d-1)/2 Y dtau + (I - Y Y^T) dB whose exact law sbm_pair_update
+    draws. This takes one Euler-Maruyama step of Y, in the same blocks and
+    with the same floor; each block draws one (m, d) normal block for its m
+    kept pairs. Momentum is conserved per pair, kinetic energy is not. A
+    block whose new velocities are not finite raises NonFiniteState before
+    it is written, so a batch of at most _PAIR_BLOCK pairs leaves ``v``
+    untouched.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises NonFiniteState
+        _pair_update(v, i, j, kernel, dt, rng, _em_sphere_step)
+
+
+def _sbm_sphere_step(y, tau, gen, out):
+    """The exact SBM end points of the unit rows y after the times tau, into out."""
+    sample_sbm_batch(y, tau, default_sampler(y.shape[1]), gen, out=out)
+
+
+def _em_sphere_step(y, tau, gen, out):
+    """One Euler-Maruyama step of the sphere SDE from the unit rows y over the
+    times tau, into out: y (1 - (d-1) tau/2) + sqrt(tau) (xi - y (y . xi)),
+    xi one standard normal draw of out's shape, one column at a time."""
+    xi = gen.standard_normal(out=out)
+    y_xi = y[:, 0] * xi[:, 0]
+    for a in range(1, y.shape[1]):
+        y_xi += y[:, a] * xi[:, a]
+    drift = 1.0 - (y.shape[1] - 1) / 2.0 * tau
+    noise = np.sqrt(tau)
+    for y_a, xi_a in zip(y.T, xi.T):
+        xi_a -= y_a * y_xi
+        xi_a *= noise
+        xi_a += y_a * drift
+
+
+def _pair_update(v, i, j, kernel, dt, rng, sphere_step):
     if kernel.lam == 0:
         return
     gen = rng.generator()
     for lo in range(0, len(i), _PAIR_BLOCK):
-        _sbm_pair_block(v, i[lo:lo + _PAIR_BLOCK], j[lo:lo + _PAIR_BLOCK], kernel, dt, gen)
+        _pair_block(v, i[lo:lo + _PAIR_BLOCK], j[lo:lo + _PAIR_BLOCK], kernel, dt, gen, sphere_step)
 
 
-def _sbm_pair_block(v, i, j, kernel, dt, gen):
-    """One block of sbm_pair_update, drawing from the Generator ``gen``; its
-    arrays are freed on return, before the next block allocates its own."""
+def _pair_block(v, i, j, kernel, dt, gen, sphere_step):
+    """One block of a pair update, taking z/|z| to its ``sphere_step`` end
+    point with draws from the Generator ``gen``; its arrays are freed on
+    return, before the next block allocates its own."""
     # np.take gathers whole rows several times faster than v[i] at large n;
-    # the gather of v_j then holds the sampler's output. Every product with
-    # a per-pair scalar runs one column at a time: an (m, 1) broadcast runs
-    # numpy's inner loop over only d elements per row.
+    # the gather of v_j then holds the sphere step's output. Every product
+    # with a per-pair scalar runs one column at a time: an (m, 1) broadcast
+    # runs numpy's inner loop over only d elements per row.
     s = np.take(v, i, axis=0)
     zp = np.take(v, j, axis=0)
     z = s - zp
@@ -129,38 +171,18 @@ def _sbm_pair_block(v, i, j, kernel, dt, gen):
     tau *= dt
     for col in z.T:
         col /= r
-    sample_sbm_batch(z, tau, default_sampler(v.shape[1]), gen, out=zp)
+    sphere_step(z, tau, gen, zp)
     for col in zp.T:
         col *= r
-    half = np.add(s, zp, out=z)
-    half /= 2.0
-    _put_rows(v, i, half)
-    half = np.subtract(s, zp, out=s)
-    half /= 2.0
-    _put_rows(v, j, half)
-
-
-def em_pair_update(v, i, j, kernel: KernelParams, dt, rng: RngStream):
-    """Euler-Maruyama window of the pairs (i[k], j[k]) of ``v``, in place.
-
-    Dv = K(z) dt + sigma(z) dW, dW one (n_pairs, d) normal draw of ``rng``
-    times sqrt(dt), is added to v_i and taken from v_j, so momentum is
-    conserved per pair. Pairs with |z| below the degeneracy floor keep their
-    velocities. A non-finite Dv raises NonFiniteState before ``v`` is written.
-    """
-    z = v[i] - v[j]
-    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises below
-        good = np.linalg.norm(z, axis=1) >= Z_FLOOR
-        if not np.any(good):
-            return
-        dw = rng.generator().standard_normal(z.shape) * math.sqrt(dt)
-        zg = z[good]
-        dv = kernel_K(zg, kernel) * dt
-        dv += np.einsum("nab,nb->na", kernel_sigma(zg, kernel), dw[good])
-    if not np.isfinite(dv).all():
-        raise NonFiniteState(f"Euler-Maruyama increment is not finite (dt={dt:g})")
-    v[i[good]] += dv
-    v[j[good]] -= dv
+    vi = np.add(s, zp, out=z)
+    vi /= 2.0
+    vj = np.subtract(s, zp, out=s)
+    vj /= 2.0
+    # an SBM end point is a unit vector, so only an EM step can blow up
+    if sphere_step is _em_sphere_step and not (np.isfinite(vi).all() and np.isfinite(vj).all()):
+        raise NonFiniteState(f"Euler-Maruyama step is not finite (dt={dt:g})")
+    _put_rows(v, i, vi)
+    _put_rows(v, j, vj)
 
 
 def collision_step(v, i, j, cfg: SchemeConfig, step: int):

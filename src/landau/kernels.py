@@ -1,7 +1,8 @@
-"""Landau collision kernel A, drift K, diffusion factor sigma and friends.
+"""Kernel parameters and the sphere time-scaling coefficient of a pair.
 
-All functions broadcast over leading axes: a relative velocity argument of
-shape (..., d) yields (..., d, d) for matrices and (...,) for scalars.
+The pair updates need only k(z) = 4 lam |z|^gamma, which broadcasts over
+leading axes: a relative velocity argument of shape (..., d) yields (...,).
+The matrix kernel A, its drift K and its factor sigma are test oracles.
 """
 
 from dataclasses import dataclass
@@ -45,47 +46,6 @@ def _sq_norm(z):
 def _check_floor(r2, what):
     if np.any(r2 < Z_FLOOR * Z_FLOOR):
         raise DegenerateRelativeVelocity(f"|z| < {Z_FLOOR} in {what}")
-
-
-def kernel_A(z, p: KernelParams):
-    """Collision kernel A(z) = lam |z|^gamma (|z|^2 I - z (x) z)."""
-    z, r2 = _sq_norm(z)
-    if p.gamma < 0:
-        _check_floor(r2, "kernel_A")
-    pref = p.lam * np.power(r2, p.gamma / 2.0)
-    eye = np.eye(z.shape[-1])
-    outer = z[..., :, None] * z[..., None, :]
-    return pref[..., None, None] * (r2[..., None, None] * eye - outer)
-
-
-def kernel_K(z, p: KernelParams):
-    """Drift K(z) = div A = (1 - d) lam |z|^gamma z."""
-    z, r2 = _sq_norm(z)
-    if p.gamma < 0:
-        _check_floor(r2, "kernel_K")
-    pref = (1 - p.dim) * p.lam * np.power(r2, p.gamma / 2.0)
-    return pref[..., None] * z
-
-
-def kernel_sigma(z, p: KernelParams):
-    """Diffusion factor sigma(z) = sqrt(lam) |z|^(gamma/2+1) (I - z(x)z/|z|^2).
-
-    Satisfies sigma(z) sigma(z)^T = kernel_A(z) and sigma(z) z = 0.
-    """
-    z, r2 = _sq_norm(z)
-    _check_floor(r2, "kernel_sigma")
-    pref = np.sqrt(p.lam) * np.power(r2, p.gamma / 4.0 + 0.5)
-    eye = np.eye(z.shape[-1])
-    outer = z[..., :, None] * z[..., None, :] / r2[..., None, None]
-    return pref[..., None, None] * (eye - outer)
-
-
-def projection(z):
-    """Orthogonal projection Pi(z) = I - z(x)z/|z|^2 onto the plane normal to z."""
-    z, r2 = _sq_norm(z)
-    _check_floor(r2, "projection")
-    eye = np.eye(z.shape[-1])
-    return eye - z[..., :, None] * z[..., None, :] / r2[..., None, None]
 
 
 def time_scale_k(z, p: KernelParams):

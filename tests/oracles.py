@@ -16,7 +16,7 @@ from scipy.special import eval_legendre, wofz
 from landau.analytic import BIMAX_U1, BIMAX_U2, DAMPING_WAVENUMBER
 from landau.collision import (SBM, Checkpoint, DiagnosticsPlan, ParticleEnsemble, _record,
                               random_pairing, step_count)
-from landau.kernels import Z_FLOOR, kernel_K, kernel_sigma
+from landau.kernels import Z_FLOOR, KernelParams, _check_floor, _sq_norm
 from landau.errors import SeriesTruncated
 from landau.sphere import (_DEATH_RATES, _DEATH_SERIES, _MIXTURE_MIN_TAU, _death_process_draws,
                            _uniform_time)
@@ -30,6 +30,49 @@ def unit(v):
     if np.any(n == 0):
         raise ValueError("cannot normalize a zero vector")
     return v / n
+
+
+# The matrix form of the pair SDE's coefficients, the reference of the
+# closed-form steps: no pair update builds a matrix.
+def kernel_A(z, p: KernelParams):
+    """Collision kernel A(z) = lam |z|^gamma (|z|^2 I - z (x) z)."""
+    z, r2 = _sq_norm(z)
+    if p.gamma < 0:
+        _check_floor(r2, "kernel_A")
+    pref = p.lam * np.power(r2, p.gamma / 2.0)
+    eye = np.eye(z.shape[-1])
+    outer = z[..., :, None] * z[..., None, :]
+    return pref[..., None, None] * (r2[..., None, None] * eye - outer)
+
+
+def kernel_K(z, p: KernelParams):
+    """Drift K(z) = div A = (1 - d) lam |z|^gamma z."""
+    z, r2 = _sq_norm(z)
+    if p.gamma < 0:
+        _check_floor(r2, "kernel_K")
+    pref = (1 - p.dim) * p.lam * np.power(r2, p.gamma / 2.0)
+    return pref[..., None] * z
+
+
+def kernel_sigma(z, p: KernelParams):
+    """Diffusion factor sigma(z) = sqrt(lam) |z|^(gamma/2+1) (I - z(x)z/|z|^2).
+
+    Satisfies sigma(z) sigma(z)^T = kernel_A(z) and sigma(z) z = 0.
+    """
+    z, r2 = _sq_norm(z)
+    _check_floor(r2, "kernel_sigma")
+    pref = np.sqrt(p.lam) * np.power(r2, p.gamma / 4.0 + 0.5)
+    eye = np.eye(z.shape[-1])
+    outer = z[..., :, None] * z[..., None, :] / r2[..., None, None]
+    return pref[..., None, None] * (eye - outer)
+
+
+def projection(z):
+    """Orthogonal projection Pi(z) = I - z(x)z/|z|^2 onto the plane normal to z."""
+    z, r2 = _sq_norm(z)
+    _check_floor(r2, "projection")
+    eye = np.eye(z.shape[-1])
+    return eye - z[..., :, None] * z[..., None, :] / r2[..., None, None]
 
 
 def heat_kernel_cos_cdf(x, tau, lmax=400, tol=1e-18):
@@ -479,20 +522,26 @@ def _reference_sbm_step(ens, pairing, cfg, step):
     return ParticleEnsemble(v)
 
 
-def _reference_em_step(ens, pairing, cfg, step):
-    v = ens.velocities.copy()
-    i, j = pairing
+def reference_em_pair_update(v, i, j, kernel, dt, rng):
+    """Euler-Maruyama window of the pairs (i[k], j[k]) of v, in place, in the
+    matrix form Dv = K(z) dt + sigma(z) dW added to v_i and taken from v_j,
+    with dW drawn for the pairs with |z| >= Z_FLOOR only, as one draw."""
+    if kernel.lam == 0:
+        return
     z = v[i] - v[j]
     good = np.linalg.norm(z, axis=1) >= Z_FLOOR
-    if not np.any(good):
-        return ParticleEnsemble(v)
-    gen = RngStream(cfg.seed, step=step, domain=DOMAIN_COLLISION).generator()
-    dw = gen.standard_normal((z.shape[0], ens.dim)) * math.sqrt(cfg.dt)
     zg = z[good]
-    dv = kernel_K(zg, cfg.kernel) * cfg.dt
-    dv += np.einsum("nab,nb->na", kernel_sigma(zg, cfg.kernel), dw[good])
+    dw = rng.generator().standard_normal(zg.shape) * math.sqrt(dt)
+    dv = kernel_K(zg, kernel) * dt
+    dv += np.einsum("nab,nb->na", kernel_sigma(zg, kernel), dw)
     v[i[good]] += dv
     v[j[good]] -= dv
+
+
+def _reference_em_step(ens, pairing, cfg, step):
+    v = ens.velocities.copy()
+    reference_em_pair_update(v, *pairing, cfg.kernel, cfg.dt,
+                             RngStream(cfg.seed, step=step, domain=DOMAIN_COLLISION))
     return ParticleEnsemble(v)
 
 

@@ -260,9 +260,8 @@ def test_c10_vpl_total_energy_conservation(vpl_runs):
     for (lam, mode), recs in vpl_runs.items():
         e0 = recs[0].total_energy
         drift = max(abs(r.total_energy - e0) for r in recs) / abs(e0)
-        tol = 1e-3 if mode == "res" else 1e-2
-        ok &= drift <= tol
-        details.append(f"lam={lam:g},{mode}: {drift:.2e}<={tol:g}")
+        ok &= drift <= 1e-12
+        details.append(f"lam={lam:g},{mode}: {drift:.2e}<=1e-12")
     report(10, "VPL total-energy conservation", ok, "; ".join(details))
 
 

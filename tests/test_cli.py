@@ -17,8 +17,6 @@ from landau.collision import SchemeConfig, simulate_homogeneous
 from landau.diagnostics import DensityGrid, load_grid_csv, mollified_density, save_grid_csv
 from landau.errors import ConfigError, FormatError
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def write_config(path, **kw):
     path.write_text(json.dumps(kw))

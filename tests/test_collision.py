@@ -9,13 +9,12 @@ from landau.collision import (EM, SBM, ParticleEnsemble, SchemeConfig, collision
                               em_pair_update, random_pairing, sbm_pair_update,
                               simulate_homogeneous)
 from landau.errors import InvalidCheckpoint, NonFiniteState, OddParticleCount
-from landau.kernels import KernelParams, Z_FLOOR, kernel_K, kernel_sigma, projection, time_scale_k
+from landau.kernels import KernelParams, Z_FLOOR, time_scale_k
 from landau.sphere import _MIXTURE_MIN_TAU, _uniform_time
 from landau.streams import DOMAIN_PAIRING, RngStream
 
-from oracles import reference_sbm_pair_update, reference_simulate_homogeneous
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+from oracles import (kernel_K, kernel_sigma, projection, reference_em_pair_update,
+                     reference_sbm_pair_update, reference_simulate_homogeneous)
 
 MAXWELL_2D = KernelParams(1.0 / 8.0, 0.0, 2)
 MAXWELL_3D = KernelParams(1.0 / 12.0, 0.0, 3)
@@ -210,9 +209,9 @@ def test_blocked_pair_update_matches_reference_bitwise(dim, gamma, monkeypatch):
 STEP_PEAK_MB = {(2, 0.0): 2.80, (3, 0.0): 5.20, (3, -3.0): 5.24}
 
 
-def _step_peak_mb(dim, gamma, n):
+def _step_peak_mb(dim, gamma, n, scheme=SBM):
     v = bkw_ensemble(dim, n, seed=1).velocities
-    cfg = SchemeConfig(0.1, SBM, KernelParams(1.0 / 8.0 if dim == 2 else 1.0 / 12.0, gamma, dim),
+    cfg = SchemeConfig(0.1, scheme, KernelParams(1.0 / 8.0 if dim == 2 else 1.0 / 12.0, gamma, dim),
                        seed=3)
     i, j = random_pairing(len(v), RngStream(3, step=1, domain=DOMAIN_PAIRING))
     collision_step(v, i, j, cfg, 1)  # first call: lazy imports and caches
@@ -231,9 +230,11 @@ def test_collision_step_memory_peak(dim, gamma):
 
 def test_collision_step_peak_does_not_grow_with_n():
     # 5e4 and 2e5 pairs both span several blocks, so the step's temporaries
-    # are those of one full block either way
-    for dim, gamma in STEP_PEAK_MB:
-        assert _step_peak_mb(dim, gamma, 400_000) <= 1.1 * _step_peak_mb(dim, gamma, 100_000)
+    # are those of one full block either way, for EM as for SBM
+    cases = [(SBM, dim, gamma) for dim, gamma in STEP_PEAK_MB] + [(EM, 3, -3.0)]
+    for scheme, dim, gamma in cases:
+        assert (_step_peak_mb(dim, gamma, 400_000, scheme)
+                <= 1.1 * _step_peak_mb(dim, gamma, 100_000, scheme))
 
 
 def test_em_momentum_and_zero_noise_drift():
@@ -309,20 +310,59 @@ def test_exchangeability_under_relabeling_n4():
         np.testing.assert_array_equal(out2[perm], out)
 
 
-@pytest.mark.parametrize("scheme,kernel", [(SBM, MAXWELL_2D), (SBM, COULOMB_3D), (EM, MAXWELL_2D)])
-def test_simulate_matches_reference_bitwise(scheme, kernel):
-    # one array updated in place gives the snapshots of a fresh ensemble per window
+def _simulate_and_reference(scheme, kernel):
+    """Checkpoints at t = 0, 1, 2 of simulate_homogeneous and of the reference
+    run, over 20 windows of 1000 BKW pairs; the input stays unwritten."""
     ens = bkw_ensemble(kernel.dim, 2000, seed=23)
     v0 = ens.velocities.copy()
     cfg = SchemeConfig(0.1, scheme, kernel, seed=24)
     got = simulate_homogeneous(cfg, ens, 2.0, [0.0, 1.0, 2.0], store_snapshots=True)
     want = reference_simulate_homogeneous(cfg, ens, 2.0, [0.0, 1.0, 2.0])
     assert [c.time for c in got] == [c.time for c in want] == [0.0, 1.0, 2.0]
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a.ensemble.velocities, b.ensemble.velocities)
-        assert a.record.kinetic_energy == b.record.kinetic_energy
     assert not np.array_equal(got[-1].ensemble.velocities, v0)
     np.testing.assert_array_equal(ens.velocities, v0)
+    return got, want
+
+
+@pytest.mark.parametrize("scheme,kernel", [(SBM, MAXWELL_2D), (SBM, COULOMB_3D)])
+def test_simulate_matches_reference_bitwise(scheme, kernel):
+    # one array updated in place gives the snapshots of a fresh ensemble per window
+    for a, b in zip(*_simulate_and_reference(scheme, kernel)):
+        np.testing.assert_array_equal(a.ensemble.velocities, b.ensemble.velocities)
+        assert a.record.kinetic_energy == b.record.kinetic_energy
+
+
+def test_simulate_em_matches_matrix_reference_to_rounding():
+    # the closed-form EM step against K dt + sigma dW with (m, d, d) matrices,
+    # on the same normal draws: the two differ by rounding only
+    for a, b in zip(*_simulate_and_reference(EM, MAXWELL_2D)):
+        err = np.max(np.abs(a.ensemble.velocities - b.ensemble.velocities))
+        assert err <= 1e-12 * np.max(np.abs(b.ensemble.velocities))
+        assert abs(a.record.kinetic_energy - b.record.kinetic_energy) <= 1e-12 * b.record.kinetic_energy
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("gamma", [0.0, -3.0])
+def test_em_pair_update_matches_matrix_reference_to_rounding(dim, gamma):
+    # 35 000 BKW pairs span two blocks; one pair of the first block lies below
+    # the floor, so every later pair draws its normals one pair earlier than
+    # a draw for all pairs would. Each pair's error is rounding against the
+    # size of its new velocities.
+    kernel = KernelParams(1.0 / 8.0, gamma, dim)
+    v0 = bkw_ensemble(dim, 70_000, seed=40).velocities
+    i, j = random_pairing(70_000, RngStream(41))
+    assert len(i) > collision._PAIR_BLOCK
+    v0[j[7]] = v0[i[7]] + 1e-15
+    got, want = v0.copy(), v0.copy()
+    em_pair_update(got, i, j, kernel, 0.1, RngStream(42))
+    reference_em_pair_update(want, i, j, kernel, 0.1, RngStream(42))
+    np.testing.assert_array_equal(got[[i[7], j[7]]], v0[[i[7], j[7]]])
+    moved = np.ones(len(i), dtype=bool)
+    moved[7] = False
+    assert np.all(np.any(got[i[moved]] != v0[i[moved]], axis=1))
+    err = np.maximum(np.max(np.abs(got[i] - want[i]), axis=1), np.max(np.abs(got[j] - want[j]), axis=1))
+    scale = np.linalg.norm(want[i], axis=1) + np.linalg.norm(want[j], axis=1)
+    assert np.all(err <= 1e-12 * scale)
 
 
 def test_em_blow_up_raises_non_finite_state():
@@ -332,6 +372,16 @@ def test_em_blow_up_raises_non_finite_state():
     with pytest.raises(NonFiniteState, match="Euler-Maruyama"):
         simulate_homogeneous(cfg, ens, 3e200, [3e200])
     np.testing.assert_array_equal(ens.velocities, v0)
+
+
+def test_em_blow_up_leaves_the_block_unwritten():
+    # the second pair's step overflows (|z| = 1e10, tau = 5e299); the block
+    # raises before it writes either pair, with no RuntimeWarning
+    v = np.array([[1e10, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    v0 = v.copy()
+    with pytest.raises(NonFiniteState, match="Euler-Maruyama"):
+        em_pair_update(v, np.array([2, 0]), np.array([3, 1]), MAXWELL_2D, 1e300, RngStream(27))
+    np.testing.assert_array_equal(v, v0)
 
 
 def test_simulate_determinism_and_zero_t_end():
@@ -385,3 +435,65 @@ def test_em_accumulates_energy_on_average():
     cfg = SchemeConfig(0.1, EM, MAXWELL_2D, seed=22)
     res = simulate_homogeneous(cfg, ens, 20.0, [0.0, 20.0])
     assert res[-1].record.kinetic_energy > res[0].record.kinetic_energy
+
+
+def _traceless_moment(v):
+    """D, the traceless part of the centred second moments of v."""
+    c = v - v.mean(axis=0)
+    m = c.T @ c / len(v)
+    return m - np.trace(m) / v.shape[1] * np.eye(v.shape[1])
+
+
+# Seeds per case of the one-window law. With 100, the cases below read
+# |z| <= 1.1, and a 5% error (either way) in the tau that the sampler uses in
+# the 2D normal band, the lift or the mixture band reads |z| = 7.6 to 13.7
+LAW_SEEDS = 100
+LAW_Z = 4.0
+
+
+def _window_law_z(dim, dt, scheme):
+    """z-score of the mean of <D', D> / <D, D> over LAW_SEEDS windows of a
+    uniform pairing of 2e4 bi-Maxwellian particles, T = (2, 0.5[, 0.5]),
+    against its law r = ((N - 2) + N exp(-d tau)) / (2 (N - 1)).
+
+    Maxwell molecules give every pair the one time tau = 4 lam dt. Given the
+    pairing, SBM takes E[z'z'^T] to |z|^2 I/d + (zz^T - |z|^2 I/d) exp(-d tau),
+    the decay of the degree-2 harmonics, and the pair's second moment
+    v_i v_i^T + v_j v_j^T to (ss^T + z'z'^T)/2. Averaged over the uniform
+    pairings of centred velocities, the sum of ss^T over the pairs is
+    (N - 2)/(N - 1) of the sum of v v^T and that of zz^T is N/(N - 1) of it,
+    so E[D'] = r D."""
+    n = 20_000
+    kernel = KernelParams(1.0 / 8.0 if dim == 2 else 1.0 / 12.0, 0.0, dim)
+    v0 = np.random.default_rng(60).standard_normal((n, dim)) * np.sqrt([2.0, 0.5, 0.5][:dim])
+    d0 = _traceless_moment(v0)
+    tau = 4.0 * kernel.lam * dt
+    r = ((n - 2) + n * np.exp(-dim * tau)) / (2.0 * (n - 1))
+    rho = np.empty(LAW_SEEDS)
+    for k in range(LAW_SEEDS):
+        v = v0.copy()
+        i, j = random_pairing(n, RngStream(61, step=k, domain=DOMAIN_PAIRING))
+        collision_step(v, i, j, SchemeConfig(dt, scheme, kernel, seed=62 + k), 1)
+        rho[k] = np.sum(_traceless_moment(v) * d0) / np.sum(d0 * d0)
+    return (rho.mean() - r) / (rho.std(ddof=1) / np.sqrt(LAW_SEEDS))
+
+
+@pytest.mark.parametrize("dim,dt,band", [(2, 1.0, "normal"), (2, 250.0, "uniform"),
+                                         (3, 0.3, "lift"), (3, 1.5, "mixture"),
+                                         (3, 200.0, "uniform")])
+def test_one_window_moves_the_anisotropy_by_its_law(dim, dt, band):
+    # pairing, pair geometry, sphere step and scatter together, one dt per
+    # band of the sampler; in the uniform bands exp(-d tau) is 0
+    tau = 4.0 * (1.0 / 8.0 if dim == 2 else 1.0 / 12.0) * dt
+    lift = dim == 3 and tau < _MIXTURE_MIN_TAU
+    uniform = tau >= _uniform_time(dim)
+    assert band == ("uniform" if uniform else "lift" if lift else "mixture" if dim == 3 else "normal")
+    z = _window_law_z(dim, dt, SBM)
+    assert abs(z) <= LAW_Z, f"z = {z:+.2f}"
+
+
+def test_em_window_misses_the_law():
+    # EM's drift and noise give E[z'z'^T] the traceless factor
+    # (1 - tau/2)^2 - tau = 0.0625 at tau = 0.5 in 2D, not exp(-1) = 0.37
+    z = _window_law_z(2, 1.0, EM)
+    assert abs(z) > LAW_Z, f"z = {z:+.2f}"

