@@ -64,6 +64,8 @@ class ExperimentConfig(SimpleNamespace):
         cfg = cls(kind=kind, **spec.physics, **values)
         if values.get("alpha", 0) >= 1:  # the density 1 + alpha cos(x/2) must stay positive
             raise ConfigError(f"alpha: must be below 1, got {cfg.alpha!r}")
+        if values.get("n_cells", 2) < 2:  # the periodic PIC grid needs two cells
+            raise ConfigError(f"n_cells: must be at least 2, got {cfg.n_cells!r}")
         if kind != "vpl-damping":  # the homogeneous solver collides particles in pairs
             for name in ("n_particles", "n_list"):
                 if any(n % 2 for n in np.atleast_1d(values.get(name, 0))):
@@ -148,11 +150,13 @@ class RunManifest:
 
 
 def _git_revision():
+    """HEAD of the checkout this package is imported from, whatever the working
+    directory; None outside a git checkout."""
     try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
-                             text=True, timeout=5)
+        out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+                             timeout=5, cwd=os.path.dirname(os.path.abspath(__file__)))
         return out.stdout.strip() or None if out.returncode == 0 else None
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         return None
 
 
@@ -231,8 +235,7 @@ def _run_homogeneous(cfg: ExperimentConfig, outdir):
 def _run_vpl(cfg: ExperimentConfig, outdir):
     vcfg = VplConfig(n_particles=cfg.n_particles, dt=cfg.dt, t_end=cfg.t_end,
                      alpha=cfg.alpha, kernel=cfg.kernel(), n_cells=cfg.n_cells,
-                     n_iters=cfg.n_iters, residual_tol=cfg.residual_tol,
-                     seed=cfg.seed, record_every=cfg.record_every)
+                     n_iters=cfg.n_iters, seed=cfg.seed, record_every=cfg.record_every)
     t_start = time.perf_counter()
     records, final_state = simulate_vpl(vcfg)
     elapsed = time.perf_counter() - t_start
@@ -338,8 +341,7 @@ _KINDS = {
                          {**_RUN, "n_particles": (int, REQUIRED), "t_end": (float, REQUIRED),
                           "lam": (float, 0.0), "alpha": (float, REQUIRED),
                           "n_cells": (int, 128), "n_iters": (int, 5),
-                          "residual_tol": (float, None), "record_every": (int, 1),
-                          "dump_field": (bool, False)}),
+                          "record_every": (int, 1), "dump_field": (bool, False)}),
     "convergence-study": _Kind("convergence", _run_convergence, _MAXWELL_2D,
                                {**_density(2), "n_list": ([int], REQUIRED),
                                 "n_seeds": (int, 8), "t_eval": (float, 5.0)}),

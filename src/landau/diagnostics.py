@@ -27,6 +27,16 @@ DEFAULT_GRID_EXTENT = 8.0
 DEFAULT_GRID_CELLS = {2: 128, 3: 64}
 
 
+def _check_geometry(dim, lo, hi, n_grid):
+    """ValueError unless dim is 2 or 3, lo < hi are finite and n_grid >= 1."""
+    if dim not in (2, 3):
+        raise ValueError(f"dim must be 2 or 3, got {dim}")
+    if not -np.inf < lo < hi < np.inf:  # a nan fails too
+        raise ValueError(f"need finite lo < hi, got lo={lo}, hi={hi}")
+    if n_grid < 1:
+        raise ValueError(f"need n_grid >= 1, got {n_grid}")
+
+
 @dataclass
 class DensityGrid:
     """Uniform velocity-space grid holding density values at cell centers."""
@@ -38,12 +48,7 @@ class DensityGrid:
     values: np.ndarray = None
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ValueError("dim must be 2 or 3")
-        if not self.hi > self.lo:
-            raise ValueError("need hi > lo")
-        if self.n_grid < 1:
-            raise ValueError("need n_grid >= 1")
+        _check_geometry(self.dim, self.lo, self.hi, self.n_grid)
         shape = (self.n_grid,) * self.dim
         if self.values is None:
             self.values = np.zeros(shape)
@@ -243,6 +248,7 @@ def load_grid_csv(path) -> DensityGrid:
         meta = dict(kv.split("=") for kv in lines[0][2:].split())
         dim, ng = int(meta["dim"]), int(meta["n_grid"])
         lo, hi = float(meta["lo"]), float(meta["hi"])
+        _check_geometry(dim, lo, hi, ng)
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: line 1: bad header ({exc})") from exc
     expect = ng**dim

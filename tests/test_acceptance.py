@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -s` to watch the lines appear; the
-full suite takes about five minutes on two cores, dominated by the four
+acceptance suite takes about two minutes on two cores, dominated by the two
 Landau-damping runs and the long BKW relaxation.
 """
 
@@ -52,14 +52,13 @@ def bkw_large_run():
 
 @pytest.fixture(scope="module")
 def vpl_runs():
-    """Landau damping at N=1e5: lambda in {0, 1} x {residual stop, fixed 5}."""
+    """Landau damping at N=1e5 with 5 fixed Crank-Nicolson sweeps per step,
+    without (lambda = 0) and with (lambda = 1) collisions."""
     out = {}
     for lam in (0.0, 1.0):
-        for mode, tol in (("res", 1e-10), ("fix5", None)):
-            cfg = VplConfig(n_particles=100_000, dt=0.02, t_end=50.0, alpha=0.1,
-                            kernel=KernelParams(lam, -2.0, 2), n_cells=128,
-                            n_iters=5, residual_tol=tol, seed=7)
-            out[lam, mode], _ = simulate_vpl(cfg)
+        cfg = VplConfig(n_particles=100_000, dt=0.02, t_end=50.0, alpha=0.1,
+                        kernel=KernelParams(lam, -2.0, 2), n_cells=128, n_iters=5, seed=7)
+        out[lam, "fix5"], _ = simulate_vpl(cfg)
     return out
 
 
@@ -268,7 +267,7 @@ def test_c10_vpl_total_energy_conservation(vpl_runs):
 def test_c11_landau_damping_rate(vpl_runs):
     _, oracle_rate = landau_damping_rate(0.5)
     assert abs(oracle_rate - 0.153) < 1e-3  # sanity of the oracle itself
-    recs = vpl_runs[0.0, "res"]
+    recs = vpl_runs[0.0, "fix5"]
     el2 = np.array([r.electric_l2 for r in recs])
     ts = np.array([r.time for r in recs])
     sel = (ts >= 2.0) & (ts <= 15.0)

@@ -48,9 +48,10 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError, match="reference_time"):
         ExperimentConfig.from_dict(dict(kind="coulomb2d", n_particles=10, dt=0.1, t_end=1.0,
                                         checkpoint_every=0.5, reference_path="x.bin"))
-    with pytest.raises(ConfigError, match="residual_tol"):
+    # the Crank-Nicolson step runs n_iters sweeps; there is no tolerance to set
+    with pytest.raises(ConfigError, match="unknown config field.*vpl-damping.*residual_tol"):
         ExperimentConfig.from_dict(dict(kind="vpl-damping", n_particles=100, dt=0.1,
-                                        t_end=1.0, alpha=0.1, residual_tol=0))
+                                        t_end=1.0, alpha=0.1, residual_tol=1e-10))
 
 
 def test_config_rejects_sampler_fields():
@@ -114,7 +115,8 @@ def test_kind_fixes_its_physics(kind):
     ("vpl-damping", "dump_field", 1),
     ("vpl-damping", "alpha", 1.0), ("vpl-damping", "lam", -1.0),
     ("cpu-bench", "n_list", [100, 301]), ("convergence-study", "n_list", [100.0, 200.0]),
-    ("convergence-study", "n_list", [100, 100]), ("cpu-bench", "n_list", [])])
+    ("convergence-study", "n_list", [100, 100]), ("cpu-bench", "n_list", []),
+    ("vpl-damping", "n_cells", 1)])
 def test_bad_values_name_the_field(tmp_path, capsys, kind, name, value):
     with pytest.raises(ConfigError, match=name):
         config_of(kind, **{name: value})
@@ -122,6 +124,18 @@ def test_bad_values_name_the_field(tmp_path, capsys, kind, name, value):
     assert main([COMMAND.get(kind, "run"), write_config(tmp_path / "c.json", **cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err
+
+
+def test_manifest_git_revision_is_the_package_checkout(tmp_path, monkeypatch):
+    # git runs in the package's directory: from any working directory the
+    # manifest names the checkout the code comes from, or None outside one
+    package = pathlib.Path(landau.cli.__file__).resolve().parent
+    out = subprocess.run(["git", "-C", str(package), "rev-parse", "HEAD"],
+                         capture_output=True, text=True)
+    want = out.stdout.strip() if out.returncode == 0 else None
+    monkeypatch.chdir(tmp_path)
+    assert run(small_bkw2d(tmp_path / "out", t_end=0.5)).git_revision == want
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["git_revision"] == want
 
 
 def test_manifest_records_kind_physics(tmp_path):
@@ -187,6 +201,13 @@ def test_density_dump(tmp_path, monkeypatch):
            (tmp_path / "want.csv").read_bytes()
 
 
+def with_header(path, header):
+    """Rewrite the geometry line of a saved grid file."""
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(f"# {header}\n" + "".join(lines[1:]))
+    return path
+
+
 def test_reference_density_loading(tmp_path):
     grid = DensityGrid(2, -8.0, 8.0, 64, np.random.default_rng(0).random((64, 64)))
     c = tmp_path / "ref.csv"
@@ -207,6 +228,14 @@ def test_reference_density_loading(tmp_path):
     raw.write_bytes(struct.pack("<IddI", 2, -8.0, 8.0, 4) + np.ones(16).tobytes())
     with pytest.raises(FormatError, match="line 1"):
         load_reference_density(raw)
+    # a header whose geometry makes no grid fails at line 1, not in DensityGrid
+    ones = tmp_path / "ones.csv"
+    for header in ("dim=4 lo=-8.0 hi=8.0 n_grid=2", "dim=2 lo=-8.0 hi=8.0 n_grid=0",
+                   "dim=2 lo=1.0 hi=-1.0 n_grid=4", "dim=2 lo=nan hi=8.0 n_grid=4",
+                   "dim=2 lo=-8.0 hi=inf n_grid=4"):
+        save_grid_csv(DensityGrid(2, -8.0, 8.0, 4, np.ones((4, 4))), ones)
+        with pytest.raises(FormatError, match="line 1"):
+            load_reference_density(with_header(ones, header))
 
 
 @pytest.mark.parametrize("kind, grid_cells", [("bkw2d", 128), ("bkw2d", 24), ("bkw3d", 64),
@@ -242,6 +271,14 @@ def test_coulomb_reference_comparison(tmp_path, capsys):
     assert main(["run", path]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "line 1" in err[0]
+    # so does a header with hi below lo
+    flip = tmp_path / "flip.csv"
+    save_grid_csv(DensityGrid(2, -8.0, 8.0, 64, np.ones((64, 64))), flip)
+    with_header(flip, "dim=2 lo=1.0 hi=-1.0 n_grid=64")
+    path = write_config(tmp_path / "c.json", **coulomb_config(tmp_path, reference_path=str(flip)))
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "line 1" in err[0]
     # matching grid: the rel-L2 column is populated at the reference time only
     save_grid_csv(DensityGrid(2, -8.0, 8.0, 64, np.ones((64, 64)) / 256.0), tmp_path / "ref.csv")
     run(ExperimentConfig.from_dict(coulomb_config(tmp_path, outdir=str(tmp_path / "out2"))))
@@ -273,7 +310,8 @@ def test_vpl_run(tmp_path):
     fheader, frows = read_csv(tmp_path / "vpl" / "field_final.csv")
     assert fheader == ["x", "E"] and len(frows) == 32
     data = json.loads((tmp_path / "vpl" / "manifest.json").read_text())
-    assert data["summary"]["relative_energy_drift"] < 1e-2
+    # the convergence check of the sweeps: 1.4e-16 at the default 5, 2.9e-11 at 2
+    assert data["summary"]["relative_energy_drift"] <= 1e-12
     assert "field_final.csv" in data["outputs"]
 
 

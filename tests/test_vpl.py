@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import landau.vpl as vpl
-from landau.errors import FixedPointNotConverged, InvalidCheckpoint, NonFiniteState
+from landau.errors import InvalidCheckpoint, NonFiniteState
 from landau.kernels import KernelParams
 from landau.streams import RngStream
 from landau.vpl import (PicGrid, VplConfig, VplState, _cell_pairs, _wrap, cell_collisions,
@@ -143,9 +143,9 @@ def test_cn_step_conserves_energy_and_leaves_vy():
     state = initial_state(cfg, grid)
     d0 = vpl_diagnostics(state, grid)
     vy0 = state.velocities[:, 1].copy()
-    out = cn_va_step(state, 0.02, 50, grid, residual_tol=1e-13)
+    out = cn_va_step(state, 0.02, 50, grid)
     d1 = vpl_diagnostics(out, grid)
-    assert abs(d1.total_energy - d0.total_energy) <= 1e-10 * abs(d0.total_energy)
+    assert abs(d1.total_energy - d0.total_energy) <= 1e-13 * abs(d0.total_energy)
     np.testing.assert_array_equal(out.velocities[:, 1], vy0)
     assert np.all((out.positions >= 0) & (out.positions < LENGTH))
 
@@ -157,14 +157,13 @@ def test_cn_step_raises_on_nonfinite():
         cn_va_step(state, 1e6, 5, grid)
 
 
-@pytest.mark.parametrize("tol", [None, 1e-10])
-def test_cn_step_raises_on_sweep_divergence(tol):
+def test_cn_step_raises_on_sweep_divergence():
     # the Euler predictor stays finite; vpl._bounds rejects the first sweep's
     # midpoint cells, which reach past its 2^53 bound
     grid = PicGrid(LENGTH, 16)
     state = make_state(np.array([1.0, 2.0]), np.array([[1e300, 0.0], [-1e300, 0.0]]), grid)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteState, match=r"diverged at t=0\.0"):
-        cn_va_step(state, 1e3, 5, grid, residual_tol=tol)
+        cn_va_step(state, 1e3, 5, grid)
 
 
 def _sweep_state(n=5000, seed=12):
@@ -187,32 +186,32 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def _assert_matches_reference(state, grid, dt, n_iters, tol, deposits):
-    """One cn_va_step against reference_cn_va_step: the same iteration, so
-    the same sweep count, with only rounding apart (seen: at most 1.8e-15 on
-    _sweep_state, and 2.2e-14 in the field across the seam)."""
-    x, v, e, sweeps = reference_cn_va_step(state, dt, n_iters, grid, residual_tol=tol)
+def _assert_matches_reference(state, grid, dt, n_iters, deposits):
+    """One cn_va_step against reference_cn_va_step: the same iteration, with
+    only rounding apart (seen: at most 1.8e-15 on _sweep_state, and 2.2e-14
+    in the field across the seam)."""
+    x, v, e = reference_cn_va_step(state, dt, n_iters, grid)
     deposits.clear()
-    out = cn_va_step(state, dt, n_iters, grid, residual_tol=tol)
+    out = cn_va_step(state, dt, n_iters, grid)
     period = grid.length
     np.testing.assert_allclose((out.positions - x + period / 2) % period - period / 2, 0.0,
                                atol=1e-13)
     np.testing.assert_allclose(out.velocities, v, rtol=0, atol=1e-13)
     np.testing.assert_allclose(out.field, e, rtol=0, atol=1e-13)
-    assert len(deposits) == sweeps
-    return out, sweeps
+    assert len(deposits) == n_iters
+    return out
 
 
 # (1, None) pins the Euler predictor: a first sweep whose midpoints move by
-# the predicted velocity instead of vx0 puts positions about 1e-7 off
-@pytest.mark.parametrize("n_iters, tol", [(5, None), (1, None), (50, 1e-12), (50, 1e-10)])
+# the predicted velocity instead of vx0 puts positions about 1e-7 off. tol is
+# None in every case: a sweep count is the only stopping rule
+@pytest.mark.parametrize("n_iters, tol", [(5, None), (1, None), (50, None)])
 def test_cn_step_matches_reference_to_rounding(monkeypatch, n_iters, tol):
     # chained steps wrap positions across both ends of the domain
     state, grid = _sweep_state()
     deposits = _counting(monkeypatch, "deposit_current")
     for _ in range(3):
-        state, sweeps = _assert_matches_reference(state, grid, 0.05, n_iters, tol, deposits)
-    assert tol is None or 1 < sweeps < 50
+        state = _assert_matches_reference(state, grid, 0.05, n_iters, deposits)
 
 
 @pytest.mark.parametrize("n0", [2, 17, 64])
@@ -232,8 +231,8 @@ def test_cn_step_matches_reference_across_the_seam(monkeypatch, n0):
     field = gen.standard_normal(n0)
     state = make_state(x, v, grid, field=field - field.mean())
     deposits = _counting(monkeypatch, "deposit_current")
-    for n_iters, tol in ((5, None), (50, 1e-10)):
-        _assert_matches_reference(state, grid, dt, n_iters, tol, deposits)
+    for n_iters in (5, 50):
+        _assert_matches_reference(state, grid, dt, n_iters, deposits)
 
 
 def test_deposit_and_interpolation_are_adjoint():
@@ -308,14 +307,6 @@ def test_hat_weights_match_reference_bitwise():
     for bad in (np.inf, -np.inf, np.nan, 2.0**53, -2.0**53 - 2.0):
         with pytest.raises(NonFiniteState):
             hat_weights(np.array([0.5, bad, 3.0]), grid)
-
-
-def test_cn_step_raises_when_residual_tol_is_not_met():
-    grid = PicGrid(LENGTH, 16)
-    gen = RngStream(4).generator()
-    state = make_state(gen.uniform(0, LENGTH, 50), gen.standard_normal((50, 2)), grid)
-    with pytest.raises(FixedPointNotConverged, match=r"t=0\.0.*residual .* after 200 sweeps"):
-        cn_va_step(state, 0.05, 5, grid, residual_tol=0.0)
 
 
 def test_cell_collisions_lambda0_identity():
@@ -444,27 +435,23 @@ def test_vpl_diagnostics_momentum_adds_the_rows_in_order():
 
 def test_simulate_vpl_quiet_start():
     cfg = VplConfig(n_particles=20_000, dt=0.02, t_end=1.0, alpha=0.0,
-                    kernel=KernelParams(0.0, -2.0, 2), n_cells=64,
-                    residual_tol=1e-12, seed=9)
+                    kernel=KernelParams(0.0, -2.0, 2), n_cells=64, seed=9)
     recs, final = simulate_vpl(cfg)
     assert len(recs) == 51 and final.time == pytest.approx(1.0)
     e0 = recs[0].total_energy
     drift = max(abs(r.total_energy - e0) for r in recs) / abs(e0)
-    assert drift <= 1e-3
+    assert drift <= 1e-12  # reads 1.4e-16
     # unperturbed equilibrium: the field stays at the particle-noise floor
     assert max(r.electric_l2 for r in recs) < 0.2
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
-@pytest.mark.parametrize("tol", [None, 1e-10])
-def test_simulate_vpl_conserves_energy_and_momentum_to_rounding(lam, tol):
+def test_simulate_vpl_conserves_energy_and_momentum_to_rounding(lam):
     # the discrete CN energy identity holds at the fixed point, which five
     # sweeps at dt = 0.02 reach to rounding; drifts read 3e-16 to 4e-16
-    # (energy) and at most 1.6e-15 (q sum v_y), so a broken identity shows
-    # far below the 1e-3 of a run-level bound
+    # (energy) and at most 1.6e-15 (q sum v_y), while two sweeps read 1.8e-10
     cfg = VplConfig(n_particles=20_000, dt=0.02, t_end=2.0, alpha=0.1,
-                    kernel=KernelParams(lam, -2.0, 2), n_cells=128, n_iters=5,
-                    residual_tol=tol, seed=7)
+                    kernel=KernelParams(lam, -2.0, 2), n_cells=128, n_iters=5, seed=7)
     recs, _ = simulate_vpl(cfg)
     e0, p0 = recs[0].total_energy, recs[0].momentum[1]
     assert max(abs(r.total_energy - e0) for r in recs) <= 1e-13 * abs(e0)
