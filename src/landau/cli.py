@@ -1,9 +1,10 @@
 """Configuration-driven experiment runner.
 
-``landau run <config.json>`` reproduces the shipped experiments (BKW
-relaxation in 2D/3D, the singular-kernel bi-Maxwellian run, Landau damping);
-``landau convergence`` and ``landau bench`` drive the particle-count studies
-and ``landau sampler-test`` Monte-Carlo-checks the sphere sampler. Every run
+``landau run <config.json>`` runs every experiment kind, as the config's
+``kind`` picks it: the BKW relaxation in 2D/3D, the singular-kernel
+bi-Maxwellian run, Landau damping and the particle-count studies
+(``landau convergence`` and ``landau bench`` are aliases of ``run``).
+``landau sampler-test`` Monte-Carlo-checks the sphere sampler. Every run
 writes CSV diagnostics plus a JSON manifest; reruns with the same config and
 seed are bitwise identical.
 """
@@ -16,9 +17,7 @@ import subprocess
 import sys
 import time
 from collections import namedtuple
-from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Optional
 
 import numpy as np
 
@@ -129,31 +128,13 @@ def _check_value(name, type_, value):
                               f"{'non-negative' if non_negative else 'positive'}, got {value!r}")
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record written at the end of every run."""
-
-    config: dict
-    version: str
-    git_revision: Optional[str]
-    seed: int
-    run_seconds: Optional[float]
-    outputs: list
-    summary: dict
-
-    def write(self, path):
-        tmp = str(path) + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(self.__dict__, fh, indent=2, default=float)
-            fh.write("\n")
-        os.replace(tmp, path)
-
-
 def _git_revision():
-    """HEAD of the checkout this package is imported from, whatever the working
-    directory; None outside a git checkout."""
+    """Full SHA of HEAD of the checkout this package is imported from, whatever
+    the working directory, with "-dirty" appended when tracked files differ
+    from HEAD; None outside a git checkout."""
     try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+        out = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40",
+                              "--exclude=*"], capture_output=True, text=True,
                              timeout=5, cwd=os.path.dirname(os.path.abspath(__file__)))
         return out.stdout.strip() or None if out.returncode == 0 else None
     except (OSError, subprocess.SubprocessError):
@@ -203,66 +184,62 @@ def _reference_fn(cfg: ExperimentConfig, grid: DensityGrid):
     return lambda t: ref.values if abs(t - cfg.reference_time) < 1e-9 else None
 
 
-def _run_homogeneous(cfg: ExperimentConfig, outdir):
+def _plan(cfg: ExperimentConfig, keep=()) -> DiagnosticsPlan:
+    """The KDE grid, its reference and the checkpoint times whose density is kept."""
     grid = DensityGrid(cfg.dim, -cfg.grid_extent, cfg.grid_extent, cfg.grid_cells)
-    plan = DiagnosticsPlan(grid=grid, eps=cfg.eps, reference=_reference_fn(cfg, grid),
-                           keep_density_at=frozenset(cfg.dump_density_at))
+    return DiagnosticsPlan(grid=grid, eps=cfg.eps, reference=_reference_fn(cfg, grid),
+                           keep_density_at=frozenset(keep))
+
+
+def _run_homogeneous(cfg: ExperimentConfig):
+    plan = _plan(cfg, cfg.dump_density_at)
     scheme = SchemeConfig(cfg.dt, cfg.scheme, cfg.kernel(), seed=cfg.seed)
     init = _initial_ensemble(cfg, cfg.n_particles, cfg.seed)
-    t_start = time.perf_counter()
     results = simulate_homogeneous(scheme, init, cfg.t_end, cfg.checkpoint_times(), plan)
-    elapsed = time.perf_counter() - t_start
 
     mom_cols = [f"momentum_{ax}" for ax in "xyz"[: cfg.dim]]
     rows = [[c.time, *c.record.momentum, c.record.kinetic_energy, c.record.entropy,
              c.record.rel_l2_error] for c in results]
-    diag_path = os.path.join(outdir, "diagnostics.csv")
+    diag_path = os.path.join(cfg.outdir, "diagnostics.csv")
     _write_csv(diag_path, ["time", *mom_cols, "kinetic_energy", "entropy", "rel_l2_error"], rows)
     outputs = [diag_path]
     for c in results:
         if c.record.density is not None:
-            p = os.path.join(outdir, f"density_t{c.time:g}.csv")
+            p = os.path.join(cfg.outdir, f"density_t{c.time:g}.csv")
             save_grid_csv(c.record.density, p)
             outputs.append(p)
-    summary = {
-        "final_time": results[-1].time,
-        "final_kinetic_energy": results[-1].record.kinetic_energy,
-        "final_entropy": results[-1].record.entropy,
-    }
-    return outputs, elapsed, summary
+    last = results[-1]
+    summary = {"final_time": last.time, "final_kinetic_energy": last.record.kinetic_energy,
+               "final_entropy": last.record.entropy}
+    return outputs, summary
 
 
-def _run_vpl(cfg: ExperimentConfig, outdir):
+def _run_vpl(cfg: ExperimentConfig):
     vcfg = VplConfig(n_particles=cfg.n_particles, dt=cfg.dt, t_end=cfg.t_end,
                      alpha=cfg.alpha, kernel=cfg.kernel(), n_cells=cfg.n_cells,
                      n_iters=cfg.n_iters, seed=cfg.seed, record_every=cfg.record_every)
-    t_start = time.perf_counter()
     records, final_state = simulate_vpl(vcfg)
-    elapsed = time.perf_counter() - t_start
     rows = [[r.time, r.electric_l2, r.kinetic_energy, r.electric_energy,
              r.total_energy, r.momentum[0], r.momentum[1]] for r in records]
-    ts_path = os.path.join(outdir, "timeseries.csv")
+    ts_path = os.path.join(cfg.outdir, "timeseries.csv")
     _write_csv(ts_path, ["time", "electric_l2", "E_K", "E_E", "E_total",
                          "momentum_x", "momentum_y"], rows)
     outputs = [ts_path]
     if cfg.dump_field:
-        fp = os.path.join(outdir, "field_final.csv")
+        fp = os.path.join(cfg.outdir, "field_final.csv")
         centers = PicGrid(vcfg.length, vcfg.n_cells).centers()
         _write_csv(fp, ["x", "E"], list(zip(centers, final_state.field)))
         outputs.append(fp)
-    e0, e1 = records[0].total_energy, records[-1].total_energy
-    summary = {"initial_total_energy": e0, "final_total_energy": e1,
-               "relative_energy_drift": abs(e1 - e0) / abs(e0),
+    e0 = records[0].total_energy  # energy that strays and comes back still counts as drift
+    summary = {"initial_total_energy": e0, "final_total_energy": records[-1].total_energy,
+               "relative_energy_drift": max(abs(r.total_energy - e0) for r in records) / abs(e0),
                "mass_weight_convention": "per-particle weight q = Q/N with Q = domain length"}
-    return outputs, elapsed, summary
+    return outputs, summary
 
 
-def _run_convergence(cfg: ExperimentConfig, outdir):
-    grid = DensityGrid(cfg.dim, -cfg.grid_extent, cfg.grid_extent, cfg.grid_cells)
-    plan = DiagnosticsPlan(grid=grid, eps=cfg.eps, reference=_reference_fn(cfg, grid))
-    rows = []
-    means = []
-    t_start = time.perf_counter()
+def _run_convergence(cfg: ExperimentConfig):
+    plan = _plan(cfg)
+    rows, means = [], []
     for n in cfg.n_list:
         errs = []
         for s in range(cfg.n_seeds):
@@ -273,19 +250,17 @@ def _run_convergence(cfg: ExperimentConfig, outdir):
             errs.append(res[-1].record.rel_l2_error)
             rows.append([n, seed, errs[-1]])
         means.append(float(np.mean(errs)))
-    elapsed = time.perf_counter() - t_start
     slope = float(np.polyfit(np.log10(cfg.n_list), np.log10(means), 1)[0])
-    csv_path = os.path.join(outdir, "convergence.csv")
+    csv_path = os.path.join(cfg.outdir, "convergence.csv")
     _write_csv(csv_path, ["n_particles", "seed", "rel_l2_error"], rows)
     print(f"mean rel-L2 at t={cfg.t_eval:g}: " +
           ", ".join(f"N={n}: {e:.4g}" for n, e in zip(cfg.n_list, means)))
     print(f"fitted log-log slope: {slope:.3f}")
-    summary = {"n_list": list(cfg.n_list), "mean_errors": means, "slope": slope,
-               "total_seconds": elapsed}
-    return [csv_path], None, summary
+    summary = {"n_list": list(cfg.n_list), "mean_errors": means, "slope": slope}
+    return [csv_path], summary
 
 
-def _run_bench(cfg: ExperimentConfig, outdir):
+def _run_bench(cfg: ExperimentConfig):
     scheme = SchemeConfig(cfg.dt, SBM, cfg.kernel(), seed=cfg.seed)
     times = []
     for n in cfg.n_list:
@@ -302,16 +277,16 @@ def _run_bench(cfg: ExperimentConfig, outdir):
         print(f"N={n}: {best * 1e3:.3f} ms per step")
     slope = float(np.polyfit(np.log10(cfg.n_list), np.log10(times), 1)[0])
     print(f"fitted log-log slope: {slope:.3f}")
-    csv_path = os.path.join(outdir, "bench.csv")
+    csv_path = os.path.join(cfg.outdir, "bench.csv")
     _write_csv(csv_path, ["n_particles", "seconds_per_step"], zip(cfg.n_list, times))
     summary = {"n_list": list(cfg.n_list), "seconds_per_step": times, "slope": slope}
-    return [csv_path], None, summary
+    return [csv_path], summary
 
 
-# Each kind: the subcommand that runs it, its runner (cfg, outdir) -> (outputs,
-# run_seconds, summary), the dim, gamma and lam it fixes, and the fields it reads
-# as name -> (type as in _check_value, default or REQUIRED).
-_Kind = namedtuple("_Kind", "command runner physics fields")
+# Each kind: its runner cfg -> (outputs, summary), the dim, gamma and lam it
+# fixes, and the fields it reads as name -> (type as in _check_value, default
+# or REQUIRED).
+_Kind = namedtuple("_Kind", "runner physics fields")
 
 
 _RUN = {"outdir": (str, "."), "seed": (int, 0), "dt": (float, REQUIRED)}
@@ -331,21 +306,21 @@ _MAXWELL_2D = {"dim": 2, "gamma": 0.0, "lam": BKW_LAMBDA[2]}
 
 
 _KINDS = {
-    "bkw2d": _Kind("run", _run_homogeneous, _MAXWELL_2D, _homogeneous(2)),
-    "bkw3d": _Kind("run", _run_homogeneous, {"dim": 3, "gamma": 0.0, "lam": BKW_LAMBDA[3]},
+    "bkw2d": _Kind(_run_homogeneous, _MAXWELL_2D, _homogeneous(2)),
+    "bkw3d": _Kind(_run_homogeneous, {"dim": 3, "gamma": 0.0, "lam": BKW_LAMBDA[3]},
                    _homogeneous(3)),
-    "coulomb2d": _Kind("run", _run_homogeneous, {"dim": 2, "gamma": -3.0, "lam": 1.0 / 8.0},
+    "coulomb2d": _Kind(_run_homogeneous, {"dim": 2, "gamma": -3.0, "lam": 1.0 / 8.0},
                        {**_homogeneous(2), "reference_path": (str, None),
                         "reference_time": (float, None)}),
-    "vpl-damping": _Kind("run", _run_vpl, {"dim": 2, "gamma": -2.0},
+    "vpl-damping": _Kind(_run_vpl, {"dim": 2, "gamma": -2.0},
                          {**_RUN, "n_particles": (int, REQUIRED), "t_end": (float, REQUIRED),
                           "lam": (float, 0.0), "alpha": (float, REQUIRED),
                           "n_cells": (int, 128), "n_iters": (int, 5),
                           "record_every": (int, 1), "dump_field": (bool, False)}),
-    "convergence-study": _Kind("convergence", _run_convergence, _MAXWELL_2D,
+    "convergence-study": _Kind(_run_convergence, _MAXWELL_2D,
                                {**_density(2), "n_list": ([int], REQUIRED),
                                 "n_seeds": (int, 8), "t_eval": (float, 5.0)}),
-    "cpu-bench": _Kind("bench", _run_bench, _MAXWELL_2D,
+    "cpu-bench": _Kind(_run_bench, _MAXWELL_2D,
                        {**_RUN, "n_list": ([int], REQUIRED), "bench_steps": (int, 5),
                         "bench_warmup": (int, 2)}),
 }
@@ -377,34 +352,40 @@ def _run_sampler_test(args):
                "mean_dot": mean, "exact": exact, "zscore": zscore,
                "pass": bool(ok)}
     config = {k: getattr(args, k) for k in ("dim", "tau", "samples", "seed", "outdir")}
-    _write_manifest(config, args.seed, args.outdir, [], None, summary)
+    _write_manifest(config, [], None, summary)
 
 
-def _write_manifest(config, seed, outdir, outputs, run_seconds, summary) -> RunManifest:
-    os.makedirs(outdir, exist_ok=True)
-    manifest = RunManifest(config=config, version=__version__, git_revision=_git_revision(),
-                           seed=seed, run_seconds=run_seconds,
-                           outputs=[os.path.basename(p) for p in outputs], summary=summary)
-    manifest.write(os.path.join(outdir, "manifest.json"))
+def _write_manifest(config, outputs, run_seconds, summary) -> dict:
+    """Write the run's record to manifest.json in the config's outdir, atomically
+    (a tmp file, then os.replace), and return it."""
+    manifest = {"config": config, "version": __version__, "git_revision": _git_revision(),
+                "seed": config["seed"], "run_seconds": run_seconds,
+                "outputs": [os.path.basename(p) for p in outputs], "summary": summary}
+    os.makedirs(config["outdir"], exist_ok=True)
+    path = os.path.join(config["outdir"], "manifest.json")
+    with open(path + ".tmp", "w") as fh:
+        json.dump(manifest, fh, indent=2, default=float)
+        fh.write("\n")
+    os.replace(path + ".tmp", path)
     return manifest
 
 
-def run(cfg: ExperimentConfig) -> RunManifest:
-    """Execute the configured experiment and write outputs plus the manifest."""
+def run(cfg: ExperimentConfig) -> dict:
+    """Execute the configured experiment, write its outputs and return the
+    manifest; run_seconds is the wall time of the whole runner call."""
     os.makedirs(cfg.outdir, exist_ok=True)
-    outputs, run_seconds, summary = _KINDS[cfg.kind].runner(cfg, cfg.outdir)
-    return _write_manifest(dict(vars(cfg)), cfg.seed, cfg.outdir, outputs, run_seconds,
-                           summary)
+    t_start = time.perf_counter()
+    outputs, summary = _KINDS[cfg.kind].runner(cfg)
+    return _write_manifest(dict(vars(cfg)), outputs, time.perf_counter() - t_start, summary)
 
 
 def _build_parser():
     parser = argparse.ArgumentParser(prog="landau",
                                      description="stochastic particle solver for the Landau equation")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in dict.fromkeys(k.command for k in _KINDS.values()):
-        kinds = [name for name, k in _KINDS.items() if k.command == command]
-        p = sub.add_parser(command, help=f"execute a config of kind {', '.join(kinds)}")
-        p.add_argument("config", help="JSON experiment config")
+    p = sub.add_parser("run", aliases=["convergence", "bench"],
+                       help=f"execute a config of any kind: {', '.join(_KINDS)}")
+    p.add_argument("config", help="JSON experiment config")
     p = sub.add_parser("sampler-test", help="Monte Carlo check of the sphere sampler")
     p.add_argument("--dim", type=int, choices=(2, 3), required=True)
     p.add_argument("--tau", type=float, required=True)
@@ -420,10 +401,7 @@ def main(argv=None):
         if args.command == "sampler-test":
             _run_sampler_test(args)
         else:
-            cfg = ExperimentConfig.from_file(args.config)
-            if _KINDS[cfg.kind].command != args.command:
-                raise ConfigError(f"kind: {cfg.kind!r} is not runnable by 'landau {args.command}'")
-            run(cfg)
+            run(ExperimentConfig.from_file(args.config))
     except (LandauError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

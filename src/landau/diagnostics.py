@@ -74,8 +74,7 @@ class DensityGrid:
 
 
 def _velocities(ens):
-    v = ens.velocities if hasattr(ens, "velocities") else np.asarray(ens, dtype=float)
-    return np.atleast_2d(v)
+    return np.atleast_2d(np.asarray(ens, dtype=float))
 
 
 def mollified_density(ens, eps, grid: DensityGrid) -> DensityGrid:

@@ -544,10 +544,10 @@ def reference_simulate_homogeneous(cfg, init, t_end, checkpoints, plan=None):
     out = []
     ens = ParticleEnsemble(init.velocities.copy())
     if 0 in marks:
-        out.append(Checkpoint(marks[0], ens, _record(ens, marks[0], plan)))
+        out.append(Checkpoint(marks[0], ens, _record(ens.velocities, marks[0], plan)))
     for step in range(1, n_steps + 1):
         pairing = random_pairing(ens.n, RngStream(cfg.seed, step=step, domain=DOMAIN_PAIRING))
         ens = stepper(ens, pairing, cfg, step)
         if step in marks:
-            out.append(Checkpoint(marks[step], ens, _record(ens, marks[step], plan)))
+            out.append(Checkpoint(marks[step], ens, _record(ens.velocities, marks[step], plan)))
     return out

@@ -4,6 +4,7 @@ import pathlib
 import struct
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -74,9 +75,6 @@ MINIMAL = {
 }
 
 
-COMMAND = {"convergence-study": "convergence", "cpu-bench": "bench"}  # others: "run"
-
-
 def config_of(kind, **extra):
     return ExperimentConfig.from_dict({"kind": kind, **MINIMAL[kind], **extra})
 
@@ -121,21 +119,43 @@ def test_bad_values_name_the_field(tmp_path, capsys, kind, name, value):
     with pytest.raises(ConfigError, match=name):
         config_of(kind, **{name: value})
     cfg = {"kind": kind, **MINIMAL[kind], name: value}
-    assert main([COMMAND.get(kind, "run"), write_config(tmp_path / "c.json", **cfg)]) == 1
+    assert main(["run", write_config(tmp_path / "c.json", **cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err
 
 
+def git(repo, *args):
+    return subprocess.run(["git", "-C", str(repo), *args], capture_output=True, text=True)
+
+
 def test_manifest_git_revision_is_the_package_checkout(tmp_path, monkeypatch):
     # git runs in the package's directory: from any working directory the
-    # manifest names the checkout the code comes from, or None outside one
+    # manifest names the checkout the code comes from, with "-dirty" when its
+    # tracked files differ from HEAD, or None outside one
     package = pathlib.Path(landau.cli.__file__).resolve().parent
-    out = subprocess.run(["git", "-C", str(package), "rev-parse", "HEAD"],
-                         capture_output=True, text=True)
-    want = out.stdout.strip() if out.returncode == 0 else None
+    head = git(package, "rev-parse", "HEAD")
+    want = None
+    if head.returncode == 0:
+        dirty = git(package, "status", "--porcelain", "--untracked-files=no").stdout.strip()
+        want = head.stdout.strip() + ("-dirty" if dirty else "")
     monkeypatch.chdir(tmp_path)
-    assert run(small_bkw2d(tmp_path / "out", t_end=0.5)).git_revision == want
+    assert run(small_bkw2d(tmp_path / "out", t_end=0.5))["git_revision"] == want
     assert json.loads((tmp_path / "out" / "manifest.json").read_text())["git_revision"] == want
+
+
+def test_git_revision_marks_a_dirty_checkout(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / "pkg" / "cli.py").write_text("a = 1\n")
+    git(repo, "init", "-q")
+    git(repo, "add", "pkg/cli.py")
+    git(repo, "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "one")
+    sha = git(repo, "rev-parse", "HEAD").stdout.strip()
+    assert len(sha) == 40
+    monkeypatch.setattr(landau.cli, "__file__", str(repo / "pkg" / "cli.py"))
+    assert landau.cli._git_revision() == sha
+    (repo / "pkg" / "cli.py").write_text("a = 2\n")
+    assert landau.cli._git_revision() == sha + "-dirty"
 
 
 def test_manifest_records_kind_physics(tmp_path):
@@ -164,7 +184,7 @@ def test_bkw2d_run_outputs(tmp_path):
     assert data["seed"] == 3
     assert "diagnostics.csv" in data["outputs"]
     assert data["run_seconds"] > 0 and "seconds_per_step" not in data
-    assert manifest.version
+    assert manifest["version"] and manifest == data
 
 
 def test_rerun_is_bitwise_identical(tmp_path):
@@ -185,7 +205,7 @@ def test_density_dump(tmp_path, monkeypatch):
     monkeypatch.setattr(landau.collision, "mollified_density", counted)
     monkeypatch.setattr(landau.cli, "mollified_density", counted, raising=False)
     cfg = small_bkw2d(tmp_path / "out", dump_density_at=[1.0])
-    assert run(cfg).outputs == ["diagnostics.csv", "density_t1.csv"]
+    assert run(cfg)["outputs"] == ["diagnostics.csv", "density_t1.csv"]
     assert len(calls) == len(cfg.checkpoint_times())
     grid = load_grid_csv(tmp_path / "out" / "density_t1.csv")
     assert grid.n_grid == 64
@@ -196,7 +216,8 @@ def test_density_dump(tmp_path, monkeypatch):
     res = simulate_homogeneous(scheme, _initial_ensemble(cfg, cfg.n_particles, cfg.seed),
                                cfg.t_end, cfg.checkpoint_times(), store_snapshots=True)
     want = DensityGrid(2, -cfg.grid_extent, cfg.grid_extent, cfg.grid_cells)
-    save_grid_csv(mollified_density(res[-1].ensemble, cfg.eps, want), tmp_path / "want.csv")
+    save_grid_csv(mollified_density(res[-1].ensemble.velocities, cfg.eps, want),
+                  tmp_path / "want.csv")
     assert (tmp_path / "out" / "density_t1.csv").read_bytes() == \
            (tmp_path / "want.csv").read_bytes()
 
@@ -315,6 +336,17 @@ def test_vpl_run(tmp_path):
     assert "field_final.csv" in data["outputs"]
 
 
+def test_vpl_energy_drift_is_the_largest_over_the_records(tmp_path, monkeypatch):
+    # energy that strays and comes back: the last record alone would read 0
+    records = [SimpleNamespace(time=0.1 * k, electric_l2=0.0, kinetic_energy=e,
+                               electric_energy=0.0, total_energy=e, momentum=(0.0, 0.0))
+               for k, e in enumerate((1.0, 1.5, 1.0))]
+    monkeypatch.setattr(landau.cli, "simulate_vpl", lambda vcfg: (records, None))
+    cfg = ExperimentConfig.from_dict(dict(kind="vpl-damping", n_particles=100, dt=0.1,
+                                          t_end=0.2, alpha=0.1, outdir=str(tmp_path)))
+    assert run(cfg)["summary"]["relative_energy_drift"] == 0.5
+
+
 def test_vpl_run_rejects_t_end_off_the_dt_grid(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", kind="vpl-damping", n_particles=200, dt=0.1,
                        t_end=0.25, alpha=0.1, n_cells=8, outdir=str(tmp_path / "vpl"))
@@ -363,6 +395,7 @@ def test_convergence_command(tmp_path, capsys):
     assert "slope" in out
     data = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert data["summary"]["slope"] < 0
+    assert data["run_seconds"] > 0
 
 
 def test_bench_command(tmp_path, capsys):
@@ -373,6 +406,7 @@ def test_bench_command(tmp_path, capsys):
     header, rows = read_csv(tmp_path / "out" / "bench.csv")
     assert header == ["n_particles", "seconds_per_step"]
     assert all(float(r[1]) > 0 for r in rows)
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["run_seconds"] > 0
 
 
 def test_sampler_test_command(capsys, tmp_path):
@@ -392,15 +426,9 @@ def test_sampler_test_command(capsys, tmp_path):
         assert "error:" in capsys.readouterr().err
 
 
-def test_subcommand_kind_guard(tmp_path, capsys):
-    cfg = write_config(tmp_path / "c.json", kind="cpu-bench", dt=0.1, n_list=[100, 200])
-    assert main(["run", cfg]) == 1
-    assert "error:" in capsys.readouterr().err
-
-
 def test_shipped_presets_run(tmp_path, capsys):
-    # every preset, shrunk, runs end to end: a runner that reads a field its
-    # kind does not declare fails here
+    # every preset, shrunk, runs end to end through `landau run`: a runner that
+    # reads a field its kind does not declare fails here
     here = pathlib.Path(__file__).resolve().parent.parent / "configs"
     caps = dict(n_particles=4000, t_end=0.4, checkpoint_every=0.2, t_eval=0.2, n_seeds=2,
                 bench_steps=1, bench_warmup=0)
@@ -413,5 +441,5 @@ def test_shipped_presets_run(tmp_path, capsys):
             raw["n_list"] = [400, 800]
         raw["outdir"] = str(tmp_path / preset.stem)
         path = write_config(tmp_path / preset.name, **raw)
-        assert main([COMMAND.get(raw["kind"], "run"), path]) == 0, preset.name
+        assert main(["run", path]) == 0, preset.name
         assert (tmp_path / preset.stem / "manifest.json").exists()
