@@ -2,11 +2,10 @@
 
 ``landau run <config.json>`` runs every experiment kind, as the config's
 ``kind`` picks it: the BKW relaxation in 2D/3D, the singular-kernel
-bi-Maxwellian run, Landau damping and the particle-count studies
-(``landau convergence`` and ``landau bench`` are aliases of ``run``).
-``landau sampler-test`` Monte-Carlo-checks the sphere sampler. Every run
-writes CSV diagnostics plus a JSON manifest; reruns with the same config and
-seed are bitwise identical.
+bi-Maxwellian run, Landau damping, the particle-count studies and the Monte
+Carlo check of the sphere sampler (``landau convergence`` and ``landau
+bench`` are aliases of ``run``). Every run writes its outputs plus a JSON
+manifest; reruns with the same config and seed are bitwise identical.
 """
 
 import argparse
@@ -63,8 +62,9 @@ class ExperimentConfig(SimpleNamespace):
         cfg = cls(kind=kind, **spec.physics, **values)
         if values.get("alpha", 0) >= 1:  # the density 1 + alpha cos(x/2) must stay positive
             raise ConfigError(f"alpha: must be below 1, got {cfg.alpha!r}")
-        if values.get("n_cells", 2) < 2:  # the periodic PIC grid needs two cells
-            raise ConfigError(f"n_cells: must be at least 2, got {cfg.n_cells!r}")
+        for name in ("n_cells", "samples"):  # a periodic PIC grid, and a standard error, need two
+            if values.get(name, 2) < 2:
+                raise ConfigError(f"{name}: must be at least 2, got {values[name]!r}")
         if kind != "vpl-damping":  # the homogeneous solver collides particles in pairs
             for name in ("n_particles", "n_list"):
                 if any(n % 2 for n in np.atleast_1d(values.get(name, 0))):
@@ -109,15 +109,15 @@ _NON_NEGATIVE = {"seed", "lam", "alpha", "reference_time", "dump_density_at", "b
 
 def _check_value(name, type_, value):
     """Check one JSON value against its field type: int, float (an int is
-    accepted), bool or str, a tuple of the allowed strings, or [t] for a list
-    of t. bools never pass as numbers."""
+    accepted), bool or str, a tuple of the allowed values (all of one type),
+    or [t] for a list of t. bools never pass as numbers."""
     if isinstance(type_, list):
         if not isinstance(value, list):
             raise ConfigError(f"{name}: expected a list, got {value!r}")
         for item in value:
             _check_value(name, type_[0], item)
     elif isinstance(type_, tuple):
-        if value not in type_:
+        if value not in type_ or type(value) is not type(type_[0]):
             raise ConfigError(f"{name}: must be one of {type_}, got {value!r}")
     elif not (type(value) is type_ or (type_ is float and type(value) is int)):
         raise ConfigError(f"{name}: expected {type_.__name__}, got {value!r}")
@@ -128,15 +128,24 @@ def _check_value(name, type_, value):
                               f"{'non-negative' if non_negative else 'positive'}, got {value!r}")
 
 
+def _git(*args):
+    """The stripped output of git run in this package's directory, or None."""
+    out = subprocess.run(["git", *args], capture_output=True, text=True, timeout=5,
+                         cwd=os.path.dirname(os.path.abspath(__file__)))
+    return out.stdout.strip() or None if out.returncode == 0 else None
+
+
 def _git_revision():
     """Full SHA of HEAD of the checkout this package is imported from, whatever
     the working directory, with "-dirty" appended when tracked files differ
-    from HEAD; None outside a git checkout."""
+    from HEAD or an untracked, non-ignored file lies in the package directory
+    (a module a run may import); None outside a git checkout."""
     try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40",
-                              "--exclude=*"], capture_output=True, text=True,
-                             timeout=5, cwd=os.path.dirname(os.path.abspath(__file__)))
-        return out.stdout.strip() or None if out.returncode == 0 else None
+        rev = _git("describe", "--always", "--dirty", "--abbrev=40", "--exclude=*")
+        if rev and not rev.endswith("-dirty") and _git("ls-files", "--others",
+                                                       "--exclude-standard"):
+            rev += "-dirty"
+        return rev
     except (OSError, subprocess.SubprocessError):
         return None
 
@@ -217,7 +226,7 @@ def _run_homogeneous(cfg: ExperimentConfig):
 def _run_vpl(cfg: ExperimentConfig):
     vcfg = VplConfig(n_particles=cfg.n_particles, dt=cfg.dt, t_end=cfg.t_end,
                      alpha=cfg.alpha, kernel=cfg.kernel(), n_cells=cfg.n_cells,
-                     n_iters=cfg.n_iters, seed=cfg.seed, record_every=cfg.record_every)
+                     n_iters=cfg.n_iters, seed=cfg.seed)
     records, final_state = simulate_vpl(vcfg)
     rows = [[r.time, r.electric_l2, r.kinetic_energy, r.electric_energy,
              r.total_energy, r.momentum[0], r.momentum[1]] for r in records]
@@ -283,6 +292,30 @@ def _run_bench(cfg: ExperimentConfig):
     return [csv_path], summary
 
 
+def _run_sampler_test(cfg: ExperimentConfig):
+    """Monte Carlo check of E[Y_tau . Y_0] = exp(-(d-1) tau / 2) from the pole."""
+    kind = default_sampler(cfg.dim)
+    start = np.zeros(cfg.dim)
+    start[-1] = 1.0
+    starts = np.broadcast_to(start, (cfg.samples, cfg.dim))
+    out = sample_sbm_batch(starts, np.full(cfg.samples, cfg.tau), kind,
+                           RngStream(cfg.seed, domain=DOMAIN_INIT))
+    dots = out @ start
+    exact = math.exp(-(cfg.dim - 1) * cfg.tau / 2.0)
+    mean = float(np.mean(dots))
+    se = float(np.std(dots, ddof=1) / math.sqrt(cfg.samples))
+    zscore = (mean - exact) / se if se > 0 else math.nan
+    ok = abs(mean - exact) <= 3.0 * se  # a non-finite SE fails
+    print(f"sampler {kind.value}, dim={cfg.dim}, tau={cfg.tau:g}, samples={cfg.samples}")
+    print(f"E[Y_tau . Y_0] = {mean:.6f}  exact {exact:.6f}  z = {zscore:+.2f}  "
+          f"[{'PASS' if ok else 'FAIL'} at 3 SE]")
+    if not ok:
+        raise LandauError("sampler-test failed the 3-standard-error moment check")
+    summary = {"kind": kind.value, "dim": cfg.dim, "tau": cfg.tau,
+               "mean_dot": mean, "exact": exact, "zscore": zscore, "pass": True}
+    return [], summary
+
+
 # Each kind: its runner cfg -> (outputs, summary), the dim, gamma and lam it
 # fixes, and the fields it reads as name -> (type as in _check_value, default
 # or REQUIRED).
@@ -316,53 +349,32 @@ _KINDS = {
                          {**_RUN, "n_particles": (int, REQUIRED), "t_end": (float, REQUIRED),
                           "lam": (float, 0.0), "alpha": (float, REQUIRED),
                           "n_cells": (int, 128), "n_iters": (int, 5),
-                          "record_every": (int, 1), "dump_field": (bool, False)}),
+                          "dump_field": (bool, False)}),
     "convergence-study": _Kind(_run_convergence, _MAXWELL_2D,
                                {**_density(2), "n_list": ([int], REQUIRED),
                                 "n_seeds": (int, 8), "t_eval": (float, 5.0)}),
     "cpu-bench": _Kind(_run_bench, _MAXWELL_2D,
                        {**_RUN, "n_list": ([int], REQUIRED), "bench_steps": (int, 5),
                         "bench_warmup": (int, 2)}),
+    "sampler-test": _Kind(_run_sampler_test, {},
+                          {"outdir": (str, "."), "seed": (int, 0), "dim": ((2, 3), REQUIRED),
+                           "tau": (float, REQUIRED), "samples": (int, 1_000_000)}),
 }
 
 
-def _run_sampler_test(args):
-    """Monte Carlo check of E[Y_tau . Y_0] = exp(-(d-1) tau / 2) from the pole."""
-    if args.samples < 2 or not (math.isfinite(args.tau) and args.tau > 0):
-        raise ConfigError("sampler-test: need --samples >= 2 and a finite --tau > 0, "
-                          f"got {args.samples} and {args.tau!r}")
-    kind = default_sampler(args.dim)
-    start = np.zeros(args.dim)
-    start[-1] = 1.0
-    starts = np.broadcast_to(start, (args.samples, args.dim))
-    out = sample_sbm_batch(starts, np.full(args.samples, args.tau), kind,
-                           RngStream(args.seed, domain=DOMAIN_INIT))
-    dots = out @ start
-    exact = math.exp(-(args.dim - 1) * args.tau / 2.0)
-    mean = float(np.mean(dots))
-    se = float(np.std(dots, ddof=1) / math.sqrt(args.samples))
-    zscore = (mean - exact) / se if se > 0 else math.nan
-    ok = abs(mean - exact) <= 3.0 * se  # a non-finite SE fails
-    print(f"sampler {kind.value}, dim={args.dim}, tau={args.tau:g}, samples={args.samples}")
-    print(f"E[Y_tau . Y_0] = {mean:.6f}  exact {exact:.6f}  z = {zscore:+.2f}  "
-          f"[{'PASS' if ok else 'FAIL'} at 3 SE]")
-    if not ok:
-        raise LandauError("sampler-test failed the 3-standard-error moment check")
-    summary = {"kind": kind.value, "dim": args.dim, "tau": args.tau,
-               "mean_dot": mean, "exact": exact, "zscore": zscore,
-               "pass": bool(ok)}
-    config = {k: getattr(args, k) for k in ("dim", "tau", "samples", "seed", "outdir")}
-    _write_manifest(config, [], None, summary)
-
-
-def _write_manifest(config, outputs, run_seconds, summary) -> dict:
-    """Write the run's record to manifest.json in the config's outdir, atomically
-    (a tmp file, then os.replace), and return it."""
-    manifest = {"config": config, "version": __version__, "git_revision": _git_revision(),
-                "seed": config["seed"], "run_seconds": run_seconds,
+def run(cfg: ExperimentConfig) -> dict:
+    """Execute the configured experiment, write its outputs and its
+    manifest.json into cfg.outdir, the manifest atomically (a tmp file, then
+    os.replace), and return the manifest; run_seconds is the wall time of the
+    whole runner call."""
+    os.makedirs(cfg.outdir, exist_ok=True)
+    t_start = time.perf_counter()
+    outputs, summary = _KINDS[cfg.kind].runner(cfg)
+    manifest = {"config": dict(vars(cfg)), "version": __version__,
+                "git_revision": _git_revision(), "seed": cfg.seed,
+                "run_seconds": time.perf_counter() - t_start,
                 "outputs": [os.path.basename(p) for p in outputs], "summary": summary}
-    os.makedirs(config["outdir"], exist_ok=True)
-    path = os.path.join(config["outdir"], "manifest.json")
+    path = os.path.join(cfg.outdir, "manifest.json")
     with open(path + ".tmp", "w") as fh:
         json.dump(manifest, fh, indent=2, default=float)
         fh.write("\n")
@@ -370,38 +382,16 @@ def _write_manifest(config, outputs, run_seconds, summary) -> dict:
     return manifest
 
 
-def run(cfg: ExperimentConfig) -> dict:
-    """Execute the configured experiment, write its outputs and return the
-    manifest; run_seconds is the wall time of the whole runner call."""
-    os.makedirs(cfg.outdir, exist_ok=True)
-    t_start = time.perf_counter()
-    outputs, summary = _KINDS[cfg.kind].runner(cfg)
-    return _write_manifest(dict(vars(cfg)), outputs, time.perf_counter() - t_start, summary)
-
-
-def _build_parser():
+def main(argv=None):
     parser = argparse.ArgumentParser(prog="landau",
                                      description="stochastic particle solver for the Landau equation")
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("run", aliases=["convergence", "bench"],
                        help=f"execute a config of any kind: {', '.join(_KINDS)}")
     p.add_argument("config", help="JSON experiment config")
-    p = sub.add_parser("sampler-test", help="Monte Carlo check of the sphere sampler")
-    p.add_argument("--dim", type=int, choices=(2, 3), required=True)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--outdir", default=".")
-    return parser
-
-
-def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = parser.parse_args(argv)
     try:
-        if args.command == "sampler-test":
-            _run_sampler_test(args)
-        else:
-            run(ExperimentConfig.from_file(args.config))
+        run(ExperimentConfig.from_file(args.config))
     except (LandauError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,6 +15,10 @@ from .errors import DegenerateRelativeVelocity
 # collision steps skip such pairs unchanged instead of evaluating the
 # (singular, for gamma<0) kernel.
 Z_FLOOR = 1e-14
+# The smallest double whose root reaches Z_FLOOR (one below Z_FLOOR**2):
+# |z| < Z_FLOOR exactly when |z|^2 < _R2_FLOOR, so the kernels reject just
+# the pairs that a pair block skips by sqrt(|z|^2) < Z_FLOOR.
+_R2_FLOOR = float(np.nextafter(Z_FLOOR * Z_FLOOR, 0.0))
 
 
 @dataclass(frozen=True)
@@ -44,7 +48,7 @@ def _sq_norm(z):
 
 
 def _check_floor(r2, what):
-    if np.any(r2 < Z_FLOOR * Z_FLOOR):
+    if np.any(r2 < _R2_FLOOR):
         raise DegenerateRelativeVelocity(f"|z| < {Z_FLOOR} in {what}")
 
 

@@ -310,15 +310,13 @@ class VplConfig:
     n_cells: int = 128
     n_iters: int = 5
     seed: int = 0
-    record_every: int = 1
 
     # the damping initial condition lives on [0, 4 pi]
     length: ClassVar[float] = DAMPING_LENGTH
 
     def __post_init__(self):
-        for name in ("n_iters", "record_every"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.n_iters < 1:
+            raise ValueError(f"n_iters must be >= 1, got {self.n_iters!r}")
         if self.kernel.dim != 2:
             raise ValueError(f"the PIC velocities are 2D, got a {self.kernel.dim}D kernel")
 
@@ -349,12 +347,9 @@ def iterate_vpl(config: VplConfig):
 
 def simulate_vpl(config: VplConfig) -> tuple[list[VplDiagnostics], VplState]:
     """Alternate cell collisions and field steps; return the diagnostics of the
-    initial state, of every record_every-th step and of the last step, and
-    the final state."""
+    initial state and of every step, and the final state."""
     grid = PicGrid(config.length, config.n_cells)
-    n_steps = step_count(config.t_end, config.dt)
     records = []
-    for step, state in iterate_vpl(config):
-        if step % config.record_every == 0 or step == n_steps:
-            records.append(vpl_diagnostics(state, grid))
+    for _, state in iterate_vpl(config):
+        records.append(vpl_diagnostics(state, grid))
     return records, state

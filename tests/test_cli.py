@@ -56,8 +56,8 @@ def test_config_validation_errors():
 
 
 def test_config_rejects_sampler_fields():
-    # the sphere sampler follows from the dimension and sampler-test runs from
-    # its command line, so no config kind takes these fields
+    # the sphere sampler follows from the dimension, and only the sampler-test
+    # kind takes tau and samples
     for name, value in (("sampler", "exact2d"), ("tau", 3), ("samples", 1000)):
         with pytest.raises(ConfigError, match=name):
             ExperimentConfig.from_dict(dict(kind="bkw2d", n_particles=10, dt=0.1, t_end=1.0,
@@ -72,6 +72,7 @@ MINIMAL = {
     "vpl-damping": dict(n_particles=100, dt=0.1, t_end=1.0, alpha=0.1),
     "convergence-study": dict(dt=0.1, n_list=[100, 200]),
     "cpu-bench": dict(dt=0.1, n_list=[100, 200]),
+    "sampler-test": dict(dim=2, tau=0.1),
 }
 
 
@@ -85,7 +86,7 @@ def config_of(kind, **extra):
     ("coulomb2d", "n_list", [100]), ("vpl-damping", "scheme", "em"),
     ("vpl-damping", "grid_cells", 64), ("convergence-study", "n_particles", 100),
     ("convergence-study", "checkpoint_every", 0.5), ("cpu-bench", "scheme", "em"),
-    ("cpu-bench", "eps", 0.01)])
+    ("cpu-bench", "eps", 0.01), ("sampler-test", "dt", 0.1)])
 def test_kind_rejects_fields_of_other_kinds(kind, name, value):
     config_of(kind)
     with pytest.raises(ConfigError, match=f"unknown config field.*{kind}.*{name}"):
@@ -95,8 +96,9 @@ def test_kind_rejects_fields_of_other_kinds(kind, name, value):
 @pytest.mark.parametrize("kind", sorted(MINIMAL))
 def test_kind_fixes_its_physics(kind):
     # the closed form (or the preset family) of each kind fixes dim and gamma;
-    # lam is settable only for vpl-damping, whose presets use 1 and 0
-    settable = {"lam"} if kind == "vpl-damping" else set()
+    # lam is settable only for vpl-damping, whose presets use 1 and 0, and dim
+    # only for sampler-test, which has no kernel
+    settable = {"vpl-damping": {"lam"}, "sampler-test": {"dim"}}.get(kind, set())
     for name, value in (("dim", 3), ("gamma", -3.0), ("lam", 1.0)):
         if name in settable:
             assert getattr(config_of(kind, **{name: value}), name) == value
@@ -114,7 +116,12 @@ def test_kind_fixes_its_physics(kind):
     ("vpl-damping", "alpha", 1.0), ("vpl-damping", "lam", -1.0),
     ("cpu-bench", "n_list", [100, 301]), ("convergence-study", "n_list", [100.0, 200.0]),
     ("convergence-study", "n_list", [100, 100]), ("cpu-bench", "n_list", []),
-    ("vpl-damping", "n_cells", 1)])
+    ("vpl-damping", "n_cells", 1),
+    # too few samples for a standard error, a tau that is not a positive time,
+    # or a dimension without a sphere sampler
+    ("sampler-test", "samples", 1), ("sampler-test", "tau", 0),
+    ("sampler-test", "tau", float("nan")), ("sampler-test", "tau", -1),
+    ("sampler-test", "dim", 4), ("sampler-test", "dim", 2.0), ("sampler-test", "dim", True)])
 def test_bad_values_name_the_field(tmp_path, capsys, kind, name, value):
     with pytest.raises(ConfigError, match=name):
         config_of(kind, **{name: value})
@@ -131,12 +138,14 @@ def git(repo, *args):
 def test_manifest_git_revision_is_the_package_checkout(tmp_path, monkeypatch):
     # git runs in the package's directory: from any working directory the
     # manifest names the checkout the code comes from, with "-dirty" when its
-    # tracked files differ from HEAD, or None outside one
+    # tracked files differ from HEAD or an untracked, non-ignored file lies in
+    # the package, or None outside one
     package = pathlib.Path(landau.cli.__file__).resolve().parent
     head = git(package, "rev-parse", "HEAD")
     want = None
     if head.returncode == 0:
-        dirty = git(package, "status", "--porcelain", "--untracked-files=no").stdout.strip()
+        dirty = (git(package, "status", "--porcelain", "--untracked-files=no").stdout.strip()
+                 or git(package, "ls-files", "--others", "--exclude-standard").stdout.strip())
         want = head.stdout.strip() + ("-dirty" if dirty else "")
     monkeypatch.chdir(tmp_path)
     assert run(small_bkw2d(tmp_path / "out", t_end=0.5))["git_revision"] == want
@@ -154,6 +163,16 @@ def test_git_revision_marks_a_dirty_checkout(tmp_path, monkeypatch):
     assert len(sha) == 40
     monkeypatch.setattr(landau.cli, "__file__", str(repo / "pkg" / "cli.py"))
     assert landau.cli._git_revision() == sha
+    # untracked files outside the package, and ignored ones in it, run no code
+    (repo / "out").mkdir()
+    (repo / "out" / "manifest.json").write_text("{}\n")
+    (repo / "pkg" / ".gitignore").write_text("*.pyc\n.gitignore\n")
+    (repo / "pkg" / "cli.pyc").write_text("")
+    assert landau.cli._git_revision() == sha
+    # an untracked module in the package may be imported by a run
+    (repo / "pkg" / "new.py").write_text("b = 1\n")
+    assert landau.cli._git_revision() == sha + "-dirty"
+    (repo / "pkg" / "new.py").unlink()
     (repo / "pkg" / "cli.py").write_text("a = 2\n")
     assert landau.cli._git_revision() == sha + "-dirty"
 
@@ -410,20 +429,18 @@ def test_bench_command(tmp_path, capsys):
 
 
 def test_sampler_test_command(capsys, tmp_path):
-    assert main(["sampler-test", "--dim", "2", "--tau", "0.05",
-                 "--samples", "20000", "--outdir", str(tmp_path)]) == 0
-    assert "PASS" in capsys.readouterr().out
-    assert main(["sampler-test", "--dim", "3", "--tau", "0.5",
-                 "--samples", "20000", "--outdir", str(tmp_path)]) == 0
-    assert "sphere3d" in capsys.readouterr().out
+    # the sampler check runs as a config kind; its bad inputs are cases of
+    # test_bad_values_name_the_field
+    for dim, tau in ((2, 0.05), (3, 0.5)):
+        path = write_config(tmp_path / "s.json", kind="sampler-test", dim=dim, tau=tau,
+                            samples=20000, outdir=str(tmp_path))
+        assert main(["run", path]) == 0
+        out = capsys.readouterr().out
+        assert "PASS" in out
+    assert "sphere3d" in out
     data = json.loads((tmp_path / "manifest.json").read_text())
     assert data["summary"]["pass"] and data["config"]["tau"] == 0.5
-    # too few samples for a standard error, or a tau that is not a positive time
-    for flags in (["--tau", "0.1", "--samples", "1"], ["--tau", "0"], ["--tau", "nan"],
-                  ["--tau", "-1"]):
-        assert main(["sampler-test", "--dim", "2", "--samples", "100", *flags,
-                     "--outdir", str(tmp_path)]) == 1
-        assert "error:" in capsys.readouterr().err
+    assert data["config"]["kind"] == "sampler-test" and data["run_seconds"] > 0
 
 
 def test_shipped_presets_run(tmp_path, capsys):
@@ -431,7 +448,7 @@ def test_shipped_presets_run(tmp_path, capsys):
     # reads a field its kind does not declare fails here
     here = pathlib.Path(__file__).resolve().parent.parent / "configs"
     caps = dict(n_particles=4000, t_end=0.4, checkpoint_every=0.2, t_eval=0.2, n_seeds=2,
-                bench_steps=1, bench_warmup=0)
+                bench_steps=1, bench_warmup=0, samples=20000)
     presets = sorted(here.glob("*.json"))
     assert presets
     for preset in presets:

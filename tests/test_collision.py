@@ -156,6 +156,27 @@ def test_sbm_pair_update_matches_reference_bitwise(dim, gamma):
     assert np.any(taus >= _uniform_time(dim))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pair_at_the_floor_collides(dim):
+    # |z|^2 = 9.999999999999999e-29 lies one double below Z_FLOOR**2, yet its
+    # root rounds to Z_FLOOR: the pair block keeps the pair, and the kernel
+    # must then take it rather than raise
+    z = np.array([5.398502917760716e-15, 8.417610483202999e-15, 0.0][:dim])
+    assert np.sqrt(z @ z) == Z_FLOOR and z @ z < Z_FLOOR * Z_FLOOR
+    v0 = np.stack([z, np.zeros(dim)])
+    i, j = np.array([0]), np.array([1])
+    kernel = KernelParams(1.0 / 8.0, -3.0, dim)
+    want = v0.copy()
+    reference_sbm_pair_update(want, i, j, kernel, 0.1, RngStream(24))
+    got = v0.copy()
+    sbm_pair_update(got, i, j, kernel, 0.1, RngStream(24))
+    np.testing.assert_array_equal(got, want)
+    assert not np.array_equal(got, v0)
+    got = v0.copy()
+    em_pair_update(got, i, j, kernel, 0.1, RngStream(24))
+    assert np.all(np.isfinite(got)) and not np.array_equal(got, v0)
+
+
 class _SharedGenerator:
     """An RngStream stand-in that hands out one generator on every call, as
     the blocks of one sbm_pair_update call share one."""
