@@ -23,16 +23,18 @@ import numpy as np
 from . import __version__
 from .analytic import BKW_LAMBDA, _bkw_radial, bkw_t_min, sample_bkw, sample_bimaxwellian
 from .collision import (EM, SBM, DiagnosticsPlan, ParticleEnsemble, SchemeConfig,
-                        collision_step, random_pairing, simulate_homogeneous)
+                        collision_step, random_pairing, simulate_homogeneous, step_count)
 from .diagnostics import (DensityGrid, load_grid_csv, save_grid_csv,
                           DEFAULT_GRID_CELLS, DEFAULT_GRID_EXTENT)
-from .errors import ConfigError, FormatError, LandauError
+from .errors import ConfigError, FormatError, InvalidCheckpoint, LandauError
 from .kernels import KernelParams
 from .sphere import default_sampler, sample_sbm_batch
 from .streams import RngStream, DOMAIN_INIT, DOMAIN_PAIRING
 from .vpl import PicGrid, VplConfig, simulate_vpl
 
 REQUIRED = object()  # marks a config field that has no default
+# The file of a dumped density grid; the config rejects two times of one name.
+_DENSITY_FILE = "density_t{:g}.csv"
 
 
 class ExperimentConfig(SimpleNamespace):
@@ -73,6 +75,12 @@ class ExperimentConfig(SimpleNamespace):
             raise ConfigError("n_list: the log-log fit needs two distinct particle counts")
         if (values.get("reference_path") is None) != (values.get("reference_time") is None):
             raise ConfigError("reference_time: give it together with reference_path")
+        for name in ("t_end", "checkpoint_every", "t_eval"):  # by the solver's own step rule
+            if name in values:
+                try:
+                    step_count(values[name], cfg.dt)
+                except (InvalidCheckpoint, OverflowError):  # t / dt may overflow to inf
+                    raise ConfigError(f"{name}: must be a multiple of dt") from None
         if "checkpoint_every" in values:
             times = cfg.checkpoint_times()
             if times[-1] != round(cfg.t_end, 12):
@@ -84,6 +92,9 @@ class ExperimentConfig(SimpleNamespace):
                 if not set(asked) <= set(times):
                     raise ConfigError(f"{name}: every time must be a checkpoint time "
                                       "(a multiple of checkpoint_every up to t_end)")
+            asked = set(cfg.dump_density_at)
+            if len({_DENSITY_FILE.format(t) for t in asked}) < len(asked):
+                raise ConfigError("dump_density_at: two times would write one density_t<t>.csv")
         return cfg
 
     @classmethod
@@ -214,7 +225,7 @@ def _run_homogeneous(cfg: ExperimentConfig):
     outputs = [diag_path]
     for c in results:
         if c.record.density is not None:
-            p = os.path.join(cfg.outdir, f"density_t{c.time:g}.csv")
+            p = os.path.join(cfg.outdir, _DENSITY_FILE.format(c.time))
             save_grid_csv(c.record.density, p)
             outputs.append(p)
     last = results[-1]

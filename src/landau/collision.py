@@ -17,7 +17,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, DensityGrid, mollified_density, moments, entropy, relative_l2_error
 from .errors import InvalidCheckpoint, InvalidSamplerForDim, NonFiniteState, OddParticleCount
-from .kernels import KernelParams, Z_FLOOR, _sq_norm, time_scale_k
+from .kernels import KernelParams, _R2_FLOOR, _sq_norm, time_scale_k
 from .sphere import SamplerKind, _put_rows, default_sampler, sample_sbm_batch
 from .streams import RngStream, DOMAIN_PAIRING, DOMAIN_COLLISION
 
@@ -160,15 +160,15 @@ def _pair_block(v, i, j, kernel, dt, gen, sphere_step):
     zp = np.take(v, j, axis=0)
     z = s - zp
     s += zp
-    # |z|^2 by columns is bitwise the einsum in 2D; in 3D the einsum adds (a + c) + b
-    r = _sq_norm(z)[1] if v.shape[1] == 2 else np.einsum("ij,ij->i", z, z)
-    np.sqrt(r, out=r)
-    good = r >= Z_FLOOR
+    # one |z|^2 per pair decides the floor, the time scale and the rescale
+    r2 = _sq_norm(z)
+    good = r2 >= _R2_FLOOR
     if not good.all():
         keep = np.flatnonzero(good)
-        i, j, z, s, r, zp = i[keep], j[keep], z[keep], s[keep], r[keep], zp[keep]
-    tau = time_scale_k(z, kernel)
+        i, j, z, s, r2, zp = i[keep], j[keep], z[keep], s[keep], r2[keep], zp[keep]
+    tau = time_scale_k(r2, kernel)
     tau *= dt
+    r = np.sqrt(r2, out=r2)
     for col in z.T:
         col /= r
     sphere_step(z, tau, gen, zp)

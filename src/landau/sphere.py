@@ -193,7 +193,7 @@ def _sample_s2(y0, t, gen, res):
         d += np.multiply(g1, x1, out=w)
         for g, x in zip(res.T, y0.T):
             g -= np.multiply(d, x, out=w)
-    norm = _sq_norm(res)[1]
+    norm = _sq_norm(res)
     if lift.size:
         half *= 0.5
         half *= half
@@ -207,7 +207,7 @@ def _sample_s2(y0, t, gen, res):
         g /= norm
         g *= s
         g += np.multiply(c, x, out=w)
-    np.sqrt(_sq_norm(res)[1], out=norm)
+    np.sqrt(_sq_norm(res), out=norm)
     for g in res.T:
         g /= norm
     return res

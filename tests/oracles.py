@@ -32,11 +32,17 @@ def unit(v):
     return v / n
 
 
+def _with_sq_norm(z):
+    """z as a float array and its squared norms |z|^2."""
+    z = np.asarray(z, dtype=float)
+    return z, _sq_norm(z)
+
+
 # The matrix form of the pair SDE's coefficients, the reference of the
 # closed-form steps: no pair update builds a matrix.
 def kernel_A(z, p: KernelParams):
     """Collision kernel A(z) = lam |z|^gamma (|z|^2 I - z (x) z)."""
-    z, r2 = _sq_norm(z)
+    z, r2 = _with_sq_norm(z)
     if p.gamma < 0:
         _check_floor(r2, "kernel_A")
     pref = p.lam * np.power(r2, p.gamma / 2.0)
@@ -47,7 +53,7 @@ def kernel_A(z, p: KernelParams):
 
 def kernel_K(z, p: KernelParams):
     """Drift K(z) = div A = (1 - d) lam |z|^gamma z."""
-    z, r2 = _sq_norm(z)
+    z, r2 = _with_sq_norm(z)
     if p.gamma < 0:
         _check_floor(r2, "kernel_K")
     pref = (1 - p.dim) * p.lam * np.power(r2, p.gamma / 2.0)
@@ -59,7 +65,7 @@ def kernel_sigma(z, p: KernelParams):
 
     Satisfies sigma(z) sigma(z)^T = kernel_A(z) and sigma(z) z = 0.
     """
-    z, r2 = _sq_norm(z)
+    z, r2 = _with_sq_norm(z)
     _check_floor(r2, "kernel_sigma")
     pref = np.sqrt(p.lam) * np.power(r2, p.gamma / 4.0 + 0.5)
     eye = np.eye(z.shape[-1])
@@ -69,7 +75,7 @@ def kernel_sigma(z, p: KernelParams):
 
 def projection(z):
     """Orthogonal projection Pi(z) = I - z(x)z/|z|^2 onto the plane normal to z."""
-    z, r2 = _sq_norm(z)
+    z, r2 = _with_sq_norm(z)
     _check_floor(r2, "projection")
     eye = np.eye(z.shape[-1])
     return eye - z[..., :, None] * z[..., None, :] / r2[..., None, None]
@@ -455,19 +461,21 @@ def reference_sample_sbm_batch(starts, taus, rng):
 def reference_sbm_pair_update(v, i, j, kernel, dt, rng):
     """SBM pair collisions of (i[k], j[k]) in v, in place, with fresh arrays
     for z, s, the sampler's end points and both halves, (m, 1) broadcasts
-    for |z| and the time scale 4 lam |z|^gamma from np.sum(z * z, axis=-1)."""
+    for |z|, and |z| and the time scale 4 lam |z|^gamma both from one
+    np.sum(z * z, axis=-1)."""
     if kernel.lam == 0:
         return
     vi, vj = v[i], v[j]
     z = vi - vj
     s = vi + vj
-    r = np.sqrt(np.einsum("ij,ij->i", z, z))
+    r2 = np.sum(z * z, axis=-1)
+    r = np.sqrt(r2)
     good = r >= Z_FLOOR
-    i, j, z, s, r = i[good], j[good], z[good], s[good], r[good]
+    i, j, z, s, r, r2 = i[good], j[good], z[good], s[good], r[good], r2[good]
     if kernel.gamma == 0:
         k = np.full(r.shape, 4.0 * kernel.lam)
     else:
-        k = 4.0 * kernel.lam * np.power(np.sum(z * z, axis=-1), kernel.gamma / 2.0)
+        k = 4.0 * kernel.lam * np.power(r2, kernel.gamma / 2.0)
     zp = reference_sample_sbm_batch(z / r[:, None], k * dt, rng)
     zp *= r[:, None]
     v[i] = (s + zp) / 2.0

@@ -117,6 +117,11 @@ def test_kind_fixes_its_physics(kind):
     ("cpu-bench", "n_list", [100, 301]), ("convergence-study", "n_list", [100.0, 200.0]),
     ("convergence-study", "n_list", [100, 100]), ("cpu-bench", "n_list", []),
     ("vpl-damping", "n_cells", 1),
+    # times off the dt grid, by the solver's step rule: dt = 0.3 puts the
+    # first time field (t_end 1.0, or t_eval 5.0) off it
+    ("bkw2d", "dt", 0.3), ("vpl-damping", "dt", 0.3), ("convergence-study", "dt", 0.3),
+    ("bkw2d", "checkpoint_every", 0.25), ("vpl-damping", "t_end", 1.05),
+    ("convergence-study", "t_eval", 0.25), ("bkw2d", "dt", 1e-310),  # t_end / dt overflows
     # too few samples for a standard error, a tau that is not a positive time,
     # or a dimension without a sphere sampler
     ("sampler-test", "samples", 1), ("sampler-test", "tau", 0),
@@ -129,6 +134,15 @@ def test_bad_values_name_the_field(tmp_path, capsys, kind, name, value):
     assert main(["run", write_config(tmp_path / "c.json", **cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err
+
+
+def test_dump_times_need_distinct_file_names():
+    # 100000 and 100000.5 both format as density_t100000.csv
+    with pytest.raises(ConfigError, match="dump_density_at"):
+        config_of("bkw2d", dt=0.5, checkpoint_every=0.5, t_end=100000.5,
+                  dump_density_at=[100000, 100000.5])
+    # one time listed twice writes one file
+    assert config_of("bkw2d", dump_density_at=[0.5, 1.0, 1]).dump_density_at == [0.5, 1.0, 1]
 
 
 def git(repo, *args):

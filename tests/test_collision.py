@@ -149,7 +149,7 @@ def test_sbm_pair_update_matches_reference_bitwise(dim, gamma):
         for w in (v0.copy(), np.asfortranarray(v0), v0.repeat(2, axis=0)[::2]):
             sbm_pair_update(w, i, j, kernel, dt, RngStream(23))
             np.testing.assert_array_equal(w, want)
-        taus.append(time_scale_k(z[r >= Z_FLOOR], kernel) * dt)
+        taus.append(time_scale_k(r[r >= Z_FLOOR] ** 2, kernel) * dt)
     taus = np.concatenate(taus)
     assert np.any(taus < _MIXTURE_MIN_TAU)
     assert np.any((taus >= _MIXTURE_MIN_TAU) & (taus < _uniform_time(dim)))
@@ -214,7 +214,7 @@ def test_blocked_pair_update_matches_reference_bitwise(dim, gamma, monkeypatch):
         np.testing.assert_array_equal(got, want)
         sbm_pair_update(got, empty, empty, kernel, dt, RngStream(33))
         np.testing.assert_array_equal(got, want)
-        taus = time_scale_k(z[r >= Z_FLOOR], kernel) * dt
+        taus = time_scale_k(r[r >= Z_FLOOR] ** 2, kernel) * dt
         if dim == 2 and np.all(taus < _uniform_time(2)):
             # the draws of a 2D batch with no uniform-band pair do not interleave
             whole = v0.copy()
@@ -222,6 +222,43 @@ def test_blocked_pair_update_matches_reference_bitwise(dim, gamma, monkeypatch):
             np.testing.assert_array_equal(got, whole)
             unblocked += 1
     assert unblocked == (2 if (dim, gamma) == (2, 0.0) else 0)
+
+
+def _found_pair():
+    # |z|^2 is 9.999999999999997e-29 by columns, below _R2_FLOOR, and 1e-28 by np.einsum
+    z = np.array([1.0935994656727792e-15, -3.976993308474837e-15, -9.109751063175467e-15])
+    return np.stack([z, np.zeros(3)]), np.array([0]), np.array([1])
+
+
+def _pairs_at_the_floor():
+    # 2e5 disjoint pairs (z, 0) with |z| within 3e-16 (relative) of Z_FLOOR, in 7 blocks
+    m = 200_000
+    g = np.random.default_rng(70)
+    u = g.standard_normal((m, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    z = u * (Z_FLOOR * (1.0 + g.uniform(-3e-16, 3e-16, (m, 1))))
+    return np.concatenate([z, np.zeros((m, 3))]), np.arange(m), np.arange(m, 2 * m)
+
+
+@pytest.mark.parametrize("case", [_found_pair, _pairs_at_the_floor])
+def test_pair_block_and_kernel_share_one_norm(case):
+    # the block's floor and the kernel's time scale read one |z|^2 per pair,
+    # so no pair the block keeps can be rejected by the kernel
+    v0, i, j = case()
+    kernel = KernelParams(1.0 / 12.0, -3.0, 3)
+    want = v0.copy()
+    shared = _SharedGenerator(RngStream(71))
+    block = collision._PAIR_BLOCK
+    for lo in range(0, len(i), block):
+        reference_sbm_pair_update(want, i[lo:lo + block], j[lo:lo + block], kernel, 0.1, shared)
+    got = v0.copy()
+    sbm_pair_update(got, i, j, kernel, 0.1, RngStream(71))
+    np.testing.assert_array_equal(got, want)
+    moved = np.count_nonzero(np.any(want[i] != v0[i], axis=1))
+    assert moved == 0 if len(i) == 1 else 0 < moved < len(i)
+    got = v0.copy()
+    em_pair_update(got, i, j, kernel, 0.1, RngStream(71))
+    assert np.all(np.isfinite(got))
 
 
 # tracemalloc peaks of one collision_step at N = 1e5 with blocks of
@@ -499,12 +536,22 @@ def _window_law_z(dim, dt, scheme):
     return (rho.mean() - r) / (rho.std(ddof=1) / np.sqrt(LAW_SEEDS))
 
 
-@pytest.mark.parametrize("dim,dt,band", [(2, 1.0, "normal"), (2, 250.0, "uniform"),
-                                         (3, 0.3, "lift"), (3, 1.5, "mixture"),
-                                         (3, 200.0, "uniform")])
-def test_one_window_moves_the_anisotropy_by_its_law(dim, dt, band):
-    # pairing, pair geometry, sphere step and scatter together, one dt per
-    # band of the sampler; in the uniform bands exp(-d tau) is 0
+# one dt per band of the sampler, in the one block of 1e4 pairs, and two
+# bands in blocks of 2048 pairs: four full blocks and one of 1808, so a
+# skipped or misplaced later block shows as well
+LAW_CASES = [(2, 1.0, "normal", None), (2, 250.0, "uniform", None), (3, 0.3, "lift", None),
+             (3, 1.5, "mixture", None), (3, 200.0, "uniform", None),
+             (2, 1.0, "normal", 2048), (3, 1.5, "mixture", 2048)]
+
+
+@pytest.mark.parametrize("dim,dt,band,block", LAW_CASES,
+                         ids=[f"{d}-{dt}-{band}" + (f"-block{b}" if b else "")
+                              for d, dt, band, b in LAW_CASES])
+def test_one_window_moves_the_anisotropy_by_its_law(dim, dt, band, block, monkeypatch):
+    # pairing, pair geometry, sphere step and scatter together; in the
+    # uniform bands exp(-d tau) is 0
+    if block:
+        monkeypatch.setattr(collision, "_PAIR_BLOCK", block)
     tau = 4.0 * (1.0 / 8.0 if dim == 2 else 1.0 / 12.0) * dt
     lift = dim == 3 and tau < _MIXTURE_MIN_TAU
     uniform = tau >= _uniform_time(dim)

@@ -92,9 +92,10 @@ def test_projection_example_and_properties():
 
 
 def test_time_scale_examples():
-    assert time_scale_k([3.0, 4.0], P2) == pytest.approx(0.5, rel=1e-15)
-    assert time_scale_k([2.0, 0.0], KernelParams(0.125, -3.0, 2)) == pytest.approx(1.0 / 16.0, rel=1e-14)
-    assert time_scale_k([0.5, 0.0], KernelParams(1.0, -2.0, 2)) == pytest.approx(16.0, rel=1e-14)
+    # |z| = 5, 2 and 0.5, passed as |z|^2
+    assert time_scale_k(25.0, P2) == pytest.approx(0.5, rel=1e-15)
+    assert time_scale_k(4.0, KernelParams(0.125, -3.0, 2)) == pytest.approx(1.0 / 16.0, rel=1e-14)
+    assert time_scale_k(0.25, KernelParams(1.0, -2.0, 2)) == pytest.approx(16.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("p", [P2, P3, KernelParams(0.0, 0.0, 3)])
@@ -102,20 +103,21 @@ def test_time_scale_at_gamma_zero_is_bitwise_constant(p):
     zs = [random_vectors(p.dim, 50, seed=3), np.zeros((4, p.dim)), np.ones(p.dim),
           np.full((2, 3, p.dim), np.inf)]
     for z in zs:
-        expect = 4.0 * p.lam * np.power(np.sum(z * z, axis=-1), 0.0)
-        got = time_scale_k(z, p)
+        r2 = np.sum(z * z, axis=-1)
+        expect = 4.0 * p.lam * np.power(r2, 0.0)
+        got = time_scale_k(r2, p)
         assert np.shape(got) == np.shape(expect)
         np.testing.assert_array_equal(got, expect)
-    with pytest.raises(ValueError):
-        time_scale_k(np.ones(4), p)
 
 
 def test_degenerate_raises_for_negative_gamma():
     p = KernelParams(0.125, -3.0, 2)
     tiny = [Z_FLOOR / 10.0, 0.0]
-    for fn in (kernel_A, kernel_K, time_scale_k):
+    for fn in (kernel_A, kernel_K):
         with pytest.raises(DegenerateRelativeVelocity):
             fn(tiny, p)
+    with pytest.raises(DegenerateRelativeVelocity):
+        time_scale_k((Z_FLOOR / 10.0) ** 2, p)
     with pytest.raises(DegenerateRelativeVelocity):
         kernel_sigma(tiny, P2)
     with pytest.raises(DegenerateRelativeVelocity):
