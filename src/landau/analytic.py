@@ -61,22 +61,6 @@ def bkw_density(dim, t, v):
     return _bkw_radial(dim, t, np.sum(v * v, axis=-1))
 
 
-def bkw_mollified_density(dim, t, eps, v):
-    """BKW density convolved with the Gaussian mollifier of variance eps.
-
-    The convolution stays in the quadratic-times-Gaussian family: the scale
-    becomes K + eps while the quadratic coefficient keeps its 1-K numerator.
-    Used as the smoothing-consistent reference for KDE-based diagnostics.
-    """
-    k = float(bkw_scale(dim, t))
-    kt = k + eps
-    v = np.asarray(v, dtype=float)
-    r2 = np.sum(v * v, axis=-1)
-    c2 = (1.0 - k) / (2.0 * kt * kt)
-    c0 = 1.0 - dim * kt * c2
-    return (c0 + c2 * r2) * np.exp(-r2 / (2.0 * kt)) / (2.0 * np.pi * kt) ** (dim / 2.0)
-
-
 def _uniform_directions(gen, n, dim):
     v = gen.standard_normal((n, dim))
     return v / np.linalg.norm(v, axis=1)[:, None]
@@ -87,7 +71,7 @@ def sample_bkw(dim, t, n, rng: RngStream):
     (2.5 - 1.5/K in 3D), else the |v|^2-weighted Gaussian whose squared
     radius is Gamma(d/2 + 1, 2K)."""
     k = float(bkw_scale(dim, t))
-    w1 = 2.0 - 1.0 / k if dim == 2 else 2.5 - 1.5 / k
+    w1 = _bkw_coeffs(dim, k)[0]
     gen = rng.generator()
     pick = gen.random(n) < w1
     out = np.empty((n, dim))

@@ -26,7 +26,7 @@ from .collision import (EM, SBM, DiagnosticsPlan, ParticleEnsemble, SchemeConfig
                         collision_step, random_pairing, simulate_homogeneous, step_count)
 from .diagnostics import (DensityGrid, load_grid_csv, save_grid_csv,
                           DEFAULT_GRID_CELLS, DEFAULT_GRID_EXTENT)
-from .errors import ConfigError, FormatError, InvalidCheckpoint, LandauError
+from .errors import ConfigError, InvalidCheckpoint, LandauError
 from .kernels import KernelParams
 from .sphere import default_sampler, sample_sbm_batch
 from .streams import RngStream, DOMAIN_INIT, DOMAIN_PAIRING
@@ -170,14 +170,6 @@ def _write_csv(path, header, rows):
                               for x in row) + "\n")
 
 
-def load_reference_density(path) -> DensityGrid:
-    """Load and validate an externally produced reference density grid (CSV)."""
-    grid = load_grid_csv(path)
-    if np.any(grid.values < 0):
-        raise FormatError(f"{path}: negative density values")
-    return grid
-
-
 def _initial_ensemble(cfg: ExperimentConfig, n, seed) -> ParticleEnsemble:
     rng = RngStream(seed, domain=DOMAIN_INIT)
     if cfg.kind == "coulomb2d":
@@ -197,7 +189,7 @@ def _reference_fn(cfg: ExperimentConfig, grid: DensityGrid):
         return lambda t: _bkw_radial(cfg.dim, t0 + t, r2)
     if cfg.reference_path is None:
         return None
-    ref = load_reference_density(cfg.reference_path)
+    ref = load_grid_csv(cfg.reference_path)
     if not ref.congruent(grid):
         raise ConfigError("reference_path: grid does not match the experiment grid "
                           f"(dim={ref.dim}, n_grid={ref.n_grid}, lo={ref.lo}, hi={ref.hi})")

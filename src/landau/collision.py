@@ -229,7 +229,7 @@ def _record(ens, t, plan: DiagnosticsPlan):
             ref = DensityGrid(plan.grid.dim, plan.grid.lo, plan.grid.hi,
                               plan.grid.n_grid, ref_values)
             rel = relative_l2_error(ref, dens)
-    return DiagnosticsRecord(time=t, momentum=mom.momentum,
+    return DiagnosticsRecord(momentum=mom.momentum,
                              kinetic_energy=mom.kinetic_energy,
                              entropy=ent, rel_l2_error=rel,
                              density=dens if t in plan.keep_density_at else None)

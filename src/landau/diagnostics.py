@@ -63,11 +63,6 @@ class DensityGrid:
         """Cell-center coordinates along one axis."""
         return self.lo + (np.arange(self.n_grid) + 0.5) * self.h
 
-    def center_mesh(self):
-        """Stacked meshgrid of centers, shape (n, ..., n, dim)."""
-        axes = np.meshgrid(*([self.centers()] * self.dim), indexing="ij")
-        return np.stack(axes, axis=-1)
-
     def congruent(self, other):
         return (self.dim == other.dim and self.n_grid == other.n_grid
                 and self.lo == other.lo and self.hi == other.hi)
@@ -179,7 +174,6 @@ def entropy(grid: DensityGrid) -> float:
 class Moments:
     momentum: np.ndarray
     kinetic_energy: float
-    energy_per_particle: float
 
 
 def moments(ens) -> Moments:
@@ -191,9 +185,7 @@ def moments(ens) -> Moments:
     """
     v = _velocities(ens)
     p = np.einsum("ij->j", v)
-    e = 0.5 * float(np.sum(v * v))
-    n = v.shape[0]
-    return Moments(momentum=p, kinetic_energy=e, energy_per_particle=e / n)
+    return Moments(momentum=p, kinetic_energy=0.5 * float(np.sum(v * v)))
 
 
 @dataclass
@@ -205,7 +197,6 @@ class DiagnosticsRecord:
     times the plan keeps.
     """
 
-    time: float
     momentum: np.ndarray
     kinetic_energy: float
     entropy: Optional[float] = None
@@ -263,6 +254,6 @@ def load_grid_csv(path) -> DensityGrid:
             vals[ln - 3] = float(parts[-1])
         except ValueError as exc:
             raise FormatError(f"{path}: line {ln}: bad value ({exc})") from exc
-    if not np.all(np.isfinite(vals)):
-        raise FormatError(f"{path}: non-finite density values")
+    if not np.all(np.isfinite(vals) & (vals >= 0)):  # every grid file is a density
+        raise FormatError(f"{path}: non-finite or negative density values")
     return DensityGrid(dim, lo, hi, ng, vals)

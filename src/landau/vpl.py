@@ -18,6 +18,7 @@ import numpy as np
 
 from .analytic import DAMPING_LENGTH, sample_landau_damping
 from .collision import sbm_pair_update, step_count
+from .diagnostics import moments
 from .errors import NonFiniteState
 from .kernels import KernelParams
 from .streams import RngStream, DOMAIN_INIT, DOMAIN_CELLS
@@ -125,9 +126,9 @@ def deposit_charge(state: VplState, grid: PicGrid):
 
 
 def solve_poisson(rho, grid: PicGrid):
-    """Spectral solve of -phi'' = rho with periodic BC; returns (phi, E).
+    """Spectral solve of -phi'' = rho with periodic BC; returns E = -phi'.
 
-    The mean mode is projected out (periodic gauge) and E = -phi' is taken
+    The mean mode is projected out (periodic gauge) and E is taken
     spectrally, so band-limited sources are reproduced to rounding.
     """
     rho = np.asarray(rho, dtype=float)
@@ -135,8 +136,7 @@ def solve_poisson(rho, grid: PicGrid):
     rho_hat = np.fft.rfft(rho)
     phi_hat = np.zeros_like(rho_hat)
     phi_hat[1:] = rho_hat[1:] / kx[1:] ** 2
-    e_hat = -1j * kx * phi_hat
-    return np.fft.irfft(phi_hat, n=grid.n0), np.fft.irfft(e_hat, n=grid.n0)
+    return np.fft.irfft(-1j * kx * phi_hat, n=grid.n0)
 
 
 def interpolate_field(field, hat, out=None):
@@ -290,12 +290,12 @@ class VplDiagnostics:
 def vpl_diagnostics(state: VplState, grid: PicGrid) -> VplDiagnostics:
     """Field norm and the q-weighted kinetic / electric / total energies."""
     e2 = float(np.sum(state.field**2) * grid.dx)
-    ke = 0.5 * state.charge * float(np.sum(state.velocities**2))
+    m = moments(state.velocities)
+    ke = state.charge * m.kinetic_energy
     ee = 0.5 * e2
-    mom = state.charge * np.einsum("ij->j", state.velocities)  # np.sum(axis=0), bitwise
     return VplDiagnostics(time=state.time, electric_l2=math.sqrt(e2),
                           kinetic_energy=ke, electric_energy=ee,
-                          total_energy=ke + ee, momentum=mom)
+                          total_energy=ke + ee, momentum=state.charge * m.momentum)
 
 
 @dataclass
@@ -327,9 +327,7 @@ def initial_state(config: VplConfig, grid: PicGrid) -> VplState:
                                  RngStream(config.seed, domain=DOMAIN_INIT))
     q = config.length / config.n_particles  # total charge Q = |domain|
     state = VplState(x, v, np.zeros(grid.n0), q)
-    rho = deposit_charge(state, grid)
-    _, e = solve_poisson(rho, grid)
-    state.field = e
+    state.field = solve_poisson(deposit_charge(state, grid), grid)
     return state
 
 

@@ -13,7 +13,7 @@ from scipy import integrate
 from scipy.optimize import fsolve
 from scipy.special import eval_legendre, wofz
 
-from landau.analytic import BIMAX_U1, BIMAX_U2, DAMPING_WAVENUMBER
+from landau.analytic import BIMAX_U1, BIMAX_U2, DAMPING_WAVENUMBER, bkw_scale
 from landau.collision import (SBM, Checkpoint, DiagnosticsPlan, ParticleEnsemble, _record,
                               random_pairing, step_count)
 from landau.kernels import Z_FLOOR, KernelParams, _check_floor, _sq_norm
@@ -482,9 +482,31 @@ def reference_sbm_pair_update(v, i, j, kernel, dt, rng):
     v[j] = (s - zp) / 2.0
 
 
+def center_mesh(grid):
+    """Stacked meshgrid of the cell centers of a DensityGrid, shape (n, ..., n, dim)."""
+    axes = np.meshgrid(*([grid.centers()] * grid.dim), indexing="ij")
+    return np.stack(axes, axis=-1)
+
+
+def bkw_mollified_density(dim, t, eps, v):
+    """BKW density convolved with the Gaussian mollifier of variance eps.
+
+    The convolution stays in the quadratic-times-Gaussian family: the scale
+    becomes K + eps while the quadratic coefficient keeps its 1-K numerator.
+    It is the smoothing-consistent reference of a KDE of BKW particles.
+    """
+    k = float(bkw_scale(dim, t))
+    kt = k + eps
+    v = np.asarray(v, dtype=float)
+    r2 = np.sum(v * v, axis=-1)
+    c2 = (1.0 - k) / (2.0 * kt * kt)
+    c0 = 1.0 - dim * kt * c2
+    return (c0 + c2 * r2) * np.exp(-r2 / (2.0 * kt)) / (2.0 * np.pi * kt) ** (dim / 2.0)
+
+
 def reference_save_grid_csv(grid, path):
     """The CSV grid writer that formats one row at a time."""
-    mesh = grid.center_mesh().reshape(-1, grid.dim)
+    mesh = center_mesh(grid).reshape(-1, grid.dim)
     vals = grid.values.reshape(-1)
     cols = [f"v{a}" for a in range(grid.dim)]
     with open(path, "w") as fh:

@@ -4,13 +4,12 @@ from scipy import integrate
 from scipy.stats import chisquare, kstest
 
 from landau import analytic
-from landau.analytic import (BIMAX_U1, BIMAX_U2, DAMPING_LENGTH, bkw_density,
-                             bkw_mollified_density, bkw_scale, bkw_t_min, sample_bimaxwellian,
-                             sample_bkw, sample_landau_damping)
+from landau.analytic import (BIMAX_U1, BIMAX_U2, DAMPING_LENGTH, bkw_density, bkw_scale,
+                             bkw_t_min, sample_bimaxwellian, sample_bkw, sample_landau_damping)
 from landau.errors import FixedPointNotConverged, InvalidTime
 from landau.streams import RngStream
 
-from oracles import (bimaxwellian_density, gauss_legendre_cell_masses,
+from oracles import (bimaxwellian_density, bkw_mollified_density, gauss_legendre_cell_masses,
                      landau_damping_density, radial_moment)
 
 

@@ -12,11 +12,12 @@ import pytest
 import landau.cli
 import landau.collision
 from landau.analytic import bkw_density, bkw_t_min
-from landau.cli import (ExperimentConfig, _initial_ensemble, _reference_fn, load_reference_density,
-                        main, run)
+from landau.cli import ExperimentConfig, _initial_ensemble, _reference_fn, main, run
 from landau.collision import SchemeConfig, simulate_homogeneous
 from landau.diagnostics import DensityGrid, load_grid_csv, mollified_density, save_grid_csv
 from landau.errors import ConfigError, FormatError
+
+from oracles import center_mesh
 
 
 def write_config(path, **kw):
@@ -266,22 +267,32 @@ def test_reference_density_loading(tmp_path):
     grid = DensityGrid(2, -8.0, 8.0, 64, np.random.default_rng(0).random((64, 64)))
     c = tmp_path / "ref.csv"
     save_grid_csv(grid, c)
-    back = load_reference_density(c)
+    back = load_grid_csv(c)
     np.testing.assert_array_equal(back.values, grid.values)
     bad = tmp_path / "bad.csv"
     bad.write_bytes(c.read_bytes()[:1000])
     with pytest.raises(FormatError):
-        load_reference_density(bad)
+        load_grid_csv(bad)
     neg = DensityGrid(2, -8.0, 8.0, 4, -np.ones((4, 4)))
     nc = tmp_path / "neg.csv"
     save_grid_csv(neg, nc)
     with pytest.raises(FormatError, match="negative"):
-        load_reference_density(nc)
+        load_grid_csv(nc)
+    # every grid file is a density: one negative or non-finite value fails, -0.0 does not
+    for value in (-1e-300, np.nan, np.inf, -0.0):
+        vals = np.ones((4, 4))
+        vals[1, 2] = value
+        save_grid_csv(DensityGrid(2, -8.0, 8.0, 4, vals), nc)
+        if value == 0:
+            np.testing.assert_array_equal(load_grid_csv(nc).values, vals)
+            continue
+        with pytest.raises(FormatError, match="non-finite or negative"):
+            load_grid_csv(nc)
     # grids are CSV only: a binary header (dim, lo, hi, n_grid) and float64 values
     raw = tmp_path / "ref.bin"
     raw.write_bytes(struct.pack("<IddI", 2, -8.0, 8.0, 4) + np.ones(16).tobytes())
     with pytest.raises(FormatError, match="line 1"):
-        load_reference_density(raw)
+        load_grid_csv(raw)
     # a header whose geometry makes no grid fails at line 1, not in DensityGrid
     ones = tmp_path / "ones.csv"
     for header in ("dim=4 lo=-8.0 hi=8.0 n_grid=2", "dim=2 lo=-8.0 hi=8.0 n_grid=0",
@@ -289,7 +300,7 @@ def test_reference_density_loading(tmp_path):
                    "dim=2 lo=-8.0 hi=inf n_grid=4"):
         save_grid_csv(DensityGrid(2, -8.0, 8.0, 4, np.ones((4, 4))), ones)
         with pytest.raises(FormatError, match="line 1"):
-            load_reference_density(with_header(ones, header))
+            load_grid_csv(with_header(ones, header))
 
 
 @pytest.mark.parametrize("kind, grid_cells", [("bkw2d", 128), ("bkw2d", 24), ("bkw3d", 64),
@@ -302,7 +313,7 @@ def test_bkw_reference_is_the_closed_form_on_the_mesh(kind, grid_cells):
     reference = _reference_fn(cfg, grid)
     t0 = bkw_t_min(cfg.dim)
     for t in (0.0, 0.5, 7.3):
-        np.testing.assert_array_equal(reference(t), bkw_density(cfg.dim, t0 + t, grid.center_mesh()))
+        np.testing.assert_array_equal(reference(t), bkw_density(cfg.dim, t0 + t, center_mesh(grid)))
 
 
 def coulomb_config(tmp_path, **extra):

@@ -565,3 +565,76 @@ def test_em_window_misses_the_law():
     # (1 - tau/2)^2 - tau = 0.0625 at tau = 0.5 in 2D, not exp(-1) = 0.37
     z = _window_law_z(2, 1.0, EM)
     assert abs(z) > LAW_Z, f"z = {z:+.2f}"
+
+
+def test_coulomb_window_moves_the_anisotropy_by_its_law():
+    """One window of 2e4 bi-Maxwellian particles, T = (2, 0.5, 0.5), under
+    3D gamma = -3 at dt = 5, per seed against the law of its own pairing: the
+    z-score of the mean of <D' - E[D'], D> / <D, D> over LAW_SEEDS windows.
+
+    Given v and the pairing, pair k turns z over its own time
+    tau_k = 4 lam |z_k|^gamma dt, so E[z'z'^T] = |z|^2 I/d
+    + (zz^T - |z|^2 I/d) exp(-d tau_k), and E[sum of v'v'^T] is the sum over
+    the pairs of (ss^T + E[z'z'^T])/2. The mean is conserved, so E[D'] is
+    exact for every N and every pairing. A window holds about 4200 pairs in
+    the lift band, 5700 in the mixture band and 50 in the uniform band. It
+    reads z = -0.81, and -10.47 with tau 5% too large; at dt = 1 the two
+    read -1.27 and -4.00, too close to the bound."""
+    n, dim, dt, kernel = 20_000, 3, 5.0, COULOMB_3D
+    v0 = np.random.default_rng(63).standard_normal((n, dim)) * np.sqrt([2.0, 0.5, 0.5])
+    d0 = _traceless_moment(v0)
+    mean = v0.mean(axis=0)
+    rho = np.empty(LAW_SEEDS)
+    for k in range(LAW_SEEDS):
+        i, j = random_pairing(n, RngStream(64, step=k, domain=DOMAIN_PAIRING))
+        s, z = v0[i] + v0[j], v0[i] - v0[j]
+        r2 = np.sum(z * z, axis=1)
+        decay = np.exp(-dim * 4.0 * kernel.lam * r2 ** (kernel.gamma / 2.0) * dt)
+        second = (s.T @ s + (z * decay[:, None]).T @ z
+                  + np.sum(r2 * (1.0 - decay)) / dim * np.eye(dim))
+        c = second / (2.0 * n) - np.outer(mean, mean)
+        expect = c - np.trace(c) / dim * np.eye(dim)
+        v = v0.copy()
+        collision_step(v, i, j, SchemeConfig(dt, SBM, kernel, seed=65 + k), 1)
+        rho[k] = np.sum((_traceless_moment(v) - expect) * d0) / np.sum(d0 * d0)
+    z = rho.mean() / (rho.std(ddof=1) / np.sqrt(LAW_SEEDS))
+    assert abs(z) <= LAW_Z, f"z = {z:+.2f}"
+
+
+# dim -> (N, seeds) of the fourth-moment law. The seed mean of M4 at t = 4
+# has an SE of about 0.004 (2D) and 0.006 (3D), a fifth or less of the 0.021
+# to 0.034 by which a 5% error in tau moves it. The cases read |z| <= 1.8,
+# and +4.3 to +6.2 with tau 5% too large.
+M4_RUNS = {2: (100_000, 16), 3: (50_000, 48)}
+
+
+@pytest.mark.parametrize("dim,dt", [(2, 1.0), (2, 0.5), (3, 1.0), (3, 0.5)])
+def test_windows_relax_the_bkw_fourth_moment_by_the_window_law(dim, dt):
+    """For Maxwell molecules one window of a pair adds (1 - exp(-d tau))/2
+    (|s|^2 |z|^2/d - (s.z)^2) to E[|v_i|^4 + |v_j|^4]. Over a uniform pairing
+    of isotropic velocities, M4 - Minf then moves per window to
+    (1 - c (1 - exp(-x))) (M4 - Minf), with x = d tau = dt for both BKW
+    kernels, c = (d - 1)/(2d) and Minf = (d + 2)/d <|v|^2>^2 (8 in 2D, 15 in
+    3D), up to O(1/N). Landau's BKW solution relaxes as exp(-c t) instead:
+    the window's rate is (1 - exp(-x))/x of Landau's. Each seed's prediction
+    starts from its own sample at t_min, and the Landau value must miss at
+    dt = 1."""
+    kernel = MAXWELL_2D if dim == 2 else MAXWELL_3D
+    t_end, (n, seeds) = 4.0, M4_RUNS[dim]
+    k, c = round(t_end / dt), (dim - 1) / (2.0 * dim)
+    window, landau = (1.0 - c * (1.0 - np.exp(-dt))) ** k, np.exp(-c * t_end)
+    res = np.empty((seeds, 2))
+    for seed in range(seeds):
+        v = bkw_ensemble(dim, n, seed=2600 + seed).velocities
+        r2 = np.sum(v * v, axis=1)
+        m4, m_inf = np.mean(r2 * r2), (dim + 2) / dim * np.mean(r2) ** 2
+        cfg = SchemeConfig(dt, SBM, kernel, seed=2600 + seed)
+        for step in range(1, k + 1):
+            collision_step(v, *random_pairing(n, RngStream(2600 + seed, step=step,
+                                                           domain=DOMAIN_PAIRING)), cfg, step)
+        r2 = np.sum(v * v, axis=1)
+        res[seed] = np.mean(r2 * r2) - (m_inf + np.array([window, landau]) * (m4 - m_inf))
+    z_window, z_landau = res.mean(axis=0) / (res.std(axis=0, ddof=1) / np.sqrt(len(res)))
+    assert abs(z_window) <= LAW_Z, f"window law z = {z_window:+.2f}"
+    if dt == 1.0:
+        assert abs(z_landau) > LAW_Z, f"Landau z = {z_landau:+.2f}"

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from landau import diagnostics
-from landau.analytic import bkw_mollified_density, sample_bkw
+from landau.analytic import sample_bkw
 from landau.diagnostics import (DensityGrid, entropy, load_grid_csv, moments, mollified_density,
                                 relative_l2_error, save_grid_csv)
 from landau.errors import EmptyEnsemble, FormatError, GridMismatch
 from landau.streams import RngStream
 
-from oracles import direct_mollified_density, reference_mollified_density, reference_save_grid_csv
+from oracles import (bkw_mollified_density, center_mesh, direct_mollified_density,
+                     reference_mollified_density, reference_save_grid_csv)
 
 
 def maxwellian_2d(v):
@@ -38,7 +39,7 @@ def test_kde_consistency_maxwellian():
     v = gen.standard_normal((1_000_000, 2))
     grid = DensityGrid(2, -8.0, 8.0, 128)
     dens = mollified_density(v, 0.01, grid)
-    ref = DensityGrid(2, -8.0, 8.0, 128, maxwellian_2d(grid.center_mesh()))
+    ref = DensityGrid(2, -8.0, 8.0, 128, maxwellian_2d(center_mesh(grid)))
     assert relative_l2_error(ref, dens) < 0.02
 
 
@@ -58,7 +59,7 @@ def test_kde_matches_mollified_reference():
     v = sample_bkw(2, 0.0, 1_000_000, RngStream(4))
     grid = DensityGrid(2, -8.0, 8.0, 128)
     dens = mollified_density(v, 0.01, grid)
-    mesh = grid.center_mesh()
+    mesh = center_mesh(grid)
     ref_moll = DensityGrid(2, -8.0, 8.0, 128, bkw_mollified_density(2, 0.0, 0.01, mesh))
     ref_raw = DensityGrid(2, -8.0, 8.0, 128, bkw_density(2, 0.0, mesh))
     err_moll = relative_l2_error(ref_moll, dens)
@@ -254,7 +255,7 @@ def test_entropy_cases():
 
 def test_entropy_of_maxwellian_grid():
     grid = DensityGrid(2, -8.0, 8.0, 256)
-    vals = maxwellian_2d(grid.center_mesh())
+    vals = maxwellian_2d(center_mesh(grid))
     g = DensityGrid(2, -8.0, 8.0, 256, vals)
     assert entropy(g) == pytest.approx(-(1.0 + np.log(2.0 * np.pi)), abs=1e-3)
 
@@ -263,7 +264,6 @@ def test_moments_examples():
     m = moments(np.array([[1.0, 0.0], [-1.0, 0.0]]))
     np.testing.assert_array_equal(m.momentum, [0.0, 0.0])
     assert m.kinetic_energy == 1.0
-    assert m.energy_per_particle == 0.5
     v = np.random.default_rng(6).standard_normal((100, 3))
     anti = np.empty((200, 3))
     anti[0::2], anti[1::2] = v, -v
