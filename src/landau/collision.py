@@ -120,7 +120,7 @@ def em_pair_update(v, i, j, kernel: KernelParams, dt, rng: RngStream):
 
 
 def _sbm_sphere_step(y, tau, gen, out):
-    """The exact SBM end points of the unit rows y after the times tau, into out."""
+    """The exact SBM end points of the rows y (unit in 3D) after the times tau, into out."""
     sample_sbm_batch(y, tau, default_sampler(y.shape[1]), gen, out=out)
 
 
@@ -149,9 +149,9 @@ def _pair_update(v, i, j, kernel, dt, rng, sphere_step):
 
 
 def _pair_block(v, i, j, kernel, dt, gen, sphere_step):
-    """One block of a pair update, taking z/|z| to its ``sphere_step`` end
-    point with draws from the Generator ``gen``; its arrays are freed on
-    return, before the next block allocates its own."""
+    """One block of a pair update, taking z (2D SBM) or z/|z| to its
+    ``sphere_step`` end point with draws from the Generator ``gen``; its
+    arrays are freed on return, before the next block allocates its own."""
     # np.take gathers whole rows several times faster than v[i] at large n;
     # the gather of v_j then holds the sphere step's output. Every product
     # with a per-pair scalar runs one column at a time: an (m, 1) broadcast
@@ -168,17 +168,22 @@ def _pair_block(v, i, j, kernel, dt, gen, sphere_step):
         i, j, z, s, r2, zp = i[keep], j[keep], z[keep], s[keep], r2[keep], zp[keep]
     tau = time_scale_k(r2, kernel)
     tau *= dt
-    r = np.sqrt(r2, out=r2)
-    for col in z.T:
-        col /= r
+    # a turn of the circle keeps |z|, so the 2D SBM step turns z itself; the
+    # S^2 formula and the EM step take z/|z|, and their end point is scaled back
+    unit = sphere_step is _em_sphere_step or z.shape[1] == 3
+    if unit:
+        r = np.sqrt(r2, out=r2)
+        for col in z.T:
+            col /= r
     sphere_step(z, tau, gen, zp)
-    for col in zp.T:
-        col *= r
+    if unit:
+        for col in zp.T:
+            col *= r
     vi = np.add(s, zp, out=z)
     vi /= 2.0
     vj = np.subtract(s, zp, out=s)
     vj /= 2.0
-    # an SBM end point is a unit vector, so only an EM step can blow up
+    # an SBM step keeps |z|, so only an EM step can blow up
     if sphere_step is _em_sphere_step and not (np.isfinite(vi).all() and np.isfinite(vj).all()):
         raise NonFiniteState(f"Euler-Maruyama step is not finite (dt={dt:g})")
     _put_rows(v, i, vi)

@@ -5,7 +5,8 @@ and every method is exact in law:
 
 * ``EXACT_2D``: on the circle the increment is exact, the start point
   rotated by a Brownian angle increment, or by a uniform angle once tau is
-  past ``_uniform_time(2)``.
+  past ``_uniform_time(2)``; the rotation takes its cosine and sine from one
+  tangent of the half angle.
 * ``SPHERE_3D``: every end point is (1 - 2B) y0 + 2 sqrt(B (1 - B)) e, for
   e a unit tangent at the start point y0, uniform and independent of B, so
   that the cosine of the angle to y0 is 1 - 2B. From ``_MIXTURE_MIN_TAU``
@@ -16,9 +17,10 @@ and every method is exact in law:
   B = sin^2(psi/2) sin^2(angle of omega to y0), psi = |omega|, the B of the
   rotated point R(omega) y0. No start point is singular.
 
-The 3D sampler renormalizes to unit length and the 2D rotation keeps the
-length of the start point, so downstream energy conservation is exact up to
-rounding.
+3D starts are unit vectors, and the 3D sampler renormalizes its end points
+to unit length. A 2D start may have any nonzero length: the rotation keeps
+that length, so a pair update can turn z itself. Either way downstream energy
+conservation is exact up to rounding.
 """
 
 import enum
@@ -226,12 +228,13 @@ def _put_rows(v, idx, rows):
 def sample_sbm_batch(starts, taus, kind, rng, out=None):
     """Sample SBM increments for a batch of start points and times.
 
-    ``kind`` must be ``default_sampler(dim)``. ``rng`` is an RngStream, or a
-    numpy Generator that is drawn from where it stands. Every tau must be
-    >= 0: rows with tau = 0 keep their start point and tau = inf samples the
-    uniform law. Returns the end points aligned with ``starts``, in ``out`` when
-    given (an (n, dim) float array that does not overlap ``starts``, which
-    is never written).
+    3D starts must be unit vectors; 2D starts may have any nonzero length,
+    which the end point keeps. ``kind`` must be ``default_sampler(dim)``.
+    ``rng`` is an RngStream, or a numpy Generator that is drawn from where it
+    stands. Every tau must be >= 0: rows with tau = 0 keep their start point
+    and tau = inf samples the uniform law. Returns the end points aligned
+    with ``starts``, in ``out`` when given (an (n, dim) float array that does
+    not overlap ``starts``, which is never written).
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     n, dim = starts.shape
@@ -255,8 +258,16 @@ def sample_sbm_batch(starts, taus, kind, rng, out=None):
         unif = t >= _uniform_time(2)
         if unif.any():
             a[unif] = gen.uniform(0.0, 2.0 * np.pi, int(np.count_nonzero(unif)))
-        c = np.cos(a)
-        sn = np.sin(a, out=a)
+        # cos a = c - 1 and sin a = h c for h = tan(a/2), c = 2/(1 + h^2). No
+        # double is an odd multiple of pi/2, so h is finite (below 2e18 for
+        # |a| < 190) and h^2 cannot overflow.
+        a *= 0.5
+        h = np.tan(a, out=a)
+        c = np.multiply(h, h)
+        c += 1.0
+        np.divide(2.0, c, out=c)
+        sn = np.multiply(h, c, out=a)
+        c -= 1.0
         # res = (c x0 - sn x1, sn x0 + c x1), one column at a time, with
         # r1 and then sn as the scratch for the second product
         (x0, x1), (r0, r1) = y0.T, res.T

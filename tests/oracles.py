@@ -432,10 +432,13 @@ def _reference_sample_s2(y0, t, gen):
     return res
 
 
-def reference_sample_sbm_batch(starts, taus, rng):
+def reference_sample_sbm_batch(starts, taus, rng, trig=False):
     """SBM end points in a fresh array: the circle rotation with both columns
     formed at once, and on S^2 the band split with the reference lift (the
-    death-process draws are the solver's own)."""
+    death-process draws are the solver's own). The rotation takes cos a and
+    sin a from h = tan(a/2) as (1 - h^2)/(1 + h^2) = 2/(1 + h^2) - 1 and
+    2h/(1 + h^2), or from np.cos and np.sin when ``trig``; the two agree to
+    rounding on the same draws."""
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     n, dim = starts.shape
     taus = np.broadcast_to(np.asarray(taus, dtype=float), (n,))
@@ -449,7 +452,12 @@ def reference_sample_sbm_batch(starts, taus, rng):
         unif = t >= _uniform_time(2)
         if unif.any():
             a[unif] = gen.uniform(0.0, 2.0 * np.pi, int(np.count_nonzero(unif)))
-        c, sn = np.cos(a), np.sin(a)
+        if trig:
+            c, sn = np.cos(a), np.sin(a)
+        else:
+            h = np.tan(a / 2.0)
+            q = 2.0 / (1.0 + h * h)
+            c, sn = q - 1.0, h * q
         res = np.empty_like(y0)
         res[:, 0] = c * y0[:, 0] - sn * y0[:, 1]
         res[:, 1] = sn * y0[:, 0] + c * y0[:, 1]
@@ -458,11 +466,13 @@ def reference_sample_sbm_batch(starts, taus, rng):
     return out
 
 
-def reference_sbm_pair_update(v, i, j, kernel, dt, rng):
+def reference_sbm_pair_update(v, i, j, kernel, dt, rng, trig=False):
     """SBM pair collisions of (i[k], j[k]) in v, in place, with fresh arrays
     for z, s, the sampler's end points and both halves, (m, 1) broadcasts
     for |z|, and |z| and the time scale 4 lam |z|^gamma both from one
-    np.sum(z * z, axis=-1)."""
+    np.sum(z * z, axis=-1). In 2D the circle turns z itself; S^2 turns
+    z/|z| and scales the end point by |z|, as does 2D when ``trig``, whose
+    rotation takes np.cos and np.sin (see reference_sample_sbm_batch)."""
     if kernel.lam == 0:
         return
     vi, vj = v[i], v[j]
@@ -476,8 +486,11 @@ def reference_sbm_pair_update(v, i, j, kernel, dt, rng):
         k = np.full(r.shape, 4.0 * kernel.lam)
     else:
         k = 4.0 * kernel.lam * np.power(r2, kernel.gamma / 2.0)
-    zp = reference_sample_sbm_batch(z / r[:, None], k * dt, rng)
-    zp *= r[:, None]
+    if z.shape[1] == 2 and not trig:
+        zp = reference_sample_sbm_batch(z, k * dt, rng)
+    else:
+        zp = reference_sample_sbm_batch(z / r[:, None], k * dt, rng, trig)
+        zp *= r[:, None]
     v[i] = (s + zp) / 2.0
     v[j] = (s - zp) / 2.0
 

@@ -224,6 +224,34 @@ def test_blocked_pair_update_matches_reference_bitwise(dim, gamma, monkeypatch):
     assert unblocked == (2 if (dim, gamma) == (2, 0.0) else 0)
 
 
+@pytest.mark.parametrize("gamma", [0.0, -2.0, -3.0])
+def test_2d_turn_of_z_matches_the_cos_sin_form_to_rounding(gamma):
+    # 35 000 BKW pairs span two blocks, with pairs at small |z| (large tau
+    # when gamma < 0) and at |z| = 0. Turning z itself by the tangent form
+    # and turning z/|z| by np.cos and np.sin, then scaling by |z|, draw the
+    # same numbers and land on the same velocities to rounding.
+    kernel = KernelParams(1.0 / 8.0, gamma, 2)
+    v0 = bkw_ensemble(2, 70_000, seed=80).velocities
+    i, j = random_pairing(70_000, RngStream(81))
+    block = collision._PAIR_BLOCK
+    assert len(i) > block
+    g = np.random.default_rng(82)
+    v0[j[:5]] = v0[i[:5]]
+    v0[j[5:60]] = v0[i[5:60]] + 10.0 ** g.uniform(-3.0, -0.5, (55, 1)) * g.standard_normal((55, 2))
+    for dt in (0.1, 2.0, 500.0):
+        want = v0.copy()
+        shared = _SharedGenerator(RngStream(83))
+        for lo in range(0, len(i), block):
+            reference_sbm_pair_update(want, i[lo:lo + block], j[lo:lo + block], kernel, dt, shared,
+                                      trig=True)
+        got = v0.copy()
+        mine = _SharedGenerator(RngStream(83))
+        sbm_pair_update(got, i, j, kernel, dt, mine)
+        # Philox's state holds small arrays, whose repr lists every word
+        assert repr(mine.gen.bit_generator.state) == repr(shared.gen.bit_generator.state)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def _found_pair():
     # |z|^2 is 9.999999999999997e-29 by columns, below _R2_FLOOR, and 1e-28 by np.einsum
     z = np.array([1.0935994656727792e-15, -3.976993308474837e-15, -9.109751063175467e-15])

@@ -56,6 +56,46 @@ def test_exact2d_is_rotation_by_gaussian_angle():
     np.testing.assert_allclose(out, np.column_stack([np.cos(th), np.sin(th)]), atol=1e-15)
 
 
+def test_circle_keeps_the_length_of_any_start():
+    # 2D starts of lengths 1e-12 to 1e4, in every band: a rotation keeps |start|
+    rng = np.random.default_rng(90)
+    starts = unit(rng.standard_normal((4000, 2))) * 10.0 ** rng.uniform(-12.0, 4.0, (4000, 1))
+    taus = 10.0 ** rng.uniform(-6.0, 3.0, 4000)
+    assert np.any(taus < 1e-3) and np.any(taus >= sphere._uniform_time(2))
+    out = sample_sbm_batch(starts, taus, E2, RngStream(91))
+    ratio = np.linalg.norm(out, axis=1) / np.linalg.norm(starts, axis=1)
+    assert np.max(np.abs(ratio - 1.0)) <= 8 * np.finfo(float).eps
+
+
+def _circle_angles(taus, seed):
+    """The angles the circle sampler draws for ``taus`` (all > 0) from RngStream(seed)."""
+    gen = RngStream(seed).generator()
+    a = np.sqrt(taus) * gen.standard_normal(taus.size)
+    unif = taus >= sphere._uniform_time(2)
+    a[unif] = gen.uniform(0.0, 2.0 * np.pi, int(np.count_nonzero(unif)))
+    return a
+
+
+def test_circle_tangent_form_matches_cos_and_sin():
+    # from (1, 0) the end point is (cos a, sin a): angles within 1e-8 of +-pi,
+    # where tan(a/2) is 2e8 or more, and uniform-band angles in [0, 2 pi)
+    n = 4000
+    normals = RngStream(92).generator().standard_normal(n)
+    near_pi = np.abs(normals) > 0.5
+    target = np.pi + np.random.default_rng(93).uniform(-1e-8, 1e-8, n)
+    taus = np.where(near_pi, (target / normals) ** 2, 100.0)
+    a = _circle_angles(taus, 92)
+    assert np.all(np.abs(np.abs(a[near_pi]) - np.pi) < 1.1e-8)
+    assert np.any(a[near_pi] > 0) and np.any(a[near_pi] < 0) and np.count_nonzero(~near_pi) > 1000
+    out = sample_sbm_batch(np.broadcast_to([1.0, 0.0], (n, 2)), taus, E2, RngStream(92))
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(out[:, 0] - np.cos(a))) <= 4 * eps
+    assert np.max(np.abs(out[:, 1] - np.sin(a))) <= 4 * eps
+    # near +-pi the small sine keeps its relative precision too
+    sn = np.sin(a[near_pi])
+    assert np.max(np.abs(out[near_pi, 1] - sn) / np.abs(sn)) <= 4 * eps
+
+
 def test_invalid_sampler_for_dim():
     with pytest.raises(InvalidSamplerForDim):
         sample_sbm_batch(pole(3), 0.1, E2, RngStream(0))
