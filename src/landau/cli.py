@@ -78,9 +78,11 @@ class ExperimentConfig(SimpleNamespace):
         for name in ("t_end", "checkpoint_every", "t_eval"):  # by the solver's own step rule
             if name in values:
                 try:
-                    step_count(values[name], cfg.dt)
+                    steps = step_count(values[name], cfg.dt)
                 except (InvalidCheckpoint, OverflowError):  # t / dt may overflow to inf
-                    raise ConfigError(f"{name}: must be a multiple of dt") from None
+                    steps = 0
+                if steps < 1:
+                    raise ConfigError(f"{name}: must be a multiple of dt of at least one step")
         if "checkpoint_every" in values:
             times = cfg.checkpoint_times()
             if times[-1] != round(cfg.t_end, 12):
@@ -132,6 +134,8 @@ def _check_value(name, type_, value):
             raise ConfigError(f"{name}: must be one of {type_}, got {value!r}")
     elif not (type(value) is type_ or (type_ is float and type(value) is int)):
         raise ConfigError(f"{name}: expected {type_.__name__}, got {value!r}")
+    elif type(value) is int and abs(value) >= 1 << 63:  # a JSON integer has no bound
+        raise ConfigError(f"{name}: an integer must be below 2^63 in magnitude")
     elif type_ in (int, float):
         non_negative = name in _NON_NEGATIVE
         if not math.isfinite(value) or value < 0 or (value == 0 and not non_negative):

@@ -97,8 +97,7 @@ def sbm_pair_update(v, i, j, kernel: KernelParams, dt, rng: RngStream):
 
     The pairs are updated in blocks of _PAIR_BLOCK, in order, all sampled
     from the one generator of ``rng``. A batch of at most _PAIR_BLOCK pairs,
-    or a 2D batch with no pair in the uniform band, draws as one unblocked
-    batch would.
+    or any 2D batch, draws as one unblocked batch would.
     """
     _pair_update(v, i, j, kernel, dt, rng, _sbm_sphere_step)
 
@@ -218,7 +217,7 @@ class Checkpoint:
 def step_count(t, dt):
     """Number of dt steps from 0 to t; t must lie on the dt grid."""
     k = round(t / dt)
-    if abs(t - k * dt) > 1e-9 * max(1.0, abs(t)):
+    if abs(t - k * dt) > 1e-9 * max(dt, abs(t)):
         raise InvalidCheckpoint(f"time {t} is not a step multiple of dt={dt}")
     return k
 

@@ -1,21 +1,21 @@
 """Spherical Brownian motion increments on S^1 and S^2.
 
 One sampler per dimension; within it the time tau alone picks the method,
-and every method is exact in law:
+and every method is exact in law. Each sampler draws the law at min(tau,
+``_uniform_time(d)``), past which the law no longer moves at machine
+precision, so tau = inf samples the uniform law:
 
 * ``EXACT_2D``: on the circle the increment is exact, the start point
-  rotated by a Brownian angle increment, or by a uniform angle once tau is
-  past ``_uniform_time(2)``; the rotation takes its cosine and sine from one
-  tangent of the half angle.
+  rotated by a Brownian angle increment; the rotation takes its cosine and
+  sine from one tangent of the half angle.
 * ``SPHERE_3D``: every end point is (1 - 2B) y0 + 2 sqrt(B (1 - B)) e, for
   e a unit tangent at the start point y0, uniform and independent of B, so
   that the cosine of the angle to y0 is 1 - 2B. From ``_MIXTURE_MIN_TAU``
   on, B ~ Beta(1, 1 + M), M from the death-process law of the Wright-Fisher
-  radial diffusion (Jenkins & Spano 2017), and M = 0 (the uniform law) past
-  ``_uniform_time(3)``. Below it B comes from the SO(3) lift: omega, a draw
-  of the SO(3) heat kernel (Nikolayev & Savyolova 1997), gives
-  B = sin^2(psi/2) sin^2(angle of omega to y0), psi = |omega|, the B of the
-  rotated point R(omega) y0. No start point is singular.
+  radial diffusion (Jenkins & Spano 2017). Below it B comes from the SO(3)
+  lift: omega, a draw of the SO(3) heat kernel (Nikolayev & Savyolova
+  1997), gives B = sin^2(psi/2) sin^2(angle of omega to y0), psi = |omega|,
+  the B of the rotated point R(omega) y0. No start point is singular.
 
 3D starts are unit vectors, and the 3D sampler renormalizes its end points
 to unit length. A 2D start may have any nonzero length: the rotation keeps
@@ -32,8 +32,8 @@ from .errors import FixedPointNotConverged, InvalidSamplerForDim, SeriesTruncate
 from .kernels import _sq_norm
 
 # Beyond this time the heat kernel on S^{d-1} is uniform to ~1e-20 in total
-# variation (first spectral gap d-1), so sampling the uniform law is exact
-# at machine precision.
+# variation (first spectral gap d-1): the laws at any two later times differ
+# by less than 2e-20, so the samplers cap tau here.
 def _uniform_time(dim):
     return 92.0 / (dim - 1)
 
@@ -160,13 +160,13 @@ def _sample_s2(y0, t, gen, res):
     """End points of SBM on S^2 from the rows of y0 for times t, into res.
 
     Each row draws B and a vector g and ends at (1 - 2B) y0 + 2 sqrt(B (1 - B)) e,
-    renormalized, for e = g less its y0 component, normalized. Mixture and
-    uniform rows draw B ~ Beta(1, 1 + M) by inverse CDF (M = 0 past
-    ``_uniform_time(3)``) and a standard normal g. Lift rows take g = omega
-    and B = sinc^2(psi/2) |e|^2 / 4 for the unnormalized e; the law of omega
-    is invariant under rotations about y0, so the direction of e is uniform
-    and independent of B. Each band writes its g into res, the lift last,
-    and one pass makes every row of res its end point.
+    renormalized, for e = g less its y0 component, normalized. Mixture rows
+    draw M at min(t, ``_uniform_time(3)``), B ~ Beta(1, 1 + M) by inverse CDF
+    and a standard normal g. Lift rows take g = omega and B = sinc^2(psi/2)
+    |e|^2 / 4 for the unnormalized e; the law of omega is invariant under
+    rotations about y0, so the direction of e is uniform and independent of
+    B. Each band writes its g into res, the lift last, and one pass makes
+    every row of res its end point.
     """
     small = t < _MIXTURE_MIN_TAU
     lift = np.flatnonzero(small)
@@ -174,9 +174,7 @@ def _sample_s2(y0, t, gen, res):
     if lift.size < t.size:
         big = np.flatnonzero(~small)
         tb = np.take(t, big)
-        mix = tb < _uniform_time(3)
-        m = np.zeros(tb.size, dtype=np.int64)
-        m[mix] = _death_process_draws(tb[mix], gen)
+        m = _death_process_draws(np.minimum(tb, _uniform_time(3), out=tb), gen)
         # 1 - (1 - u)^(1/(1+M)); log1p keeps u = 0 free of log(0)
         b[big] = -np.expm1(np.log1p(-gen.random(tb.size)) / (1 + m))
         _put_rows(res, big, gen.standard_normal((tb.size, 3)))
@@ -231,10 +229,11 @@ def sample_sbm_batch(starts, taus, kind, rng, out=None):
     3D starts must be unit vectors; 2D starts may have any nonzero length,
     which the end point keeps. ``kind`` must be ``default_sampler(dim)``.
     ``rng`` is an RngStream, or a numpy Generator that is drawn from where it
-    stands. Every tau must be >= 0: rows with tau = 0 keep their start point
-    and tau = inf samples the uniform law. Returns the end points aligned
-    with ``starts``, in ``out`` when given (an (n, dim) float array that does
-    not overlap ``starts``, which is never written).
+    stands. Every tau must be >= 0: rows with tau = 0 keep their start point,
+    and tau is capped at ``_uniform_time(dim)``, so tau = inf samples the
+    uniform law. Returns the end points aligned with ``starts``, in ``out``
+    when given (an (n, dim) float array that does not overlap ``starts``,
+    which is never written).
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     n, dim = starts.shape
@@ -254,13 +253,12 @@ def sample_sbm_batch(starts, taus, kind, rng, out=None):
     if dim == 3:
         _sample_s2(y0, t, gen, res)
     else:
-        a = np.sqrt(t) * gen.standard_normal(t.size)
-        unif = t >= _uniform_time(2)
-        if unif.any():
-            a[unif] = gen.uniform(0.0, 2.0 * np.pi, int(np.count_nonzero(unif)))
+        a = np.minimum(t, _uniform_time(2))
+        np.sqrt(a, out=a)
+        a *= gen.standard_normal(t.size)
         # cos a = c - 1 and sin a = h c for h = tan(a/2), c = 2/(1 + h^2). No
         # double is an odd multiple of pi/2, so h is finite (below 2e18 for
-        # |a| < 190) and h^2 cannot overflow.
+        # |a| < 190; the cap keeps |a| <= 9.6 |normal|) and h^2 cannot overflow.
         a *= 0.5
         h = np.tan(a, out=a)
         c = np.multiply(h, h)

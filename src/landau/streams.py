@@ -33,12 +33,10 @@ class RngStream:
     domain: int = DOMAIN_GENERIC
 
     def generator(self) -> np.random.Generator:
-        if not 0 <= self.step < (1 << _STEP_BITS):
-            raise ValueError(f"step {self.step} out of range [0, 2^{_STEP_BITS})")
-        if not 0 <= self.stream < (1 << _STREAM_BITS):
-            raise ValueError(f"stream {self.stream} out of range [0, 2^{_STREAM_BITS})")
-        if not 0 <= self.domain < (1 << 8):
-            raise ValueError(f"domain {self.domain} out of range [0, 256)")
+        for name, bits in (("seed", 64), ("step", _STEP_BITS), ("stream", _STREAM_BITS),
+                           ("domain", 8)):
+            if not 0 <= getattr(self, name) < (1 << bits):
+                raise ValueError(f"{name} {getattr(self, name)} out of range [0, 2^{bits})")
         word = (self.domain << (_STEP_BITS + _STREAM_BITS)) | (self.step << _STREAM_BITS) | self.stream
-        key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF, word], dtype=np.uint64)
+        key = np.array([self.seed, word], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))

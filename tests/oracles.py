@@ -422,9 +422,7 @@ def _reference_sample_s2(y0, t, gen):
     res = np.empty_like(y0)
     big = np.flatnonzero(~small)
     tb, y = t[big], y0[big]
-    mix = tb < _uniform_time(3)
-    m = np.zeros(tb.size, dtype=np.int64)
-    m[mix] = _death_process_draws(tb[mix], gen)
+    m = _death_process_draws(np.minimum(tb, _uniform_time(3)), gen)
     b = -np.expm1(np.log1p(-gen.random(tb.size)) / (1 + m))
     res[big] = reference_tangent_end(y, b, reference_tangent(gen.standard_normal((tb.size, 3)), y))
     if small.any():
@@ -433,12 +431,12 @@ def _reference_sample_s2(y0, t, gen):
 
 
 def reference_sample_sbm_batch(starts, taus, rng, trig=False):
-    """SBM end points in a fresh array: the circle rotation with both columns
-    formed at once, and on S^2 the band split with the reference lift (the
-    death-process draws are the solver's own). The rotation takes cos a and
-    sin a from h = tan(a/2) as (1 - h^2)/(1 + h^2) = 2/(1 + h^2) - 1 and
-    2h/(1 + h^2), or from np.cos and np.sin when ``trig``; the two agree to
-    rounding on the same draws."""
+    """SBM end points in a fresh array, at each tau capped at _uniform_time(d):
+    the circle rotation with both columns formed at once, and on S^2 the band
+    split with the reference lift (the death-process draws are the solver's
+    own). The rotation takes cos a and sin a from h = tan(a/2) as
+    (1 - h^2)/(1 + h^2) = 2/(1 + h^2) - 1 and 2h/(1 + h^2), or from np.cos and
+    np.sin when ``trig``; the two agree to rounding on the same draws."""
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     n, dim = starts.shape
     taus = np.broadcast_to(np.asarray(taus, dtype=float), (n,))
@@ -448,10 +446,7 @@ def reference_sample_sbm_batch(starts, taus, rng, trig=False):
     if dim == 3:
         res = _reference_sample_s2(y0, t, gen)
     else:
-        a = np.sqrt(t) * gen.standard_normal(t.size)
-        unif = t >= _uniform_time(2)
-        if unif.any():
-            a[unif] = gen.uniform(0.0, 2.0 * np.pi, int(np.count_nonzero(unif)))
+        a = np.sqrt(np.minimum(t, _uniform_time(2))) * gen.standard_normal(t.size)
         if trig:
             c, sn = np.cos(a), np.sin(a)
         else:

@@ -50,6 +50,10 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError, match="reference_time"):
         ExperimentConfig.from_dict(dict(kind="coulomb2d", n_particles=10, dt=0.1, t_end=1.0,
                                         checkpoint_every=0.5, reference_path="x.bin"))
+    # at dt = 0.1 all eleven checkpoints would fall at step 0, in one record
+    with pytest.raises(ConfigError, match="t_end: must be a multiple of dt"):
+        ExperimentConfig.from_dict(dict(kind="bkw2d", n_particles=10, dt=0.1, t_end=1e-9,
+                                        checkpoint_every=1e-10))
     # the Crank-Nicolson step runs n_iters sweeps; there is no tolerance to set
     with pytest.raises(ConfigError, match="unknown config field.*vpl-damping.*residual_tol"):
         ExperimentConfig.from_dict(dict(kind="vpl-damping", n_particles=100, dt=0.1,
@@ -127,7 +131,13 @@ def test_kind_fixes_its_physics(kind):
     # or a dimension without a sphere sampler
     ("sampler-test", "samples", 1), ("sampler-test", "tau", 0),
     ("sampler-test", "tau", float("nan")), ("sampler-test", "tau", -1),
-    ("sampler-test", "dim", 4), ("sampler-test", "dim", 2.0), ("sampler-test", "dim", True)])
+    ("sampler-test", "dim", 4), ("sampler-test", "dim", 2.0), ("sampler-test", "dim", True),
+    # an integer JSON holds but int64 does not: a seed past 2^64 would alias
+    # another, and math.isfinite overflows on a 401-digit tau
+    pytest.param("sampler-test", "seed", 2**64, id="sampler-test-seed-2**64"),
+    pytest.param("sampler-test", "tau", 10**400, id="sampler-test-tau-10**400"),
+    # times below one step of dt = 0.1, which step_count rounds to step 0
+    ("convergence-study", "t_eval", 1e-10), ("vpl-damping", "t_end", 1e-10)])
 def test_bad_values_name_the_field(tmp_path, capsys, kind, name, value):
     with pytest.raises(ConfigError, match=name):
         config_of(kind, **{name: value})
@@ -469,14 +479,15 @@ def test_sampler_test_command(capsys, tmp_path):
 
 
 def test_shipped_presets_run(tmp_path, capsys):
-    # every preset, shrunk, runs end to end through `landau run`: a runner that
-    # reads a field its kind does not declare fails here
+    # every preset validates as shipped, and, shrunk, runs end to end through
+    # `landau run`: a runner that reads a field its kind does not declare fails here
     here = pathlib.Path(__file__).resolve().parent.parent / "configs"
     caps = dict(n_particles=4000, t_end=0.4, checkpoint_every=0.2, t_eval=0.2, n_seeds=2,
                 bench_steps=1, bench_warmup=0, samples=20000)
     presets = sorted(here.glob("*.json"))
     assert presets
     for preset in presets:
+        ExperimentConfig.from_file(preset)
         raw = json.loads(preset.read_text())
         raw.update({k: min(raw[k], cap) for k, cap in caps.items() if k in raw})
         if "n_list" in raw:

@@ -7,7 +7,7 @@ from landau import collision
 from landau.analytic import sample_bkw
 from landau.collision import (EM, SBM, ParticleEnsemble, SchemeConfig, collision_step,
                               em_pair_update, random_pairing, sbm_pair_update,
-                              simulate_homogeneous)
+                              simulate_homogeneous, step_count)
 from landau.errors import InvalidCheckpoint, NonFiniteState, OddParticleCount
 from landau.kernels import KernelParams, Z_FLOOR, time_scale_k
 from landau.sphere import _MIXTURE_MIN_TAU, _uniform_time
@@ -193,15 +193,14 @@ class _SharedGenerator:
 def test_blocked_pair_update_matches_reference_bitwise(dim, gamma, monkeypatch):
     # blocks of 700 pairs: 3000 pairs make four full blocks and one of 200,
     # and an empty batch (a PIC step with no leftover pair) makes none. The
-    # blocks draw one after another from one generator, in every band.
+    # blocks draw one after another from one generator, in every band; at
+    # dt = 500 every gamma = 0 pair is past the cap.
     block = 700
     monkeypatch.setattr(collision, "_PAIR_BLOCK", block)
     kernel = KernelParams(1.0 / 8.0, gamma, dim)
     v0 = bkw_ensemble(dim, 6000, seed=30).velocities
     i, j = random_pairing(6000, RngStream(31))
     v0[j[:5]] = v0[i[:5]]
-    z = v0[i] - v0[j]
-    r = np.linalg.norm(z, axis=1)
     empty = np.empty(0, dtype=np.intp)
     unblocked = 0
     for dt in (0.1, 2.0, 500.0):
@@ -214,14 +213,14 @@ def test_blocked_pair_update_matches_reference_bitwise(dim, gamma, monkeypatch):
         np.testing.assert_array_equal(got, want)
         sbm_pair_update(got, empty, empty, kernel, dt, RngStream(33))
         np.testing.assert_array_equal(got, want)
-        taus = time_scale_k(r[r >= Z_FLOOR] ** 2, kernel) * dt
-        if dim == 2 and np.all(taus < _uniform_time(2)):
-            # the draws of a 2D batch with no uniform-band pair do not interleave
+        if dim == 2:
+            # a 2D batch draws one normal per pair, so its blocks do not
+            # interleave, also with pairs past the cap _uniform_time(2)
             whole = v0.copy()
             reference_sbm_pair_update(whole, i, j, kernel, dt, RngStream(32))
             np.testing.assert_array_equal(got, whole)
             unblocked += 1
-    assert unblocked == (2 if (dim, gamma) == (2, 0.0) else 0)
+    assert unblocked == (3 if dim == 2 else 0)
 
 
 @pytest.mark.parametrize("gamma", [0.0, -2.0, -3.0])
@@ -482,6 +481,15 @@ def test_simulate_determinism_and_zero_t_end():
     np.testing.assert_array_equal(a[-1].ensemble.velocities, b[-1].ensemble.velocities)
 
 
+def test_step_count_tolerance_scales_with_dt():
+    # 1e-9 of the larger of dt and |t|: half a step off the grid is off it
+    # whatever the size of dt
+    assert step_count(0.3, 0.1) == 3 and step_count(3e-12, 1e-12) == 3
+    assert step_count(200.0, 0.1) == 2000
+    with pytest.raises(InvalidCheckpoint):
+        step_count(1.5e-12, 1e-12)
+
+
 def test_simulate_rejects_bad_checkpoints_and_odd_n():
     ens = bkw_ensemble(2, 200, seed=17)
     cfg = SchemeConfig(0.1, SBM, MAXWELL_2D, seed=18)
@@ -577,7 +585,7 @@ LAW_CASES = [(2, 1.0, "normal", None), (2, 250.0, "uniform", None), (3, 0.3, "li
                               for d, dt, band, b in LAW_CASES])
 def test_one_window_moves_the_anisotropy_by_its_law(dim, dt, band, block, monkeypatch):
     # pairing, pair geometry, sphere step and scatter together; in the
-    # uniform bands exp(-d tau) is 0
+    # uniform cases tau is past the cap _uniform_time(dim) and exp(-d tau) is 0
     if block:
         monkeypatch.setattr(collision, "_PAIR_BLOCK", block)
     tau = 4.0 * (1.0 / 8.0 if dim == 2 else 1.0 / 12.0) * dt
@@ -605,7 +613,7 @@ def test_coulomb_window_moves_the_anisotropy_by_its_law():
     + (zz^T - |z|^2 I/d) exp(-d tau_k), and E[sum of v'v'^T] is the sum over
     the pairs of (ss^T + E[z'z'^T])/2. The mean is conserved, so E[D'] is
     exact for every N and every pairing. A window holds about 4200 pairs in
-    the lift band, 5700 in the mixture band and 50 in the uniform band. It
+    the lift band, 5700 in the mixture band and 50 past the cap. It
     reads z = -0.81, and -10.47 with tau 5% too large; at dt = 1 the two
     read -1.27 and -4.00, too close to the bound."""
     n, dim, dt, kernel = 20_000, 3, 5.0, COULOMB_3D

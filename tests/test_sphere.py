@@ -57,7 +57,7 @@ def test_exact2d_is_rotation_by_gaussian_angle():
 
 
 def test_circle_keeps_the_length_of_any_start():
-    # 2D starts of lengths 1e-12 to 1e4, in every band: a rotation keeps |start|
+    # 2D starts of lengths 1e-12 to 1e4, up to past the cap: a rotation keeps |start|
     rng = np.random.default_rng(90)
     starts = unit(rng.standard_normal((4000, 2))) * 10.0 ** rng.uniform(-12.0, 4.0, (4000, 1))
     taus = 10.0 ** rng.uniform(-6.0, 3.0, 4000)
@@ -70,15 +70,12 @@ def test_circle_keeps_the_length_of_any_start():
 def _circle_angles(taus, seed):
     """The angles the circle sampler draws for ``taus`` (all > 0) from RngStream(seed)."""
     gen = RngStream(seed).generator()
-    a = np.sqrt(taus) * gen.standard_normal(taus.size)
-    unif = taus >= sphere._uniform_time(2)
-    a[unif] = gen.uniform(0.0, 2.0 * np.pi, int(np.count_nonzero(unif)))
-    return a
+    return np.sqrt(np.minimum(taus, sphere._uniform_time(2))) * gen.standard_normal(taus.size)
 
 
 def test_circle_tangent_form_matches_cos_and_sin():
     # from (1, 0) the end point is (cos a, sin a): angles within 1e-8 of +-pi,
-    # where tan(a/2) is 2e8 or more, and uniform-band angles in [0, 2 pi)
+    # where tan(a/2) is 2e8 or more, and angles past the cap, of SD sqrt(92)
     n = 4000
     normals = RngStream(92).generator().standard_normal(n)
     near_pi = np.abs(normals) > 0.5
@@ -130,6 +127,15 @@ def test_determinism_of_streams():
     assert not np.array_equal(a, c)
 
 
+def test_stream_seed_out_of_range_raises():
+    # a seed is one uint64 key word: 2^64 would alias 0, and -1 alias 2^64 - 1
+    for seed in (2**64, -1):
+        with pytest.raises(ValueError, match="seed"):
+            RngStream(seed).generator()
+    top = RngStream(2**64 - 1).generator().random(4)
+    assert not np.array_equal(top, RngStream(0).generator().random(4))
+
+
 def lift_alone(starts, taus, rng):
     """The SO(3) lift's draws at every tau, also past its band, taken to
     their end points by the tangent-plane formula."""
@@ -163,10 +169,23 @@ def test_large_time_is_uniform():
     # S^2: cos(polar) is uniform on [-1, 1]
     out = batch_from(pole(3), n, 100.0, seed=12)
     assert kstest(out[:, 2], lambda x: (np.asarray(x) + 1.0) / 2.0).pvalue > 0.01
-    # S^1: the angle is uniform; tau = 1e30 would feed angles of 1e15 to cos/sin
+    # S^1: the angle is uniform; uncapped, tau = 1e30 would feed angles of 1e15 to tan
     out = batch_from(pole(2), n, 1e30, seed=14)
     angle = np.arctan2(out[:, 1], out[:, 0])
     assert kstest(angle, lambda x: (np.asarray(x) + np.pi) / (2.0 * np.pi)).pvalue > 0.01
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_times_past_the_cap_draw_the_law_at_the_cap(dim):
+    # tau is capped at _uniform_time(dim): every later time, inf included,
+    # draws bitwise what the cap draws, and so does the double just below the
+    # cap, on the normal (2D) or mixture (3D) path with the same draws
+    cap = sphere._uniform_time(dim)
+    starts = unit(np.random.default_rng(95).standard_normal((2000, dim)))
+    want = sample_sbm_batch(starts, cap, default_sampler(dim), RngStream(96))
+    for tau in (np.nextafter(cap, 0.0), 10.0 * cap, 1e300, np.inf):
+        got = sample_sbm_batch(starts, tau, default_sampler(dim), RngStream(96))
+        np.testing.assert_array_equal(got, want, err_msg=f"tau = {tau}")
 
 
 def test_radial_cos_basics():
@@ -196,8 +215,8 @@ def test_tangent_substep_distribution_matches_series_oracle():
 
 
 def test_one_batch_spans_all_3d_bands():
-    # per-pair distinct tau in the lift, mixture and uniform bands, plus
-    # tau = 0 rows, in one shuffled batch; each band is checked on its own
+    # per-pair distinct tau in the lift and mixture bands and past the cap,
+    # plus tau = 0 rows, in one shuffled batch; each band is checked on its own
     n = 100_000
     rng = np.random.default_rng(40)
     edges = [0.0, 0.15, 46.0, 1e3]
@@ -368,7 +387,7 @@ def test_lift_rows_at_vanishing_times_end_finite_and_unit(tau):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("zero_taus", [False, True], ids=["all-active", "some-zero"])
 def test_sample_into_out_never_writes_starts(dim, zero_taus):
-    # lift (or small-angle), mixture and uniform bands in one batch
+    # lift (or small-angle) and mixture bands and times past the cap in one batch
     taus = np.concatenate([np.geomspace(1e-4, 0.149, 100), np.geomspace(0.15, 45.0, 100),
                            np.full(50, 100.0)])
     if zero_taus:
@@ -386,7 +405,7 @@ def test_sample_into_out_never_writes_starts(dim, zero_taus):
 @pytest.mark.parametrize("zero_taus", [False, True], ids=["all-active", "some-zero"])
 def test_sample_into_out_matches_reference_at_pair_batch_size(order, zero_taus):
     # a 2e4-row batch shaped like a gamma = -3 collision window: mostly
-    # lift rows, about 2% mixture and 1% uniform rows, shuffled, written
+    # lift rows, about 2% mixture rows and 1% past the cap, shuffled, written
     # into a C- or Fortran-ordered out
     rng = np.random.default_rng(63)
     taus = rng.permutation(np.concatenate([np.geomspace(1e-5, 0.1499, 19_400),
@@ -432,16 +451,15 @@ def test_lift_band_from_poles_and_axes(start):
 
 
 def test_mixture_band_cosine_is_one_minus_twice_the_beta_draw():
-    # mixture and uniform rows only, so the generator is read in the
-    # sampler's order: the death-process uniforms, then u, then the normals
+    # mixture rows only, 100 of them past the cap, so the generator is read in
+    # the sampler's order: the death-process uniforms, then u, then the normals
     n = 10_000
     rng = np.random.default_rng(35)
     taus = np.concatenate([np.geomspace(0.15, 45.9, n - 100), np.full(100, 100.0)])
     starts = unit(rng.standard_normal((n, 3)))
     out = sample_sbm_batch(starts, taus, S3, RngStream(36))
     gen = RngStream(36).generator()
-    m = np.zeros(n, dtype=np.int64)
-    m[:n - 100] = _death_process_draws(taus[:n - 100], gen)
+    m = _death_process_draws(np.minimum(taus, sphere._uniform_time(3)), gen)
     b = -np.expm1(np.log1p(-gen.random(n)) / (1 + m))
     np.testing.assert_allclose(np.sum(out * starts, axis=1), 1.0 - 2.0 * b, rtol=0, atol=1e-15)
 
