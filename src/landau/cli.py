@@ -84,14 +84,23 @@ class ExperimentConfig(SimpleNamespace):
                 if steps < 1:
                     raise ConfigError(f"{name}: must be a multiple of dt of at least one step")
         if "checkpoint_every" in values:
-            times = cfg.checkpoint_times()
-            if times[-1] != round(cfg.t_end, 12):
+            # checked by step counts, without building the times: a rounding
+            # to 12 decimals that moved checkpoint_every off its step would
+            # move its multiples off theirs, or repeat them
+            every = cfg.checkpoint_every
+            if abs(round(every, 12) - every) > 1e-9 * every:
+                raise ConfigError("checkpoint_every: its multiples, rounded to 12 decimals, "
+                                  "must stay distinct and on the dt grid")
+            n = cfg._checkpoint_count()
+            if n * step_count(every, cfg.dt) != step_count(cfg.t_end, cfg.dt) \
+                    or cfg._checkpoint_time(n) != round(cfg.t_end, 12):
                 raise ConfigError("t_end: must be a multiple of checkpoint_every")
             # a time between checkpoints would be skipped without a word; no
             # reference (None) passes as t = 0
             for name, asked in (("dump_density_at", cfg.dump_density_at),
                                 ("reference_time", [values.get("reference_time") or 0.0])):
-                if not set(asked) <= set(times):
+                if not all(t / every < n + 0.5 and cfg._checkpoint_time(round(t / every)) == t
+                           for t in asked):
                     raise ConfigError(f"{name}: every time must be a checkpoint time "
                                       "(a multiple of checkpoint_every up to t_end)")
             asked = set(cfg.dump_density_at)
@@ -111,9 +120,15 @@ class ExperimentConfig(SimpleNamespace):
     def kernel(self) -> KernelParams:
         return KernelParams(self.lam, self.gamma, self.dim)
 
+    def _checkpoint_count(self):
+        """The number of whole checkpoint intervals up to t_end, in dt steps."""
+        return step_count(self.t_end, self.dt) // step_count(self.checkpoint_every, self.dt)
+
+    def _checkpoint_time(self, k):
+        return round(k * self.checkpoint_every, 12)
+
     def checkpoint_times(self):
-        n = int(np.floor(self.t_end / self.checkpoint_every + 1e-9))
-        return [round(k * self.checkpoint_every, 12) for k in range(n + 1)]
+        return [self._checkpoint_time(k) for k in range(self._checkpoint_count() + 1)]
 
 
 # Numbers must be finite and positive, or non-negative for these fields.

@@ -73,12 +73,19 @@ class SchemeConfig:
 
 
 def random_pairing(n, rng: RngStream):
-    """Uniformly random perfect matching as index arrays (i, j): a shuffle taken two at a time."""
+    """Uniformly random perfect matching as contiguous index arrays (i, j):
+    i a uniformly random ordered sample of n/2 of 0..n-1, j its complement
+    in ascending order, so only n/2 bounded draws are made.
+
+    Each matching comes from 2^(n/2) ordered samples of probability (n/2)!/n!
+    (which end of each pair is in i; j's order fixes i's), so 1/(n-1)!! each.
+    """
     if n < 2 or n % 2 != 0:
         raise OddParticleCount(f"need an even number of particles >= 2, got {n}")
-    # contiguous halves: np.take and np.put copy a strided index before use
-    i, j = rng.generator().permutation(n).reshape(-1, 2).T.copy()
-    return i, j
+    i = rng.generator().choice(n, n // 2, replace=False)
+    rest = np.ones(n, dtype=bool)
+    rest[i] = False
+    return i, np.flatnonzero(rest)
 
 
 # Pairs per block of a pair update: its (block, d) temporaries, under 1 MB

@@ -4,6 +4,7 @@ import pathlib
 import struct
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -145,6 +146,26 @@ def test_bad_values_name_the_field(tmp_path, capsys, kind, name, value):
     assert main(["run", write_config(tmp_path / "c.json", **cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err
+
+
+def test_checkpoint_times_are_checked_by_step_counts(tmp_path, capsys):
+    # rounded to 12 decimals, the times of checkpoint_every = 1e-13 would read
+    # [0.0 x6, 1e-12 x5], and those of 1.5e-12 would leave the dt grid
+    for every in (1e-13, 1.5e-12):
+        cfg = {**MINIMAL["bkw2d"], "dt": every, "checkpoint_every": every, "t_end": 10 * every}
+        with pytest.raises(ConfigError, match="checkpoint_every"):
+            config_of("bkw2d", **cfg)
+        assert main(["run", write_config(tmp_path / "c.json", kind="bkw2d", **cfg)]) == 1
+        assert "checkpoint_every" in capsys.readouterr().err
+    # a million checkpoints validate without a list of their times (83 MB)
+    tracemalloc.start()
+    config_of("bkw2d", dt=1e-6, checkpoint_every=1e-6, t_end=1.0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1e6
+    # the run's times are the multiples of checkpoint_every, rounded
+    assert config_of("bkw2d", checkpoint_every=0.3, t_end=0.9).checkpoint_times() == [
+        0.0, 0.3, 0.6, 0.9]
 
 
 def test_dump_times_need_distinct_file_names():

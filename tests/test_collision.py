@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from landau import collision
 from landau.analytic import sample_bkw
@@ -39,6 +40,14 @@ def stepped(v, pairing, cfg, step=1):
     return v
 
 
+def partners(i, j):
+    """The partner map of the pairing (i, j): theta[i[k]] = j[k] and theta[j[k]] = i[k]."""
+    theta = np.empty(2 * len(i), dtype=np.int64)
+    theta[i] = j
+    theta[j] = i
+    return theta
+
+
 def test_pairing_n2():
     i, j = random_pairing(2, RngStream(0))
     assert sorted([int(i[0]), int(j[0])]) == [0, 1]
@@ -52,21 +61,21 @@ def test_pairing_rejects_odd_and_small():
         random_pairing(0, RngStream(0))
 
 
-@pytest.mark.parametrize("n", [4, 100, 10_000])
+# numpy's choice without replacement takes Floyd's algorithm and a shuffle up
+# to n = 10000, and a partial shuffle of the tail above it
+@pytest.mark.parametrize("n", [4, 100, 10_000, 10_002])
 def test_pairing_involution_no_fixed_points(n):
     i, j = random_pairing(n, RngStream(3, step=n))
     assert i.shape == j.shape == (n // 2,)
-    # contiguous copies of the shuffle's alternate entries
+    # i is the ordered half-sample, j its complement in ascending order
     assert i.flags.c_contiguous and j.flags.c_contiguous
-    perm = RngStream(3, step=n).generator().permutation(n)
-    np.testing.assert_array_equal(i, perm[0::2])
-    np.testing.assert_array_equal(j, perm[1::2])
+    np.testing.assert_array_equal(i, RngStream(3, step=n).generator().choice(n, n // 2,
+                                                                              replace=False))
+    assert np.all(np.diff(j) > 0)
     # the two halves are disjoint and together cover 0..n-1
     np.testing.assert_array_equal(np.sort(np.concatenate([i, j])), np.arange(n))
     # so the partner map they define is a fixed-point-free involution
-    theta = np.empty(n, dtype=np.int64)
-    theta[i] = j
-    theta[j] = i
+    theta = partners(i, j)
     idx = np.arange(n)
     assert np.all(theta != idx)
     np.testing.assert_array_equal(theta[theta], idx)
@@ -83,6 +92,33 @@ def test_pairing_uniform_over_matchings_n4():
     se = np.sqrt((1.0 / 3.0) * (2.0 / 3.0) / trials)
     for c in counts.values():
         assert abs(c / trials - 1.0 / 3.0) <= 3.0 * se
+
+
+def test_pairing_uniform_over_matchings_n6():
+    # the Floyd path of numpy's choice: each of the 15 matchings of six
+    # particles, keyed by its partner map, has probability 1/15
+    trials = 30_000
+    counts = {}
+    for k in range(trials):
+        key = partners(*random_pairing(6, RngStream(12, step=k))).tobytes()
+        counts[key] = counts.get(key, 0) + 1
+    assert len(counts) == 15
+    assert chisquare(list(counts.values())).pvalue >= 1e-3
+
+
+def test_pairing_partner_uniform_n10002():
+    # the tail-shuffle path of numpy's choice: the partner of a particle is
+    # uniform over the other 10001, taken here in 20 bins of 500 or 501 ranks
+    n, trials, bins = 10_002, 10_000, 20
+    observed = {p: [] for p in (0, 5001, 10_001)}
+    for k in range(trials):
+        theta = partners(*random_pairing(n, RngStream(13, step=k)))
+        for p, seen in observed.items():
+            seen.append(theta[p] - (theta[p] > p))  # its rank among the others
+    expected = np.diff(-(-np.arange(bins + 1) * (n - 1) // bins)) * trials / (n - 1)
+    for seen in observed.values():
+        counts = np.bincount(np.array(seen) * bins // (n - 1), minlength=bins)
+        assert chisquare(counts, expected).pvalue >= 1e-3
 
 
 def test_sbm_step_zero_rate_is_identity():
