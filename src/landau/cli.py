@@ -350,7 +350,7 @@ _RUN = {"outdir": (str, "."), "seed": (int, 0), "dt": (float, REQUIRED)}
 
 def _density(dim):  # kinds that score the particles by a KDE on a velocity grid
     return {**_RUN, "scheme": ((SBM, EM), SBM), "grid_extent": (float, DEFAULT_GRID_EXTENT),
-            "grid_cells": (int, DEFAULT_GRID_CELLS[dim]), "eps": (float, 0.01)}
+            "grid_cells": (int, DEFAULT_GRID_CELLS[dim]), "eps": (float, DiagnosticsPlan.eps)}
 
 
 def _homogeneous(dim):
@@ -371,7 +371,7 @@ _KINDS = {
     "vpl-damping": _Kind(_run_vpl, {"dim": 2, "gamma": -2.0},
                          {**_RUN, "n_particles": (int, REQUIRED), "t_end": (float, REQUIRED),
                           "lam": (float, 0.0), "alpha": (float, REQUIRED),
-                          "n_cells": (int, 128), "n_iters": (int, 5),
+                          "n_cells": (int, VplConfig.n_cells), "n_iters": (int, VplConfig.n_iters),
                           "dump_field": (bool, False)}),
     "convergence-study": _Kind(_run_convergence, _MAXWELL_2D,
                                {**_density(2), "n_list": ([int], REQUIRED),

@@ -100,7 +100,8 @@ def sbm_pair_update(v, i, j, kernel: KernelParams, dt, rng: RngStream):
     and the pair becomes (s +/- z')/2 with s = v_i + v_j, so momentum and
     kinetic energy are conserved per pair to rounding. Pairs with |z| below
     the degeneracy floor keep their velocities bitwise; a zero collision
-    strength leaves ``v`` untouched. The pairs must be disjoint.
+    strength leaves ``v`` untouched. The pairs must be disjoint. A 3D block
+    whose |z|^2 overflows raises NonFiniteState before it is written.
 
     The pairs are updated in blocks of _PAIR_BLOCK, in order, all sampled
     from the one generator of ``rng``. A batch of at most _PAIR_BLOCK pairs,
@@ -117,9 +118,9 @@ def em_pair_update(v, i, j, kernel: KernelParams, dt, rng: RngStream):
     draws. This takes one Euler-Maruyama step of Y, in the same blocks and
     with the same floor; each block draws one (m, d) normal block for its m
     kept pairs. Momentum is conserved per pair, kinetic energy is not. A
-    block whose new velocities are not finite raises NonFiniteState before
-    it is written, so a batch of at most _PAIR_BLOCK pairs leaves ``v``
-    untouched.
+    block with a |z|^2 that overflows, or whose new velocities are not
+    finite, raises NonFiniteState before it is written, so a batch of at
+    most _PAIR_BLOCK pairs leaves ``v`` untouched.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises NonFiniteState
         _pair_update(v, i, j, kernel, dt, rng, _em_sphere_step)
@@ -166,8 +167,10 @@ def _pair_block(v, i, j, kernel, dt, gen, sphere_step):
     zp = np.take(v, j, axis=0)
     z = s - zp
     s += zp
-    # one |z|^2 per pair decides the floor, the time scale and the rescale
-    r2 = _sq_norm(z)
+    # one |z|^2 per pair decides the floor, the time scale and the rescale;
+    # above |z| ~ 1.3e154 it is inf, which only the 2D SBM turn, taking no |z|, can use
+    with np.errstate(over="ignore"):
+        r2 = _sq_norm(z)
     good = r2 >= _R2_FLOOR
     if not good.all():
         keep = np.flatnonzero(good)
@@ -176,8 +179,12 @@ def _pair_block(v, i, j, kernel, dt, gen, sphere_step):
     tau *= dt
     # a turn of the circle keeps |z|, so the 2D SBM step turns z itself; the
     # S^2 formula and the EM step take z/|z|, and their end point is scaled back
-    unit = sphere_step is _em_sphere_step or z.shape[1] == 3
+    em = sphere_step is _em_sphere_step
+    unit = em or z.shape[1] == 3
     if unit:
+        if r2.max(initial=0.0) == np.inf:
+            raise NonFiniteState(f"{'Euler-Maruyama' if em else 'SBM'} step is not finite: "
+                                 "|z| overflows")
         r = np.sqrt(r2, out=r2)
         for col in z.T:
             col /= r
@@ -190,7 +197,7 @@ def _pair_block(v, i, j, kernel, dt, gen, sphere_step):
     vj = np.subtract(s, zp, out=s)
     vj /= 2.0
     # an SBM step keeps |z|, so only an EM step can blow up
-    if sphere_step is _em_sphere_step and not (np.isfinite(vi).all() and np.isfinite(vj).all()):
+    if em and not (np.isfinite(vi).all() and np.isfinite(vj).all()):
         raise NonFiniteState(f"Euler-Maruyama step is not finite (dt={dt:g})")
     _put_rows(v, i, vi)
     _put_rows(v, j, vj)

@@ -229,11 +229,13 @@ def sample_sbm_batch(starts, taus, kind, rng, out=None):
     3D starts must be unit vectors; 2D starts may have any nonzero length,
     which the end point keeps. ``kind`` must be ``default_sampler(dim)``.
     ``rng`` is an RngStream, or a numpy Generator that is drawn from where it
-    stands. Every tau must be >= 0: rows with tau = 0 keep their start point,
-    and tau is capped at ``_uniform_time(dim)``, so tau = inf samples the
-    uniform law. Returns the end points aligned with ``starts``, in ``out``
-    when given (an (n, dim) float array that does not overlap ``starts``,
-    which is never written).
+    stands. Every tau must be >= 0, and tau is capped at
+    ``_uniform_time(dim)``, so tau = inf samples the uniform law. A row with
+    tau = 0 draws like any other and ends at its start: bitwise in 2D (it
+    turns by tan 0 = 0), renormalized in 3D (the lift at zero time has B = 0).
+    Returns the end points aligned with ``starts``, in ``out`` when given (an
+    (n, dim) float array that does not overlap ``starts``, which is never
+    written).
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     n, dim = starts.shape
@@ -243,38 +245,28 @@ def sample_sbm_batch(starts, taus, kind, rng, out=None):
     _check_kind(kind, dim)
     if out is None:
         out = np.empty((n, dim))
-    active = taus > 0
-    # with every tau > 0 (the usual case) the batch is sampled into out without copies
-    idx = None if active.all() else np.flatnonzero(active)
-    y0, t = (starts, taus) if idx is None else (starts[idx], taus[idx])
-    res = out if idx is None else np.empty_like(y0)
     gen = rng if isinstance(rng, np.random.Generator) else rng.generator()
-
     if dim == 3:
-        _sample_s2(y0, t, gen, res)
-    else:
-        a = np.minimum(t, _uniform_time(2))
-        np.sqrt(a, out=a)
-        a *= gen.standard_normal(t.size)
-        # cos a = c - 1 and sin a = h c for h = tan(a/2), c = 2/(1 + h^2). No
-        # double is an odd multiple of pi/2, so h is finite (below 2e18 for
-        # |a| < 190; the cap keeps |a| <= 9.6 |normal|) and h^2 cannot overflow.
-        a *= 0.5
-        h = np.tan(a, out=a)
-        c = np.multiply(h, h)
-        c += 1.0
-        np.divide(2.0, c, out=c)
-        sn = np.multiply(h, c, out=a)
-        c -= 1.0
-        # res = (c x0 - sn x1, sn x0 + c x1), one column at a time, with
-        # r1 and then sn as the scratch for the second product
-        (x0, x1), (r0, r1) = y0.T, res.T
-        np.multiply(sn, x1, out=r1)
-        np.multiply(c, x0, out=r0)
-        r0 -= r1
-        np.multiply(sn, x0, out=r1)
-        r1 += np.multiply(c, x1, out=sn)
-    if idx is not None:
-        out[...] = starts
-        out[idx] = res
+        return _sample_s2(starts, taus, gen, out)
+    a = np.minimum(taus, _uniform_time(2))
+    np.sqrt(a, out=a)
+    a *= gen.standard_normal(n)
+    # cos a = c - 1 and sin a = h c for h = tan(a/2), c = 2/(1 + h^2). No
+    # double is an odd multiple of pi/2, so h is finite (below 2e18 for
+    # |a| < 190; the cap keeps |a| <= 9.6 |normal|) and h^2 cannot overflow.
+    a *= 0.5
+    h = np.tan(a, out=a)
+    c = np.multiply(h, h)
+    c += 1.0
+    np.divide(2.0, c, out=c)
+    sn = np.multiply(h, c, out=a)
+    c -= 1.0
+    # out = (c x0 - sn x1, sn x0 + c x1), one column at a time, with
+    # r1 and then sn as the scratch for the second product
+    (x0, x1), (r0, r1) = starts.T, out.T
+    np.multiply(sn, x1, out=r1)
+    np.multiply(c, x0, out=r0)
+    r0 -= r1
+    np.multiply(sn, x0, out=r1)
+    r1 += np.multiply(c, x1, out=sn)
     return out

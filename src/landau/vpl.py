@@ -117,12 +117,11 @@ def hat_weights(u, grid: PicGrid, out=None):
 
 
 def deposit_charge(state: VplState, grid: PicGrid):
-    """Cell-center charge density with the neutralizing background removed,
-    deposited as deposit_current deposits unit velocities."""
-    i0, g = hat_weights(state.positions / grid.dx - 0.5, grid)
-    up = np.bincount(i0, weights=g, minlength=grid.n0)
-    raw = (np.bincount(i0, minlength=grid.n0) - up + np.roll(up, 1)) * (state.charge / grid.dx)
-    return raw - raw.mean()
+    """Cell-center charge density with the neutralizing background removed:
+    the current of unit velocities, less its mean."""
+    hat = hat_weights(state.positions / grid.dx - 0.5, grid)
+    j, mean = deposit_current(hat, np.ones(len(state.positions)), grid, state.charge)
+    return j - mean
 
 
 def solve_poisson(rho, grid: PicGrid):

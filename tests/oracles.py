@@ -194,20 +194,6 @@ def direct_mollified_density(v, eps, lo, hi, n_grid, sigmas=6.0):
     return out / ((2.0 * math.pi * eps) ** (d / 2.0) * n)
 
 
-def radial_entropy(f_of_r2, dim, r_max=40.0):
-    """int f log f dv for a radial density given as a function of |v|^2."""
-    surf = 2.0 * np.pi if dim == 2 else 4.0 * np.pi
-
-    def g(r):
-        val = f_of_r2(r * r)
-        if val <= 0:
-            return 0.0
-        return surf * r ** (dim - 1) * val * np.log(val)
-
-    val, _ = integrate.quad(g, 0.0, r_max, limit=400)
-    return val
-
-
 def radial_moment(f_of_r2, dim, power=0, r_max=40.0):
     """int |v|^power f dv for a radial density given as a function of |v|^2."""
     surf = 2.0 * np.pi if dim == 2 else 4.0 * np.pi
@@ -383,8 +369,10 @@ def reference_tangent(g, y0):
 
 
 def reference_tangent_end(y0, b, e):
-    """(1 - 2B) y0 + 2 sqrt(B (1 - B)) e / |e|, renormalized."""
+    """(1 - 2B) y0 + 2 sqrt(B (1 - B)) e / |e|, renormalized; e is unused,
+    and may be zero, on a row with B = 0."""
     b = b[:, None]
+    e = np.where(b > 0, e, y0)  # any nonzero stand-in: its weight is 0
     return unit((1.0 - 2.0 * b) * y0 + 2.0 * np.sqrt(b * (1.0 - b)) * unit(e))
 
 
@@ -439,9 +427,7 @@ def reference_sample_sbm_batch(starts, taus, rng, trig=False):
     np.sin when ``trig``; the two agree to rounding on the same draws."""
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     n, dim = starts.shape
-    taus = np.broadcast_to(np.asarray(taus, dtype=float), (n,))
-    active = taus > 0
-    y0, t = starts[active], taus[active]
+    y0, t = starts, np.broadcast_to(np.asarray(taus, dtype=float), (n,))
     gen = rng.generator()
     if dim == 3:
         res = _reference_sample_s2(y0, t, gen)
@@ -456,9 +442,7 @@ def reference_sample_sbm_batch(starts, taus, rng, trig=False):
         res = np.empty_like(y0)
         res[:, 0] = c * y0[:, 0] - sn * y0[:, 1]
         res[:, 1] = sn * y0[:, 0] + c * y0[:, 1]
-    out = starts.copy()
-    out[active] = res
-    return out
+    return res
 
 
 def reference_sbm_pair_update(v, i, j, kernel, dt, rng, trig=False):

@@ -194,6 +194,12 @@ def test_damping_sampler_converges_near_alpha_one(alpha):
     np.testing.assert_allclose(x + 2 * alpha * np.sin(0.5 * x), u, atol=2e-12)
 
 
+@pytest.mark.parametrize("alpha", [-0.1, 1.0])
+def test_damping_sampler_rejects_alpha_outside_0_1(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        sample_landau_damping(10, alpha, RngStream(8))
+
+
 def test_damping_sampler_raises_at_its_sweep_cap(monkeypatch):
     monkeypatch.setattr(analytic, "_DAMPING_MAX_SWEEPS", 1)
     with pytest.raises(FixedPointNotConverged):

@@ -499,6 +499,29 @@ def test_sampler_test_command(capsys, tmp_path):
     assert data["config"]["kind"] == "sampler-test" and data["run_seconds"] > 0
 
 
+@pytest.mark.parametrize("text, match", [("[1, 2]", "top level must be a JSON object"),
+                                         ("{", "cannot read config"), (None, "cannot read config")],
+                         ids=["list", "bad-json", "missing"])
+def test_unreadable_config_is_one_error_line(tmp_path, capsys, text, match):
+    path = tmp_path / "c.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and match in err
+
+
+def test_failing_sampler_test_exits_1_without_a_manifest(tmp_path, capsys, monkeypatch):
+    # a sampler that never moves its starts fails the moment check
+    monkeypatch.setattr(landau.cli, "sample_sbm_batch", lambda starts, *args: np.array(starts))
+    path = write_config(tmp_path / "s.json", kind="sampler-test", dim=3, tau=0.5,
+                        samples=1000, outdir=str(tmp_path / "out"))
+    assert main(["run", path]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.out and "sampler-test failed" in captured.err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_shipped_presets_run(tmp_path, capsys):
     # every preset validates as shipped, and, shrunk, runs end to end through
     # `landau run`: a runner that reads a field its kind does not declare fails here

@@ -505,6 +505,39 @@ def test_em_blow_up_leaves_the_block_unwritten():
     np.testing.assert_array_equal(v, v0)
 
 
+def _overflow_pairs(dim):
+    """A finite pair, then one whose |z|^2 = 4e320 overflows, as (v, i, j)."""
+    v = np.zeros((4, dim))
+    v[0, 0], v[1, 1], v[2, 0], v[3, 0] = 1.0, 1.0, 1e160, -1e160
+    return v, np.array([0, 2]), np.array([1, 3])
+
+
+@pytest.mark.parametrize("update,dim,gamma", [(sbm_pair_update, 3, 0.0), (sbm_pair_update, 3, -3.0),
+                                              (em_pair_update, 2, 0.0), (em_pair_update, 3, 0.0)])
+def test_pair_whose_sq_norm_overflows_raises_before_any_write(update, dim, gamma):
+    # the S^2 step and the EM step take |z| = inf; the block raises, with no
+    # RuntimeWarning, before it writes either pair
+    v, i, j = _overflow_pairs(dim)
+    v0 = v.copy()
+    with pytest.raises(NonFiniteState, match="overflows"):
+        update(v, i, j, KernelParams(1.0 / 8.0, gamma, dim), 1.0, RngStream(28))
+    np.testing.assert_array_equal(v, v0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -3.0])
+def test_2d_sbm_turns_a_pair_whose_sq_norm_overflows(gamma):
+    # the circle turns z itself and never takes |z|; at gamma = -3 tau
+    # underflows to 0, as the exact |z|^-3 does, and the pair stays put
+    v, i, j = _overflow_pairs(2)
+    v0 = v.copy()
+    sbm_pair_update(v, i, j, KernelParams(1.0 / 8.0, gamma, 2), 1.0, RngStream(29))
+    np.testing.assert_array_equal(v[2] + v[3], v0[2] + v0[3])
+    z = v[2] - v[3]
+    assert abs(np.hypot(*z) / 2e160 - 1.0) <= 8 * np.finfo(float).eps
+    if gamma == -3.0:
+        np.testing.assert_array_equal(v[2:], v0[2:])
+
+
 def test_simulate_determinism_and_zero_t_end():
     ens = bkw_ensemble(2, 200, seed=15)
     cfg = SchemeConfig(0.1, SBM, MAXWELL_2D, seed=16)
@@ -538,6 +571,21 @@ def test_simulate_rejects_bad_checkpoints_and_odd_n():
     odd = ParticleEnsemble(np.zeros((3, 2)) + np.arange(3)[:, None])
     with pytest.raises(OddParticleCount):
         simulate_homogeneous(cfg, odd, 1.0, [1.0])
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: ParticleEnsemble(np.zeros((1, 2))), "N >= 2"),
+    (lambda: ParticleEnsemble(np.zeros(4)), "N >= 2"),
+    (lambda: ParticleEnsemble(np.zeros((4, 4))), "only d in"),
+    (lambda: ParticleEnsemble(np.array([[np.inf, 0.0], [0.0, 0.0]])), "finite"),
+    (lambda: SchemeConfig(0.0, SBM, MAXWELL_2D), "dt must be positive"),
+    (lambda: SchemeConfig(0.1, "rk4", MAXWELL_2D), "scheme must be"),
+    (lambda: simulate_homogeneous(SchemeConfig(0.1, SBM, MAXWELL_2D), bkw_ensemble(2, 4),
+                                  -0.1, []), "t_end must be >= 0")],
+    ids=["one-particle", "flat", "4d", "non-finite", "dt-zero", "scheme", "t_end-negative"])
+def test_bad_inputs_raise_value_errors(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 @pytest.mark.parametrize("kernel,dim", [(MAXWELL_3D, 2), (MAXWELL_2D, 3)])

@@ -302,6 +302,22 @@ def test_csv_writer_matches_reference_bytes(tmp_path, dim, n_grid):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+def test_rel_l2_rejects_a_zero_reference():
+    zero = DensityGrid(2, 0.0, 1.0, 2, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="identically zero"):
+        relative_l2_error(zero, DensityGrid(2, 0.0, 1.0, 2, np.ones((2, 2))))
+
+
+def test_csv_row_with_a_wrong_column_count_raises_with_line(tmp_path):
+    p = tmp_path / "grid.csv"
+    save_grid_csv(DensityGrid(2, -3.0, 3.0, 4, np.ones((4, 4))), p)
+    lines = p.read_text().splitlines()
+    lines[4] = "0.1,1.0"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="line 5: expected 3 columns"):
+        load_grid_csv(p)
+
+
 def test_malformed_csv_raises_with_line(tmp_path):
     grid = DensityGrid(2, -3.0, 3.0, 4, np.ones((4, 4)))
     p = tmp_path / "grid.csv"

@@ -110,6 +110,12 @@ def test_time_scale_at_gamma_zero_is_bitwise_constant(p):
         np.testing.assert_array_equal(got, expect)
 
 
+@pytest.mark.parametrize("lam, dim, match", [(-1.0, 2, "strength"), (1.0, 4, "dim")])
+def test_kernel_params_reject_bad_values(lam, dim, match):
+    with pytest.raises(ValueError, match=match):
+        KernelParams(lam, 0.0, dim)
+
+
 def test_degenerate_raises_for_negative_gamma():
     p = KernelParams(0.125, -3.0, 2)
     tiny = [Z_FLOOR / 10.0, 0.0]

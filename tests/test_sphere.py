@@ -67,6 +67,16 @@ def test_circle_keeps_the_length_of_any_start():
     assert np.max(np.abs(ratio - 1.0)) <= 8 * np.finfo(float).eps
 
 
+def test_circle_rows_at_zero_time_end_at_their_start():
+    # tau = 0 rows of any length among moving rows draw like any row and turn by tan 0 = 0
+    rng = np.random.default_rng(92)
+    starts = rng.standard_normal((4000, 2)) * 10.0 ** rng.uniform(-12.0, 4.0, (4000, 1))
+    taus = np.where(rng.random(4000) < 0.25, 0.0, 10.0 ** rng.uniform(-6.0, 3.0, 4000))
+    out = sample_sbm_batch(starts, taus, E2, RngStream(93))
+    np.testing.assert_array_equal(out[taus == 0], starts[taus == 0])
+    assert not np.any(np.all(out[taus > 0] == starts[taus > 0], axis=1))
+
+
 def _circle_angles(taus, seed):
     """The angles the circle sampler draws for ``taus`` (all > 0) from RngStream(seed)."""
     gen = RngStream(seed).generator()
@@ -106,6 +116,12 @@ def test_invalid_sampler_for_dim():
     with pytest.raises(InvalidSamplerForDim):
         SchemeConfig(0.1, SBM, KernelParams(1.0, 0.0, 2), "exact2d")
     SchemeConfig(0.1, SBM, KernelParams(1.0, 0.0, 3), S3)
+
+
+@pytest.mark.parametrize("kind", [E2, S3])
+def test_sampler_rejects_a_dimension_without_a_sphere_sampler(kind):
+    with pytest.raises(InvalidSamplerForDim, match="unsupported dimension 4"):
+        sample_sbm_batch(np.eye(4), 0.1, kind, RngStream(0))
 
 
 def test_unit_norm_output():
@@ -226,7 +242,8 @@ def test_one_batch_spans_all_3d_bands():
     taus = rng.permutation(taus)
     starts = unit(rng.standard_normal((taus.size, 3)))
     out = sample_sbm_batch(starts, taus, S3, RngStream(41))
-    np.testing.assert_array_equal(out[taus == 0], starts[taus == 0])
+    zero = starts[taus == 0]
+    np.testing.assert_array_equal(out[taus == 0], zero / np.sqrt(np.sum(zero * zero, axis=1))[:, None])
     c = np.sum(out * starts, axis=1)
     for lo, hi in zip(edges[:-1], edges[1:]):
         sel = (taus > lo) & (taus <= hi)

@@ -156,6 +156,32 @@ def test_cn_step_raises_on_nonfinite():
         cn_va_step(state, 1e6, 5, grid)
 
 
+def _cn_blow_up():
+    # a field of 1e308 drives every midpoint velocity to 5e307, so the
+    # current of a cell overflows and E' = E - dt (J - J_mean) is not finite
+    grid = PicGrid(LENGTH, 8)
+    x = (np.arange(64) % 8 + 0.5) * grid.dx
+    state = make_state(x, np.zeros((64, 2)), grid, field=np.full(8, 1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cn_va_step(state, 1.0, 1, grid)
+
+
+@pytest.mark.parametrize("make, error, match", [
+    (lambda: PicGrid(0.0, 8), ValueError, "length > 0"),
+    (lambda: PicGrid(LENGTH, 1), ValueError, "n0 >= 2"),
+    (lambda: VplState(np.zeros(4), np.zeros((4, 3)), np.zeros(8), 1.0), ValueError, r"\(N, 2\)"),
+    (lambda: VplState(np.zeros(4), np.zeros((3, 2)), np.zeros(8), 1.0), ValueError, r"\(N, 2\)"),
+    (lambda: VplState(np.zeros(4), np.zeros((4, 2)), np.full(8, np.nan), 1.0), NonFiniteState,
+     "non-finite entries"),
+    (lambda: cn_va_step(make_state(np.ones(4), np.zeros((4, 2)), PicGrid(LENGTH, 8)), 0.1, 0,
+                        PicGrid(LENGTH, 8)), ValueError, "n_iters must be >= 1"),
+    (_cn_blow_up, NonFiniteState, "non-finite field")],
+    ids=["length", "n0", "velocity-dim", "velocity-count", "nan-field", "n_iters", "field-overflow"])
+def test_bad_pic_inputs_raise(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
+
+
 def test_cn_step_raises_on_sweep_divergence():
     # the Euler predictor stays finite; vpl._bounds rejects the first sweep's
     # midpoint cells, which reach past its 2^53 bound
