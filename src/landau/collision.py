@@ -100,12 +100,14 @@ def sbm_pair_update(v, i, j, kernel: KernelParams, dt, rng: RngStream):
     and the pair becomes (s +/- z')/2 with s = v_i + v_j, so momentum and
     kinetic energy are conserved per pair to rounding. Pairs with |z| below
     the degeneracy floor keep their velocities bitwise; a zero collision
-    strength leaves ``v`` untouched. The pairs must be disjoint. A 3D block
-    whose |z|^2 overflows raises NonFiniteState before it is written.
+    strength leaves ``v`` untouched. The pairs must be disjoint.
 
     The pairs are updated in blocks of _PAIR_BLOCK, in order, all sampled
     from the one generator of ``rng``. A batch of at most _PAIR_BLOCK pairs,
-    or any 2D batch, draws as one unblocked batch would.
+    or any 2D batch, draws as one unblocked batch would. A block whose new
+    velocities are not all finite raises NonFiniteState, with no
+    RuntimeWarning, before it writes any pair; earlier blocks keep their
+    update, so a batch of at most _PAIR_BLOCK pairs leaves ``v`` untouched.
     """
     _pair_update(v, i, j, kernel, dt, rng, _sbm_sphere_step)
 
@@ -115,15 +117,12 @@ def em_pair_update(v, i, j, kernel: KernelParams, dt, rng: RngStream):
 
     In the time tau = k(z) t the pair SDE is z = |z| Y, Y the sphere SDE
     dY = -(d-1)/2 Y dtau + (I - Y Y^T) dB whose exact law sbm_pair_update
-    draws. This takes one Euler-Maruyama step of Y, in the same blocks and
-    with the same floor; each block draws one (m, d) normal block for its m
-    kept pairs. Momentum is conserved per pair, kinetic energy is not. A
-    block with a |z|^2 that overflows, or whose new velocities are not
-    finite, raises NonFiniteState before it is written, so a batch of at
-    most _PAIR_BLOCK pairs leaves ``v`` untouched.
+    draws. This takes one Euler-Maruyama step of Y, in the same blocks, with
+    the same floor and non-finite rule; each block draws one (m, d) normal
+    block for its m kept pairs. Momentum is conserved per pair, kinetic
+    energy is not.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises NonFiniteState
-        _pair_update(v, i, j, kernel, dt, rng, _em_sphere_step)
+    _pair_update(v, i, j, kernel, dt, rng, _em_sphere_step)
 
 
 def _sbm_sphere_step(y, tau, gen, out):
@@ -147,6 +146,7 @@ def _em_sphere_step(y, tau, gen, out):
         xi_a += y_a * drift
 
 
+@np.errstate(over="ignore", invalid="ignore")  # whatever is not finite raises NonFiniteState
 def _pair_update(v, i, j, kernel, dt, rng, sphere_step):
     if kernel.lam == 0:
         return
@@ -167,10 +167,7 @@ def _pair_block(v, i, j, kernel, dt, gen, sphere_step):
     zp = np.take(v, j, axis=0)
     z = s - zp
     s += zp
-    # one |z|^2 per pair decides the floor, the time scale and the rescale;
-    # above |z| ~ 1.3e154 it is inf, which only the 2D SBM turn, taking no |z|, can use
-    with np.errstate(over="ignore"):
-        r2 = _sq_norm(z)
+    r2 = _sq_norm(z)  # one per pair: the floor, the time scale and the rescale
     good = r2 >= _R2_FLOOR
     if not good.all():
         keep = np.flatnonzero(good)
@@ -182,9 +179,6 @@ def _pair_block(v, i, j, kernel, dt, gen, sphere_step):
     em = sphere_step is _em_sphere_step
     unit = em or z.shape[1] == 3
     if unit:
-        if r2.max(initial=0.0) == np.inf:
-            raise NonFiniteState(f"{'Euler-Maruyama' if em else 'SBM'} step is not finite: "
-                                 "|z| overflows")
         r = np.sqrt(r2, out=r2)
         for col in z.T:
             col /= r
@@ -196,9 +190,9 @@ def _pair_block(v, i, j, kernel, dt, gen, sphere_step):
     vi /= 2.0
     vj = np.subtract(s, zp, out=s)
     vj /= 2.0
-    # an SBM step keeps |z|, so only an EM step can blow up
-    if em and not (np.isfinite(vi).all() and np.isfinite(vj).all()):
-        raise NonFiniteState(f"Euler-Maruyama step is not finite (dt={dt:g})")
+    if not (np.isfinite(vi).all() and np.isfinite(vj).all()):
+        raise NonFiniteState(f"{'Euler-Maruyama' if em else 'SBM'} step is not finite "
+                             f"(dt={dt:g}): a velocity overflows")
     _put_rows(v, i, vi)
     _put_rows(v, j, vj)
 
@@ -260,8 +254,8 @@ def simulate_homogeneous(cfg: SchemeConfig, init: ParticleEnsemble, t_end, check
 
     The velocities of ``init`` are copied once, and each window updates the
     copy in place; ``init`` is never written. ``checkpoints`` are times
-    (multiples of dt) at which diagnostics are recorded; velocity snapshots
-    are copied and kept only when requested.
+    (multiples of dt, one per step) at which diagnostics are recorded;
+    velocity snapshots are copied and kept only when requested.
     """
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
@@ -271,9 +265,12 @@ def simulate_homogeneous(cfg: SchemeConfig, init: ParticleEnsemble, t_end, check
         raise ValueError(f"a {cfg.kernel.dim}D kernel cannot step {init.dim}D velocities")
     plan = plan or DiagnosticsPlan()
     n_steps = step_count(t_end, cfg.dt)
+    checkpoints = list(checkpoints)
     marks = {step_count(t, cfg.dt): t for t in checkpoints}
+    if len(marks) < len(checkpoints):
+        raise InvalidCheckpoint(f"two of the checkpoints {checkpoints} fall on one step of dt={cfg.dt}")
     if not all(0 <= k <= n_steps for k in marks):
-        raise InvalidCheckpoint(f"checkpoints {list(checkpoints)} reach outside [0, {t_end}]")
+        raise InvalidCheckpoint(f"checkpoints {checkpoints} reach outside [0, {t_end}]")
     out = []
     v = init.velocities.copy()
     for step in range(n_steps + 1):

@@ -167,6 +167,7 @@ def deposit_current(hat, vx, grid: PicGrid, charge, out=None):
     return j, float(j.mean())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # whatever is not finite raises NonFiniteState
 def cn_va_step(state: VplState, dt, n_iters, grid: PicGrid) -> VplState:
     """One Crank-Nicolson Vlasov-Ampere step of exactly n_iters sweeps.
 
@@ -314,6 +315,12 @@ class VplConfig:
     length: ClassVar[float] = DAMPING_LENGTH
 
     def __post_init__(self):
+        if self.n_particles < 1:
+            raise ValueError(f"n_particles must be >= 1, got {self.n_particles!r}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not 0 <= self.t_end < math.inf:
+            raise ValueError(f"t_end must be >= 0 and finite, got {self.t_end!r}")
         if self.n_iters < 1:
             raise ValueError(f"n_iters must be >= 1, got {self.n_iters!r}")
         if self.kernel.dim != 2:

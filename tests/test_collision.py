@@ -505,19 +505,30 @@ def test_em_blow_up_leaves_the_block_unwritten():
     np.testing.assert_array_equal(v, v0)
 
 
-def _overflow_pairs(dim):
-    """A finite pair, then one whose |z|^2 = 4e320 overflows, as (v, i, j)."""
+def _overflow_pairs(dim, what="sq_norm"):
+    """A finite pair, then one whose |z|^2 = 4e320 ("sq_norm"), z = v_i - v_j
+    ("z") or s = v_i + v_j ("s") overflows, as (v, i, j)."""
     v = np.zeros((4, dim))
-    v[0, 0], v[1, 1], v[2, 0], v[3, 0] = 1.0, 1.0, 1e160, -1e160
+    big = 1e160 if what == "sq_norm" else 1e308
+    v[0, 0], v[1, 1], v[2, 0], v[3, 0] = 1.0, 1.0, big, big if what == "s" else -big
+    v[3, 1] = 1.0 if what == "s" else 0.0
     return v, np.array([0, 2]), np.array([1, 3])
 
 
-@pytest.mark.parametrize("update,dim,gamma", [(sbm_pair_update, 3, 0.0), (sbm_pair_update, 3, -3.0),
-                                              (em_pair_update, 2, 0.0), (em_pair_update, 3, 0.0)])
-def test_pair_whose_sq_norm_overflows_raises_before_any_write(update, dim, gamma):
-    # the S^2 step and the EM step take |z| = inf; the block raises, with no
+_OVERFLOWS = ([(sbm_pair_update, 3, 0.0, "sq_norm"), (sbm_pair_update, 3, -3.0, "sq_norm"),
+               (em_pair_update, 2, 0.0, "sq_norm"), (em_pair_update, 3, 0.0, "sq_norm")]
+              + [(sbm_pair_update, dim, gamma, what) for what in ("z", "s")
+                 for dim in (2, 3) for gamma in (0.0, -3.0)])
+
+
+@pytest.mark.parametrize("update,dim,gamma,what", _OVERFLOWS,
+                         ids=[f"{u.__name__}-{d}-{g}" + ("" if w == "sq_norm" else f"-{w}")
+                              for u, d, g, w in _OVERFLOWS])
+def test_pair_whose_sq_norm_overflows_raises_before_any_write(update, dim, gamma, what):
+    # a pair whose z, s or |z|^2 (taken by the S^2 and EM steps) overflows
+    # writes a velocity that is not finite; the block raises, with no
     # RuntimeWarning, before it writes either pair
-    v, i, j = _overflow_pairs(dim)
+    v, i, j = _overflow_pairs(dim, what)
     v0 = v.copy()
     with pytest.raises(NonFiniteState, match="overflows"):
         update(v, i, j, KernelParams(1.0 / 8.0, gamma, dim), 1.0, RngStream(28))
@@ -568,6 +579,8 @@ def test_simulate_rejects_bad_checkpoints_and_odd_n():
         simulate_homogeneous(cfg, ens, 1.0, [2.0])  # past t_end
     with pytest.raises(InvalidCheckpoint):
         simulate_homogeneous(cfg, ens, 0.25, [0.0])  # t_end off the dt grid
+    with pytest.raises(InvalidCheckpoint, match="one step"):
+        simulate_homogeneous(cfg, ens, 1.0, [1.0, 0.5, 0.5, 0.5000000000001])
     odd = ParticleEnsemble(np.zeros((3, 2)) + np.arange(3)[:, None])
     with pytest.raises(OddParticleCount):
         simulate_homogeneous(cfg, odd, 1.0, [1.0])

@@ -152,7 +152,7 @@ def test_cn_step_conserves_energy_and_leaves_vy():
 def test_cn_step_raises_on_nonfinite():
     grid = PicGrid(LENGTH, 16)
     state = make_state(np.array([1.0, 2.0]), np.array([[1e308, 0.0], [-1e308, 0.0]]), grid)
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteState):
+    with pytest.raises(NonFiniteState):
         cn_va_step(state, 1e6, 5, grid)
 
 
@@ -162,8 +162,7 @@ def _cn_blow_up():
     grid = PicGrid(LENGTH, 8)
     x = (np.arange(64) % 8 + 0.5) * grid.dx
     state = make_state(x, np.zeros((64, 2)), grid, field=np.full(8, 1e308))
-    with np.errstate(over="ignore", invalid="ignore"):
-        cn_va_step(state, 1.0, 1, grid)
+    cn_va_step(state, 1.0, 1, grid)
 
 
 @pytest.mark.parametrize("make, error, match", [
@@ -175,8 +174,14 @@ def _cn_blow_up():
      "non-finite entries"),
     (lambda: cn_va_step(make_state(np.ones(4), np.zeros((4, 2)), PicGrid(LENGTH, 8)), 0.1, 0,
                         PicGrid(LENGTH, 8)), ValueError, "n_iters must be >= 1"),
-    (_cn_blow_up, NonFiniteState, "non-finite field")],
-    ids=["length", "n0", "velocity-dim", "velocity-count", "nan-field", "n_iters", "field-overflow"])
+    (_cn_blow_up, NonFiniteState, "non-finite field"),
+    (lambda: VplConfig(200, 0.0, 0.2, 0.1, COULOMB), ValueError, "dt must be positive"),
+    (lambda: VplConfig(200, -0.1, 0.2, 0.1, COULOMB), ValueError, "dt must be positive"),
+    (lambda: VplConfig(200, np.inf, 0.2, 0.1, COULOMB), ValueError, "dt must be positive"),
+    (lambda: VplConfig(200, 0.1, -1.0, 0.1, COULOMB), ValueError, "t_end must be >= 0"),
+    (lambda: VplConfig(0, 0.1, 0.2, 0.1, COULOMB), ValueError, "n_particles must be >= 1")],
+    ids=["length", "n0", "velocity-dim", "velocity-count", "nan-field", "n_iters", "field-overflow",
+         "dt-zero", "dt-negative", "dt-inf", "t_end-negative", "n_particles-zero"])
 def test_bad_pic_inputs_raise(make, error, match):
     with pytest.raises(error, match=match):
         make()
@@ -187,7 +192,7 @@ def test_cn_step_raises_on_sweep_divergence():
     # midpoint cells, which reach past its 2^53 bound
     grid = PicGrid(LENGTH, 16)
     state = make_state(np.array([1.0, 2.0]), np.array([[1e300, 0.0], [-1e300, 0.0]]), grid)
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteState, match=r"diverged at t=0\.0"):
+    with pytest.raises(NonFiniteState, match=r"diverged at t=0\.0"):
         cn_va_step(state, 1e3, 5, grid)
 
 
